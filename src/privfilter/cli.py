@@ -25,8 +25,8 @@ from .dp_mech import NoiseConfig, bound, bound_scale_from_norms, compute_diamete
 from .errors import DataError
 from .filters import apply_filter, load_filter, save_filter
 from .harness import (CHAIN_CHOICES, FILTER_CHOICES, ExperimentConfig,
-                      _ROLE_FILTER, _ROLE_SPLIT, derive_rng, fit_filter,
-                      run_experiment, export_results)
+                      _ROLE_FILTER, _ROLE_NOISE, _ROLE_SPLIT, derive_rng,
+                      fit_filter, run_experiment, export_results)
 from .heads import accuracy, fit_softmax
 from .minimax_opt import classification_tradeoff, save_report
 
@@ -118,7 +118,7 @@ def _cmd_eval(args) -> int:
         noise = NoiseConfig.from_epsilon_inverse(args.epsilon_inverse,
                                                  bound_kind=kind,
                                                  bound_scale=scale)
-        rng = derive_rng(args.seed, 2, 0)
+        rng = derive_rng(args.seed, _ROLE_NOISE, 0)
         g_train = bound(noise.bound_kind, scale, g_train) + sample_noise(
             noise, state.output_dim, rng=rng, size=g_train.shape[0])
         g_test = bound(noise.bound_kind, scale, g_test) + sample_noise(

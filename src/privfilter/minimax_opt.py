@@ -17,16 +17,23 @@ minimizers are unique and Phi is differentiable with
                      - rho sum_j omega_j grad_u f_j(u, w_j*) ]
 
 so the bracketed quantity is a descent direction once the heads are fit
-to optimality.  Training alternates exact head refits with a backtracking
-line search along that direction; every line-search probe refits all
+to optimality.  Training alternates exact head refits with an Armijo
+line search along that direction over the fixed step grid
+initial_step * shrink**k.  The first search starts at initial_step and
+backtracks; each later search starts one grid point above the last
+accepted step, backtracks if that probe is rejected, and otherwise
+expands toward initial_step while the larger step is still accepted.
+Every probe refits all heads, warm-started from the current iterate's
 heads, so recorded objective values are true Phi evaluations and the
-accepted sequence decreases monotonically.
+accepted sequence decreases monotonically.  The accepted probe's forward
+pass also yields the next direction's feature gradient, so each accepted
+step costs one extra vector-Jacobian product and no extra head work.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -73,6 +80,11 @@ def reconstruction_task(reg_lambda=0.0, fit_intercept=True) -> TaskSpec:
 
 @dataclass(frozen=True)
 class LineSearchConfig:
+    """Armijo search over the steps initial_step * shrink**k, k <= max_backtracks.
+
+    ``initial_step`` is the largest step any search tries.
+    """
+
     initial_step: float = 1.0
     shrink: float = 0.5
     max_backtracks: int = 30
@@ -141,11 +153,18 @@ def least_squares_tradeoff(utility_weight=10.0, reg_lambda=0.0,
 
 @dataclass(frozen=True)
 class FittedHeads:
-    """Best-response heads for every task at one filter state."""
+    """Best-response heads for every task at one filter state.
+
+    ``feature_grad`` is sum_i kappa_i grad_G f_priv_i - rho sum_j omega_j
+    grad_G f_util_j at the filter outputs G the heads were scored on; its
+    vector-Jacobian product through the filter is the descent direction.
+    """
 
     private: tuple
     utility: tuple
     inner_iterations: int = 0
+    feature_grad: np.ndarray | None = field(default=None, repr=False,
+                                            compare=False)
 
 
 def _task_labels(task: TaskSpec, data):
@@ -155,39 +174,66 @@ def _task_labels(task: TaskSpec, data):
     return np.asarray(labels)
 
 
-def _fit_task(task: TaskSpec, G, data, cfg: TradeoffConfig, warm):
-    """Fit one head to inner optimality; return (head, risk, iterations)."""
+def _task_pass(task: TaskSpec, head, G, data, cfg: TradeoffConfig, refit):
+    """Score one head at features ``G``; return (head, risk, grad_G, iterations).
+
+    With ``refit`` the head is first fit to inner optimality (``head`` is
+    the warm start, or None); otherwise ``head`` is held fixed.
+    """
     if task.kind == TASK_SOFTMAX:
         labels = _task_labels(task, data)
-        num_classes = int(labels.max())
-        head, nit = heads_mod.fit_softmax_with_info(
-            G, labels, num_classes, task.reg_lambda,
-            tol=cfg.inner_tol, max_iter=cfg.inner_max_iter, init=warm)
-        risk, _, _ = heads_mod.softmax_risk(head, G, labels)
-        return head, risk, nit
-    if task.kind == TASK_LEAST_SQUARES:
-        labels = _task_labels(task, data)
-        target = heads_mod.one_hot(labels, int(labels.max()))
-    else:
-        target = np.asarray(data.X, dtype=np.float64)
-    head = heads_mod.fit_reconstruction(G, target, task.reg_lambda,
-                                        task.fit_intercept)
-    risk, _, _ = heads_mod.reconstruction_risk(head, G, target)
-    return head, risk, 1
-
-
-def _task_risk_and_feature_grad(task: TaskSpec, head, G, data):
-    if task.kind == TASK_SOFTMAX:
-        labels = _task_labels(task, data)
+        nit = 0
+        if refit:
+            head, nit = heads_mod.fit_softmax_with_info(
+                G, labels, int(labels.max()), task.reg_lambda,
+                tol=cfg.inner_tol, max_iter=cfg.inner_max_iter, init=head)
         risk, _, grad_features = heads_mod.softmax_risk(head, G, labels)
-        return risk, grad_features
+        return head, risk, grad_features, nit
     if task.kind == TASK_LEAST_SQUARES:
         labels = _task_labels(task, data)
-        target = heads_mod.one_hot(labels, head.weights.shape[1])
+        num_classes = int(labels.max()) if refit else head.weights.shape[1]
+        target = heads_mod.one_hot(labels, num_classes)
     else:
         target = np.asarray(data.X, dtype=np.float64)
+    if refit:
+        head = heads_mod.fit_reconstruction(G, target, task.reg_lambda,
+                                            task.fit_intercept)
     risk, _, grad_features = heads_mod.reconstruction_risk(head, G, target)
-    return risk, grad_features
+    return head, risk, grad_features, 1 if refit else 0
+
+
+def _tradeoff_pass(state: FilterState, heads, data, cfg: TradeoffConfig, refit):
+    """One forward pass over every task at ``state``.
+
+    Returns (objective, privacy_value, utility_value, FittedHeads) with the
+    heads' ``feature_grad`` filled in; ``heads`` are warm starts (or None)
+    when ``refit`` is set and the fixed heads otherwise.
+    """
+    G = apply_filter(state, data.X)
+    upstream = np.zeros_like(G)
+    iterations = 0
+    privacy_value = 0.0
+    private_heads = []
+    for i, (task, weight) in enumerate(cfg.private_tasks):
+        given = heads.private[i] if heads is not None else None
+        head, risk, grad_features, nit = _task_pass(task, given, G, data, cfg, refit)
+        private_heads.append(head)
+        privacy_value += weight * (-risk)
+        upstream += weight * grad_features
+        iterations += nit
+    utility_value = 0.0
+    utility_heads = []
+    for j, (task, weight) in enumerate(cfg.utility_tasks):
+        given = heads.utility[j] if heads is not None else None
+        head, risk, grad_features, nit = _task_pass(task, given, G, data, cfg, refit)
+        utility_heads.append(head)
+        utility_value += weight * (-risk)
+        upstream -= cfg.utility_weight * weight * grad_features
+        iterations += nit
+    objective = privacy_value - cfg.utility_weight * utility_value
+    fitted = FittedHeads(tuple(private_heads), tuple(utility_heads), iterations,
+                         upstream)
+    return objective, privacy_value, utility_value, fitted
 
 
 def joint_objective(state: FilterState, data, cfg: TradeoffConfig, warm=None):
@@ -195,29 +241,10 @@ def joint_objective(state: FilterState, data, cfg: TradeoffConfig, warm=None):
 
     Returns (objective, privacy_value, utility_value, fitted_heads) where
     privacy_value = sum_i kappa_i * (-best private risk_i) and
-    utility_value = sum_j omega_j * (-best utility risk_j).
+    utility_value = sum_j omega_j * (-best utility risk_j).  The fitted
+    heads carry the feature gradient at ``state`` (see ``FittedHeads``).
     """
-    G = apply_filter(state, data.X)
-    privacy_value = 0.0
-    utility_value = 0.0
-    iterations = 0
-    private_heads = []
-    for i, (task, weight) in enumerate(cfg.private_tasks):
-        warm_head = warm.private[i] if warm is not None else None
-        head, risk, nit = _fit_task(task, G, data, cfg, warm_head)
-        private_heads.append(head)
-        privacy_value += weight * (-risk)
-        iterations += nit
-    utility_heads = []
-    for j, (task, weight) in enumerate(cfg.utility_tasks):
-        warm_head = warm.utility[j] if warm is not None else None
-        head, risk, nit = _fit_task(task, G, data, cfg, warm_head)
-        utility_heads.append(head)
-        utility_value += weight * (-risk)
-        iterations += nit
-    objective = privacy_value - cfg.utility_weight * utility_value
-    fitted = FittedHeads(tuple(private_heads), tuple(utility_heads), iterations)
-    return objective, privacy_value, utility_value, fitted
+    return _tradeoff_pass(state, warm, data, cfg, refit=True)
 
 
 def evaluate_objective(state: FilterState, fitted: FittedHeads, data,
@@ -226,16 +253,7 @@ def evaluate_objective(state: FilterState, fitted: FittedHeads, data,
 
     Useful for scoring held-out data with the heads fit on training data.
     """
-    G = apply_filter(state, data.X)
-    privacy_value = 0.0
-    for (task, weight), head in zip(cfg.private_tasks, fitted.private):
-        risk, _ = _task_risk_and_feature_grad(task, head, G, data)
-        privacy_value += weight * (-risk)
-    utility_value = 0.0
-    for (task, weight), head in zip(cfg.utility_tasks, fitted.utility):
-        risk, _ = _task_risk_and_feature_grad(task, head, G, data)
-        utility_value += weight * (-risk)
-    return privacy_value - cfg.utility_weight * utility_value, privacy_value, utility_value
+    return _tradeoff_pass(state, fitted, data, cfg, refit=False)[:3]
 
 
 def descent_direction(state: FilterState, fitted: FittedHeads, data,
@@ -245,14 +263,7 @@ def descent_direction(state: FilterState, fitted: FittedHeads, data,
     q = sum_i kappa_i grad_u f_priv_i - rho sum_j omega_j grad_u f_util_j,
     assembled as one vector-Jacobian product through the filter.
     """
-    G = apply_filter(state, data.X)
-    upstream = np.zeros_like(G)
-    for (task, weight), head in zip(cfg.private_tasks, fitted.private):
-        _, grad_features = _task_risk_and_feature_grad(task, head, G, data)
-        upstream += weight * grad_features
-    for (task, weight), head in zip(cfg.utility_tasks, fitted.utility):
-        _, grad_features = _task_risk_and_feature_grad(task, head, G, data)
-        upstream -= cfg.utility_weight * weight * grad_features
+    upstream = _tradeoff_pass(state, fitted, data, cfg, refit=False)[3].feature_grad
     return filter_param_grad(state, data.X, upstream)
 
 
@@ -263,7 +274,9 @@ class IterationRecord:
     ``objective`` and ``grad_norm`` are measured at the recorded iterate;
     ``step_size`` is the accepted step that produced it (0 for the initial
     record) and ``inner_iterations`` counts head-solver iterations spent
-    during that outer step, line-search probes included.
+    during that outer step, line-search probes included.  ``probes`` is the
+    number of ``joint_objective`` calls in that outer step (1 for the
+    initial record; 0 in reports saved before the field existed).
     """
 
     iteration: int
@@ -273,6 +286,7 @@ class IterationRecord:
     step_size: float
     inner_iterations: int
     grad_norm: float
+    probes: int = 0
 
 
 @dataclass(frozen=True)
@@ -308,53 +322,98 @@ def load_report_records(path):
     return tuple(records)
 
 
+def _step_grid(ls: LineSearchConfig):
+    """The candidate steps initial_step * shrink**k for k = 0..max_backtracks."""
+    grid = [ls.initial_step]
+    for _ in range(ls.max_backtracks):
+        grid.append(grid[-1] * ls.shrink)
+    return grid
+
+
+def _line_search(state, direction, objective, fitted, data, cfg, grid, start):
+    """Armijo search along ``direction`` over the decreasing step ``grid``.
+
+    Probes ``grid[start]`` first.  If it is rejected, backtracks down the
+    grid, and only when every smaller step fails too tries the larger ones
+    top-down, so a stall means that no grid step passes.  If the first
+    probe is accepted, expands up the grid while the larger step is
+    accepted as well.  Every probe warm-starts from the heads ``fitted`` at
+    ``state``, so an accepted probe does not depend on the probes before
+    it.  Returns (accepted, probes, inner_iterations) where accepted is
+    (k, trial_state, trial_values), or None when no step is accepted.
+    """
+    grad_norm_sq = float(direction @ direction)
+    probes = 0
+    inner_used = 0
+
+    def probe(k):
+        nonlocal probes, inner_used
+        step = grid[k]
+        trial = state.with_params(state.params + step * direction)
+        values = joint_objective(trial, data, cfg, warm=fitted)
+        probes += 1
+        inner_used += values[3].inner_iterations
+        margin = cfg.line_search.sufficient_decrease * step * grad_norm_sq
+        return (k, trial, values) if values[0] < objective - margin else None
+
+    accepted = None
+    for k in [*range(start, len(grid)), *range(start)]:
+        accepted = probe(k)
+        if accepted is not None:
+            break
+    if accepted is not None and accepted[0] == start:
+        for k in range(start - 1, -1, -1):
+            larger = probe(k)
+            if larger is None:
+                break
+            accepted = larger
+    return accepted, probes, inner_used
+
+
 def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
     """Alternating descent on the tradeoff objective from ``init``.
 
     Deterministic given the initial state.  Each iteration fits all heads,
-    takes the steepest-descent direction, and backtracks until the
-    objective strictly decreases by the Armijo margin; the run stops after
-    ``cfg.slow_iterations`` consecutive decreases below
-    ``cfg.convergence_tol`` (converged), when the line search stalls, or
+    takes the steepest-descent direction, and line-searches the step grid
+    ``initial_step * shrink**k`` (k <= ``max_backtracks``) for a step that
+    decreases the objective by the Armijo margin.  The first
+    search probes ``initial_step`` and backtracks from there; each later
+    search starts one grid point above the last accepted step (capped at
+    ``initial_step``), backtracks if that probe is rejected and otherwise
+    expands up the grid while the larger step is still accepted.  The run
+    stops after ``cfg.slow_iterations`` consecutive decreases below
+    ``cfg.convergence_tol`` (converged), when no grid step is accepted, or
     at ``cfg.max_iter``.
     """
     X = np.asarray(data.X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != init.input_dim:
         raise ShapeError("initial filter does not match the data dimension")
-    ls = cfg.line_search
+    grid = _step_grid(cfg.line_search)
     state = init
     objective, privacy_value, utility_value, fitted = joint_objective(state, data, cfg)
-    direction = descent_direction(state, fitted, data, cfg)
+    direction = filter_param_grad(state, data.X, fitted.feature_grad)
     records = [IterationRecord(0, objective, privacy_value, utility_value,
                                0.0, fitted.inner_iterations,
-                               float(np.linalg.norm(direction)))]
+                               float(np.linalg.norm(direction)), probes=1)]
     converged = False
     slow_count = 0
+    start = 0
     for iteration in range(1, cfg.max_iter + 1):
-        grad_norm_sq = float(direction @ direction)
-        accepted = None
-        step = ls.initial_step
-        inner_used = 0
-        for _ in range(ls.max_backtracks + 1):
-            trial = state.with_params(state.params + step * direction)
-            trial_values = joint_objective(trial, data, cfg, warm=fitted)
-            inner_used += trial_values[3].inner_iterations
-            if trial_values[0] < objective - ls.sufficient_decrease * step * grad_norm_sq:
-                accepted = (trial, step, trial_values)
-                break
-            step *= ls.shrink
+        accepted, probes, inner_used = _line_search(
+            state, direction, objective, fitted, data, cfg, grid, start)
         if accepted is None:
             # No productive step along the gradient; at (or numerically
             # indistinguishable from) a stationary point.
             break
-        state, step, (trial_objective, privacy_value, utility_value, fitted) = (
-            accepted[0], accepted[1], accepted[2])
+        k, state, (trial_objective, privacy_value, utility_value, fitted) = accepted
+        start = max(k - 1, 0)
         decrease = objective - trial_objective
         objective = trial_objective
-        direction = descent_direction(state, fitted, data, cfg)
+        direction = filter_param_grad(state, data.X, fitted.feature_grad)
         records.append(IterationRecord(iteration, objective, privacy_value,
-                                       utility_value, step, inner_used,
-                                       float(np.linalg.norm(direction))))
+                                       utility_value, grid[k], inner_used,
+                                       float(np.linalg.norm(direction)),
+                                       probes))
         if decrease < cfg.convergence_tol:
             slow_count += 1
             if slow_count >= cfg.slow_iterations:

@@ -7,8 +7,8 @@ from privfilter.data import Dataset
 from privfilter.errors import DataError, ShapeError
 from privfilter.filters import FilterKind, init_filter, linear_filter
 from privfilter.heads import one_hot
-from privfilter.minimax_opt import (LineSearchConfig, TradeoffConfig,
-                                    classification_tradeoff,
+from privfilter.minimax_opt import (IterationRecord, LineSearchConfig,
+                                    TradeoffConfig, classification_tradeoff,
                                     descent_direction, evaluate_objective,
                                     joint_objective, least_squares_task,
                                     least_squares_tradeoff,
@@ -278,3 +278,95 @@ def test_report_round_trip(tmp_path):
     path = tmp_path / "run.report.jsonl"
     save_report(report, path)
     assert load_report_records(path) == report.records
+    assert report.records[0].probes == 1
+    assert all(r.probes >= 1 for r in report.records)
+
+
+def test_report_without_probes_still_loads(tmp_path):
+    # reports saved before records counted line-search probes
+    path = tmp_path / "old.report.jsonl"
+    path.write_text('{"grad_norm": 0.5, "inner_iterations": 12, "iteration": 0, '
+                    '"objective": -1.0, "privacy_value": -0.5, "step_size": 0.0, '
+                    '"utility_value": 0.05}\n', encoding="utf-8")
+    (record,) = load_report_records(path)
+    assert record == IterationRecord(0, -1.0, -0.5, 0.05, 0.0, 12, 0.5, probes=0)
+
+
+def _top_down_reference(init, data, cfg):
+    """Plain backtracking: every search starts at initial_step.
+
+    Returns the accepted steps, the objectives after them, the final
+    parameters and the number of joint_objective calls spent.
+    """
+    ls = cfg.line_search
+    state = init
+    objective, _, _, fitted = joint_objective(state, data, cfg)
+    direction = descent_direction(state, fitted, data, cfg)
+    steps, objectives, probes, slow_count = [], [], 1, 0
+    for _ in range(cfg.max_iter):
+        grad_norm_sq = float(direction @ direction)
+        step = ls.initial_step
+        accepted = None
+        for _ in range(ls.max_backtracks + 1):
+            trial = state.with_params(state.params + step * direction)
+            values = joint_objective(trial, data, cfg, warm=fitted)
+            probes += 1
+            if values[0] < objective - ls.sufficient_decrease * step * grad_norm_sq:
+                accepted = trial, values
+                break
+            step *= ls.shrink
+        if accepted is None:
+            break
+        state, (trial_objective, _, _, fitted) = accepted
+        decrease = objective - trial_objective
+        objective = trial_objective
+        direction = descent_direction(state, fitted, data, cfg)
+        steps.append(step)
+        objectives.append(objective)
+        slow_count = slow_count + 1 if decrease < cfg.convergence_tol else 0
+        if slow_count >= cfg.slow_iterations:
+            break
+    return steps, objectives, state.params, probes
+
+
+def _scheduled_probes(ks):
+    """Probes per outer step when the searches accept grid indices ``ks``.
+
+    Each search starts one grid point above the last accepted index; it
+    backtracks through the rejected points below its start, or, when its
+    first probe is accepted, expands until a larger step is rejected or
+    the grid's top is reached.
+    """
+    counts, start = [], 0
+    for k in ks:
+        if k >= start:
+            counts.append(k - start + 1 + (k == start > 0))
+        else:
+            counts.append(start - k + 1 + (k > 0))
+        start = max(k - 1, 0)
+    return counts
+
+
+@pytest.mark.parametrize("seed, initial_step", [(0, 1.0), (2, 1.0), (2, 4.0)])
+def test_warm_started_search_matches_top_down_backtracking(seed, initial_step):
+    # least-squares heads through an MLP filter: the accepted step moves
+    # around the grid, so the search both expands and backtracks
+    data = _toy_dataset(np.random.default_rng(seed), n=40, dim=5)
+    ls = LineSearchConfig(initial_step)
+    cfg = least_squares_tradeoff(3.0, 1e-3, max_iter=30, line_search=ls)
+    init = init_filter(FilterKind.TWO_LAYER_SIGMOID, 5, 2, (6, 4), seed=seed)
+    report = train_minimax(init, data, cfg)
+    steps, objectives, params, probes = _top_down_reference(init, data, cfg)
+    accepted = report.records[1:]
+    assert len(set(steps)) >= 3
+    assert [r.step_size for r in accepted] == steps
+    assert [r.objective for r in accepted] == objectives
+    assert np.array_equal(report.final_state.params, params)
+    assert all(r.step_size <= initial_step for r in accepted)
+    grid = [initial_step]
+    for _ in range(ls.max_backtracks):
+        grid.append(grid[-1] * ls.shrink)
+    ks = [grid.index(r.step_size) for r in accepted]
+    assert [r.probes for r in accepted] == _scheduled_probes(ks)
+    # the top-down search spends k + 1 probes on a step at grid index k
+    assert probes == 1 + sum(k + 1 for k in ks)
