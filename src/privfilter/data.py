@@ -11,6 +11,7 @@ bit-exact.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 
@@ -119,14 +120,21 @@ def _relabel_contiguous(values) -> np.ndarray:
 
 
 def load_csv(path, schema: CsvSchema = CsvSchema()) -> Dataset:
+    """Read a dataset written by ``save_csv`` (or any CSV with that header).
+
+    A plain numeric table, one line per row with every field present, is
+    parsed in one vectorized call.  Anything else (a parse failure, a ragged
+    or blank line, quoted fields) is parsed row by row, which names the first
+    bad row in its error.  Feature values parse as floats and must be
+    finite; label and subject columns must hold integers.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
-    if not rows:
+        header_line = fh.readline()
+        body = fh.read()
+    if not header_line:
+        raise DataError(f"{path}: empty file")
+    header = next(csv.reader([header_line]))
+    if not body:
         raise DataError(f"{path}: no data rows")
     index = {name: i for i, name in enumerate(header)}
     if schema.feature_cols is None:
@@ -142,28 +150,60 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> Dataset:
             raise DataError(f"{path}: missing column {name!r}")
     has_z = schema.z_col in index
     feature_idx = [index[name] for name in feature_cols]
+    label_cols = [schema.y_col, schema.subject_col] + ([schema.z_col] if has_z else [])
+    label_idx = [index[name] for name in label_cols]
 
-    X = np.empty((len(rows), len(feature_cols)))
-    y = np.empty(len(rows), dtype=np.int64)
-    z = np.empty(len(rows), dtype=np.int64) if has_z else None
-    subjects = np.empty(len(rows), dtype=np.int64)
+    parsed = _parse_table(body, len(header), feature_idx, label_idx)
+    if parsed is None:
+        X, labels = _parse_rows(path, body, len(header), feature_idx, label_idx)
+    else:
+        X, labels = parsed
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise DataError(f"{path}: row {int(np.argmin(finite))} "
+                            "contains a non-finite feature")
+    y, subjects = labels[:, 0], labels[:, 1]
+    z = _relabel_contiguous(labels[:, 2]) if has_z else None
+    return Dataset(X, _relabel_contiguous(y), subjects, z, name=str(path))
+
+
+def _parse_table(body, n_fields, feature_idx, label_idx):
+    """(X, labels) from a plain numeric table in one ``np.loadtxt`` call, or
+    None when ``body`` is not one (the caller then parses row by row)."""
+    lines = body.splitlines()
+    if any(line.count(",") != n_fields - 1 for line in lines):
+        return None
+    dtype = np.dtype([("X", np.float64, (len(feature_idx),)),
+                      ("labels", np.int64, (len(label_idx),))])
+    try:
+        table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",",
+                           comments=None, usecols=feature_idx + label_idx,
+                           ndmin=1)
+    except ValueError:
+        return None
+    if table.shape[0] != len(lines):
+        return None
+    return np.ascontiguousarray(table["X"]), table["labels"]
+
+
+def _parse_rows(path, body, n_fields, feature_idx, label_idx):
+    """Row-by-row parse that raises ``DataError`` naming the first bad row."""
+    rows = list(csv.reader(io.StringIO(body)))
+    X = np.empty((len(rows), len(feature_idx)))
+    labels = np.empty((len(rows), len(label_idx)), dtype=np.int64)
     for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {r} has {len(row)} fields, expected {len(header)}")
+        if len(row) != n_fields:
+            raise DataError(f"{path}: row {r} has {len(row)} fields, expected {n_fields}")
         try:
             for c, col in enumerate(feature_idx):
                 X[r, c] = float(row[col])
-            y[r] = int(row[index[schema.y_col]])
-            subjects[r] = int(row[index[schema.subject_col]])
-            if has_z:
-                z[r] = int(row[index[schema.z_col]])
+            for c, col in enumerate(label_idx):
+                labels[r, c] = int(row[col])
         except ValueError as exc:
             raise DataError(f"{path}: row {r}: {exc}") from None
         if not np.all(np.isfinite(X[r])):
             raise DataError(f"{path}: row {r} contains a non-finite feature")
-    return Dataset(X, _relabel_contiguous(y), subjects,
-                   None if z is None else _relabel_contiguous(z),
-                   name=str(path))
+    return X, labels
 
 
 def save_csv(data: Dataset, path) -> None:

@@ -34,6 +34,7 @@ from .filters import FilterState, apply_filter
 
 DEFAULT_SENSITIVITY = 2.0
 _NORMALIZE_FLOOR = 1e-300
+_SCAN_BLOCK = 1 << 20  # distance entries per block of the diameter scan
 
 
 class BoundKind(str, enum.Enum):
@@ -227,7 +228,20 @@ class DiameterReport:
 
 
 def compute_diameters(X, y, z) -> DiameterReport:
-    """Exhaustive O(N^2) scan for the two calibration diameters."""
+    """Exact scan for the two calibration diameters.
+
+    A cross-subject pair shares its target label, so it is searched only
+    inside each z group, and a within-subject pair only inside each y
+    group.  The work is O(sum of squared group sizes) distance entries
+    instead of O(N^2).  Each group's upper triangle is walked in blocks
+    of consecutive rows, each block against the group's rows from its own
+    first row on, with about ``_SCAN_BLOCK`` entries per block (at least
+    two rows), so the working memory is a few block-sized arrays plus one
+    copy of the group's features.  Squared distances are ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j,
+    clamped at 0.  Among pairs at the maximal distance the report names
+    the smallest (i, j), i < j, in row-major order.  Non-finite features
+    raise ``DataError``.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     z = np.asarray(z)
@@ -235,23 +249,52 @@ def compute_diameters(X, y, z) -> DiameterReport:
         raise ShapeError("features must be a non-empty 2-d array")
     if y.shape != (X.shape[0],) or z.shape != (X.shape[0],):
         raise ShapeError("labels must be 1-d with one entry per sample")
+    if not np.all(np.isfinite(X)):
+        raise DataError("features contain non-finite values")
     sq_norms = (X * X).sum(axis=1)
-    sq_dist = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (X @ X.T)
-    np.maximum(sq_dist, 0.0, out=sq_dist)
-    y_differs = y[:, None] != y[None, :]
-    z_differs = z[:, None] != z[None, :]
-    upper = np.triu(np.ones_like(y_differs, dtype=bool), k=1)
-
-    def best(mask):
-        mask = mask & upper
-        if not mask.any():
-            return 0.0, None, False
-        masked = np.where(mask, sq_dist, -np.inf)
-        flat = int(np.argmax(masked))
-        i, j = divmod(flat, X.shape[0])
-        return float(np.sqrt(masked[i, j])), (i, j), True
-
-    cross, cross_pair, cross_ok = best(y_differs & ~z_differs)
-    within, within_pair, within_ok = best(~y_differs & z_differs)
+    cross, cross_pair, cross_ok = _farthest_pair(X, sq_norms, z, y)
+    within, within_pair, within_ok = _farthest_pair(X, sq_norms, y, z)
     return DiameterReport(cross, within, cross_pair, within_pair,
                           cross_ok, within_ok)
+
+
+def _farthest_pair(X, sq_norms, group_labels, pair_labels):
+    """(distance, (i, j), True) for the farthest pair i < j sharing
+    ``group_labels`` and differing in ``pair_labels``, or (0.0, None, False)
+    if no pair qualifies.  Ties go to the smallest (i, j) in row-major order."""
+    best = None
+    order = np.argsort(group_labels, kind="stable")
+    sorted_labels = group_labels[order]
+    cuts = np.flatnonzero(sorted_labels[1:] != sorted_labels[:-1]) + 1
+    for members in np.split(order, cuts):
+        m = members.size
+        if m < 2:
+            continue
+        Xg = X[members]
+        norms = sq_norms[members]
+        labels = pair_labels[members]
+        rows = max(2, _SCAN_BLOCK // m)
+        for r in range(0, m - 1, rows):
+            stop = min(r + rows, m)
+            # Rows r..stop-1 against columns r..m-1: with two or more rows on
+            # each side BLAS takes a matrix-matrix kernel, as the dense X @ X.T
+            # does, and not a vector kernel, which sums in another order.
+            dots = Xg[r:stop] @ Xg[r:].T
+            dots *= 2.0
+            sq_dist = norms[r:stop, None] + norms[None, r:]
+            sq_dist -= dots
+            np.maximum(sq_dist, 0.0, out=sq_dist)
+            drop = labels[r:stop, None] == labels[None, r:]
+            drop[:, :stop - r] |= np.tri(stop - r, dtype=bool)
+            np.copyto(sq_dist, -np.inf, where=drop)
+            flat = int(np.argmax(sq_dist))
+            a, c = divmod(flat, m - r)
+            value = sq_dist[a, c]
+            if value == -np.inf:
+                continue
+            pair = (int(members[r + a]), int(members[r + c]))
+            if best is None or value > best[0] or (value == best[0] and pair < best[1]):
+                best = (value, pair)
+    if best is None:
+        return 0.0, None, False
+    return float(np.sqrt(best[0])), best[1], True

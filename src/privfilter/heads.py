@@ -118,19 +118,31 @@ def _check_feature_matrix(G, dim=None) -> np.ndarray:
     return G
 
 
-def _softmax_core(weights, G, labels):
-    """Mean negative log-likelihood and the softmax residual matrix P - Y."""
-    n = G.shape[0]
+def _label_index(labels, num_classes) -> np.ndarray:
+    """Flat indices of the labelled entries of an (n, num_classes) array."""
+    return np.arange(labels.size) * num_classes + (labels - 1)
+
+
+def _softmax_core(weights, G, label_index):
+    """Mean negative log-likelihood and the softmax residual matrix P - Y.
+
+    ``label_index`` comes from ``_label_index``.  The logits buffer is
+    shifted, exponentiated and normalized in place to become the residual.
+    """
     logits = G @ weights.T
-    shift = logits.max(axis=1, keepdims=True)
-    exp_shifted = np.exp(logits - shift)
-    norms = exp_shifted.sum(axis=1)
-    log_norm = shift[:, 0] + np.log(norms)
-    picked = logits[np.arange(n), labels - 1]
+    flat = logits.reshape(-1)
+    picked = flat[label_index]
+    shift = logits[:, 0].copy()
+    for k in range(1, logits.shape[1]):
+        np.maximum(shift, logits[:, k], out=shift)
+    logits -= shift[:, None]
+    np.exp(logits, out=logits)
+    norms = logits.sum(axis=1)
+    log_norm = shift + np.log(norms)
     nll = float(np.mean(log_norm - picked))
-    residual = exp_shifted / norms[:, None]
-    residual[np.arange(n), labels - 1] -= 1.0
-    return nll, residual
+    logits /= norms[:, None]
+    flat[label_index] -= 1.0
+    return nll, logits
 
 
 def softmax_risk(head: SoftmaxHead, G, labels):
@@ -148,7 +160,8 @@ def softmax_risk(head: SoftmaxHead, G, labels):
         raise ShapeError("labels and features disagree on the sample count")
     n = G.shape[0]
     lam = head.reg_lambda
-    nll, residual = _softmax_core(head.weights, G, labels)
+    nll, residual = _softmax_core(head.weights, G,
+                                  _label_index(labels, head.num_classes))
     risk = nll + 0.5 * lam * float((head.weights ** 2).sum())
     grad_head = residual.T @ G / n + lam * head.weights
     grad_features = residual @ head.weights / n
@@ -177,10 +190,11 @@ def fit_softmax_with_info(G, labels, num_classes, reg_lambda=1e-6, tol=1e-8,
             raise ShapeError("warm-start head has the wrong shape")
         x0 = init.weights.ravel().copy()
     lam = float(reg_lambda)
+    label_index = _label_index(labels, num_classes)
 
     def value_and_grad(flat):
         weights = flat.reshape(num_classes, d)
-        nll, residual = _softmax_core(weights, G, labels)
+        nll, residual = _softmax_core(weights, G, label_index)
         risk = nll + 0.5 * lam * float((weights ** 2).sum())
         grad = residual.T @ G / n + lam * weights
         return risk, grad.ravel()

@@ -291,9 +291,21 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class TrainReport:
+    """Records of one training run and why it stopped.
+
+    ``stop_reason`` is ``"converged"`` (slow progress), ``"stalled"`` (no
+    grid step passed the Armijo test) or ``"max_iter"``; None in reports
+    made before the field existed.  A stalled search's ``joint_objective``
+    calls and head-solver iterations belong to no record, so they are
+    kept in ``stall_probes`` and ``stall_inner_iterations`` (0 otherwise).
+    """
+
     records: tuple
     final_state: FilterState
     converged: bool
+    stop_reason: str | None = None
+    stall_probes: int = 0
+    stall_inner_iterations: int = 0
 
     @property
     def iterations(self) -> int:
@@ -382,8 +394,9 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
     ``initial_step``), backtracks if that probe is rejected and otherwise
     expands up the grid while the larger step is still accepted.  The run
     stops after ``cfg.slow_iterations`` consecutive decreases below
-    ``cfg.convergence_tol`` (converged), when no grid step is accepted, or
-    at ``cfg.max_iter``.
+    ``cfg.convergence_tol`` (converged), when no grid step is accepted
+    (stalled), or at ``cfg.max_iter``; the report's ``stop_reason`` says
+    which.
     """
     X = np.asarray(data.X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != init.input_dim:
@@ -395,7 +408,8 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
     records = [IterationRecord(0, objective, privacy_value, utility_value,
                                0.0, fitted.inner_iterations,
                                float(np.linalg.norm(direction)), probes=1)]
-    converged = False
+    stop_reason = "max_iter"
+    stall_probes = stall_inner = 0
     slow_count = 0
     start = 0
     for iteration in range(1, cfg.max_iter + 1):
@@ -404,6 +418,8 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
         if accepted is None:
             # No productive step along the gradient; at (or numerically
             # indistinguishable from) a stationary point.
+            stop_reason = "stalled"
+            stall_probes, stall_inner = probes, inner_used
             break
         k, state, (trial_objective, privacy_value, utility_value, fitted) = accepted
         start = max(k - 1, 0)
@@ -417,8 +433,9 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
         if decrease < cfg.convergence_tol:
             slow_count += 1
             if slow_count >= cfg.slow_iterations:
-                converged = True
+                stop_reason = "converged"
                 break
         else:
             slow_count = 0
-    return TrainReport(tuple(records), state, converged)
+    return TrainReport(tuple(records), state, stop_reason == "converged",
+                       stop_reason, stall_probes, stall_inner)

@@ -156,6 +156,38 @@ def test_csv_errors_carry_row_numbers(tmp_path):
         load_csv(non_finite)
 
 
+def test_csv_rejects_non_integer_labels_with_row_numbers(tmp_path):
+    for text, row in (("f0,y,subject\n1.0,1,1\n2.0,1.5,1\n", 1),
+                      ("f0,y,z,subject\n1.0,1,2.0,1\n", 0),
+                      ("f0,y,subject\n1.0,1,1\n2.0,2,x\n", 1)):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"row {row}"):
+            load_csv(path)
+
+
+def test_csv_irregular_files_parse_row_by_row(tmp_path):
+    plain = "f0,f1,y,note,subject\n0.5,1,3,a,12345678901234567\n-2e3,4,1,b,7\n"
+    path = tmp_path / "plain.csv"
+    path.write_text(plain)
+    expected = load_csv(path)
+    # a subject id beyond 2**53 survives exactly; unused text columns are skipped
+    np.testing.assert_array_equal(expected.subject_ids, [12345678901234567, 7])
+    np.testing.assert_array_equal(expected.X, [[0.5, 1.0], [-2000.0, 4.0]])
+    quoted = plain.replace("0.5,1,3", '"0.5","1",3')
+    path.write_text(quoted)
+    data = load_csv(path)
+    np.testing.assert_array_equal(data.X, expected.X)
+    np.testing.assert_array_equal(data.y, expected.y)
+    np.testing.assert_array_equal(data.subject_ids, expected.subject_ids)
+    for text, message in ((plain + "\n", "row 2 has 0 fields"),
+                          (plain + "1,2,3,c,4,5\n", "row 2 has 6 fields"),
+                          (plain.replace("-2e3", "nan"), "row 1 contains a non-finite")):
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            load_csv(path)
+
+
 def test_split_covers_every_subject_and_partitions():
     data = gen_synthetic(4, 5, 2, 11, noise=0.2, seed=5)
     train, test = split_per_subject(data, 0.8, seed=0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,9 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import gammaln
 
+from oracles import dense_diameters
+from privfilter import dp_mech
+from privfilter.data import gen_synthetic
 from privfilter.dp_mech import (BoundKind, NoiseConfig, bound,
                                 bound_scale_from_norms, compute_diameters,
                                 log_density, release_post, release_pre,
@@ -244,3 +248,111 @@ def test_brute_force_diameter_oracle():
                     within = max(within, dist)
         assert report.cross_subject == pytest.approx(cross, abs=1e-9)
         assert report.within_subject == pytest.approx(within, abs=1e-9)
+
+
+def _grid_case(rng, n, dim):
+    """Features on a coarse dyadic grid: every distance is computed exactly
+    in any summation order, and many pairs tie at the maximum."""
+    X = rng.integers(-2, 3, size=(n, dim)) / 4.0
+    y = 7 * rng.integers(1, int(rng.integers(1, 5)) + 1, size=n)
+    z = rng.integers(1, int(rng.integers(1, 4)) + 1, size=n) - 3
+    return X, y, z
+
+
+@pytest.mark.parametrize("block", [dp_mech._SCAN_BLOCK, 9, 2])
+def test_diameters_match_dense_reference_on_exact_grids(monkeypatch, block):
+    # block 9 and 2 force two-row blocks, so every group spans many blocks
+    monkeypatch.setattr(dp_mech, "_SCAN_BLOCK", block)
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        n = int(rng.integers(2, 90))
+        X, y, z = _grid_case(rng, n, int(rng.integers(1, 40)))
+        assert compute_diameters(X, y, z) == dense_diameters(X, y, z)
+
+
+def test_diameters_tie_break_is_smallest_pair_in_row_major_order():
+    # every cross pair (same z, different y) is at distance 1
+    X = np.array([[0.0], [1.0], [0.0], [1.0], [0.0]])
+    y = np.array([5, 3, 5, 3, 9])
+    z = np.array([2, 2, 2, 2, 8])
+    report = compute_diameters(X, y, z)
+    assert report.cross_pair == (0, 1) and report.cross_subject == 1.0
+    assert report.within_pair is None and not report.within_attained
+    assert report == dense_diameters(X, y, z)
+
+
+def test_diameters_singletons_and_missing_pairs_match_reference(monkeypatch):
+    monkeypatch.setattr(dp_mech, "_SCAN_BLOCK", 2)
+    rng = np.random.default_rng(22)
+    X = rng.integers(-3, 4, size=(12, 3)).astype(float)
+    cases = [
+        (np.arange(12), np.arange(12)),            # every group a singleton
+        (np.ones(12, int), np.ones(12, int)),      # one group, no differing label
+        (np.arange(12) % 5 * 10, np.arange(12) // 5 + 100),
+        (np.array([4] * 11 + [1]), np.array([6] * 11 + [2])),
+    ]
+    for y, z in cases:
+        assert compute_diameters(X, y, z) == dense_diameters(X, y, z)
+    single = compute_diameters(X[:1], [1], [1])
+    assert single == dense_diameters(X[:1], [1], [1])
+    assert not single.cross_attained and not single.within_attained
+
+
+def test_diameters_match_dense_reference_on_random_floats(monkeypatch):
+    """Same pairs; values agree to the rounding of one dot product.
+
+    BLAS rounds an entry of a matrix product differently depending on where
+    it falls in the kernel's tiling (the dense reference's own X @ X.T and
+    X @ X.T.copy() disagree in the last bit), so a blockwise scan matches the
+    dense one bit for bit only where the arithmetic is exact (see the grid
+    test above).
+    """
+    rng = np.random.default_rng(23)
+    eps = np.finfo(np.float64).eps
+    for block in (dp_mech._SCAN_BLOCK, 64):
+        monkeypatch.setattr(dp_mech, "_SCAN_BLOCK", block)
+        for _ in range(30):
+            n = int(rng.integers(2, 200))
+            dim = int(rng.integers(1, 60))
+            X = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3)
+            y = rng.integers(1, 4, size=n)
+            z = rng.integers(1, 3, size=n)
+            got = compute_diameters(X, y, z)
+            want = dense_diameters(X, y, z)
+            assert got.cross_pair == want.cross_pair
+            assert got.within_pair == want.within_pair
+            assert got.cross_attained == want.cross_attained
+            assert got.within_attained == want.within_attained
+            sq_norms = (X * X).sum(axis=1)
+            for value, ref, pair in ((got.cross_subject, want.cross_subject, got.cross_pair),
+                                     (got.within_subject, want.within_subject, got.within_pair)):
+                if pair is None:
+                    assert value == ref == 0.0
+                    continue
+                limit = 4 * dim * eps * (sq_norms[pair[0]] + sq_norms[pair[1]])
+                assert abs(value * value - ref * ref) <= limit
+
+
+def test_diameters_reject_non_finite_features():
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [5.0, 0.0]])
+    y = np.array([1, 1, 2, 2])
+    z = np.array([1, 2, 1, 2])
+    for bad in (np.nan, np.inf, -np.inf):
+        X_bad = X.copy()
+        X_bad[2, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            compute_diameters(X_bad, y, z)
+
+
+def test_diameter_scan_memory_is_bounded():
+    data = gen_synthetic(dim=50, n_subjects=20, n_target_classes=4,
+                         per_subject=200, seed=0)
+    tracemalloc.start()
+    try:
+        report = compute_diameters(data.X, data.y, data.z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.cross_attained and report.within_attained
+    # the dense N x N scan peaks at about 300 MB on this input
+    assert peak < 64 * 2**20

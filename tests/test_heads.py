@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import central_diff, rel_error
+from oracles import central_diff, rel_error, softmax_core_reference
 from privfilter.errors import DataError, NumericError, ShapeError
-from privfilter.heads import (ReconstructionHead, SoftmaxHead, accuracy,
+from privfilter.heads import (_label_index, _softmax_core,
+                              ReconstructionHead, SoftmaxHead, accuracy,
                               fit_reconstruction, fit_softmax,
                               fit_softmax_with_info, load_reconstruction_head,
                               load_softmax_head, one_hot, predict_labels,
@@ -251,3 +252,23 @@ def test_head_serialization_round_trips(tmp_path):
     np.testing.assert_array_equal(loaded.weights, rec.weights)
     np.testing.assert_array_equal(loaded.bias, rec.bias)
     assert loaded.reg_lambda == rec.reg_lambda
+
+
+@pytest.mark.parametrize("num_classes", [2, 4, 8, 20])
+def test_softmax_core_matches_reference_bit_for_bit(num_classes):
+    rng = np.random.default_rng(30 + num_classes)
+    for n, d in ((1, 3), (37, 5), (640, 51)):
+        G = rng.standard_normal((n, d)) * 3.0
+        weights = rng.standard_normal((num_classes, d)) * 2.0
+        labels = rng.integers(1, num_classes + 1, size=n)
+        nll, residual = _softmax_core(weights, G, _label_index(labels, num_classes))
+        ref_nll, ref_residual = softmax_core_reference(weights, G, labels)
+        assert nll == ref_nll
+        assert np.array_equal(residual, ref_residual)
+
+        head = SoftmaxHead(weights, reg_lambda=1e-3)
+        risk, grad_head, grad_features = softmax_risk(head, G, labels)
+        lam = head.reg_lambda
+        assert risk == ref_nll + 0.5 * lam * float((head.weights ** 2).sum())
+        assert np.array_equal(grad_head, ref_residual.T @ G / n + lam * head.weights)
+        assert np.array_equal(grad_features, ref_residual @ head.weights / n)

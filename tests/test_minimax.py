@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import central_diff, rel_error
+from privfilter import minimax_opt
 from privfilter.closed_form import compute_moments, least_squares_minimax
 from privfilter.data import Dataset
 from privfilter.errors import DataError, ShapeError
@@ -152,19 +153,61 @@ def test_training_descends_and_records_are_consistent():
     assert report.iterations == records[-1].iteration
 
 
-def test_training_from_exact_optimum_stops_immediately():
+def _at_least_squares_optimum():
+    """Toy data and the exact least-squares minimax filter for rho = 3."""
     rng = np.random.default_rng(7)
     data = _toy_dataset(rng, n=80, dim=5)
     ky = int(data.y.max())
     kz = int(data.z.max())
     m = compute_moments(data.X, one_hot(data.y, ky), one_hot(data.z, kz))
     U, _ = least_squares_minimax(m, 3.0, 2)
+    return data, U
+
+
+def test_training_from_exact_optimum_stops_immediately():
+    data, U = _at_least_squares_optimum()
     cfg = least_squares_tradeoff(3.0, 0.0, max_iter=50)
     report = train_minimax(linear_filter(U), data, cfg)
     # either the line search finds nothing or only vanishing slow steps
     assert report.iterations <= cfg.slow_iterations
     total_drop = report.records[0].objective - report.final_objective
     assert total_drop <= cfg.slow_iterations * cfg.convergence_tol
+
+
+def test_stalled_search_is_accounted_for(monkeypatch):
+    data, U = _at_least_squares_optimum()
+    cfg = least_squares_tradeoff(3.0, 0.0, max_iter=50,
+                                 line_search=LineSearchConfig(max_backtracks=3))
+    calls = []
+    original = minimax_opt.joint_objective
+
+    def counted(*args, **kwargs):
+        values = original(*args, **kwargs)
+        calls.append(values[3].inner_iterations)
+        return values
+
+    monkeypatch.setattr(minimax_opt, "joint_objective", counted)
+    report = train_minimax(linear_filter(U), data, cfg)
+    assert report.stop_reason == "stalled" and not report.converged
+    assert len(calls) == 6
+    # the stalled search tried each of the max_backtracks + 1 grid steps once
+    assert report.stall_probes == 4
+    assert sum(r.probes for r in report.records) + report.stall_probes == len(calls)
+    assert (sum(r.inner_iterations for r in report.records)
+            + report.stall_inner_iterations) == sum(calls)
+
+
+def test_stop_reason_names_max_iter_and_convergence():
+    rng = np.random.default_rng(9)
+    data = _toy_dataset(rng)
+    init = init_filter(FilterKind.LINEAR, 6, 2, seed=10)
+    short = train_minimax(init, data, classification_tradeoff(2.0, 1e-4, max_iter=2))
+    assert short.stop_reason == "max_iter" and short.iterations == 2
+    assert short.stall_probes == 0 and short.stall_inner_iterations == 0
+    loose = classification_tradeoff(2.0, 1e-4, max_iter=400, convergence_tol=1e3)
+    done = train_minimax(init, data, loose)
+    assert done.stop_reason == "converged" and done.converged
+    assert done.iterations == loose.slow_iterations
 
 
 def test_training_is_deterministic():
