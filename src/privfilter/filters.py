@@ -230,20 +230,24 @@ def _dae_eval_loss(H, w, b, w_dec, c, sigmoid_out):
     return float((r * r).sum() / H.shape[0])
 
 
-def _train_dae_layer(H, w, b, rng, noise_level, epochs, step, sigmoid_out):
+def _train_dae_layer(H, w, b, rng, noise_level, epochs, step, sigmoid_out,
+                     track_losses):
     """One denoising-autoencoder layer trained by fixed-step gradient descent.
 
     Corrupts the input with isotropic Gaussian noise each epoch and
     minimizes the squared reconstruction of the clean input.  Returns the
-    trained encoder (w, b) and the clean-input reconstruction loss per
-    epoch (entry 0 is the loss at initialization).
+    trained encoder (w, b) and, with ``track_losses``, the clean-input
+    reconstruction loss per epoch (entry 0 is the loss at initialization);
+    otherwise None, which spares one forward pass per epoch.
     """
     n_samples = H.shape[0]
     n_hidden = w.shape[1]
     bound = 1.0 / np.sqrt(n_hidden)
     w_dec = rng.uniform(-bound, bound, size=(n_hidden, H.shape[1]))
     c = np.zeros(H.shape[1])
-    losses = [_dae_eval_loss(H, w, b, w_dec, c, sigmoid_out)]
+    losses = []
+    if track_losses:
+        losses.append(_dae_eval_loss(H, w, b, w_dec, c, sigmoid_out))
     for _ in range(epochs):
         if noise_level > 0:
             corrupted = H + noise_level * rng.standard_normal(H.shape)
@@ -263,8 +267,9 @@ def _train_dae_layer(H, w, b, rng, noise_level, epochs, step, sigmoid_out):
         b = b - step * g_b
         w_dec = w_dec - step * g_wdec
         c = c - step * g_c
-        losses.append(_dae_eval_loss(H, w, b, w_dec, c, sigmoid_out))
-    return w, b, np.array(losses)
+        if track_losses:
+            losses.append(_dae_eval_loss(H, w, b, w_dec, c, sigmoid_out))
+    return w, b, np.array(losses) if track_losses else None
 
 
 def pretrain_autoencoder(X, output_dim, hidden_dims=DEFAULT_HIDDEN,
@@ -297,7 +302,8 @@ def pretrain_autoencoder(X, output_dim, hidden_dims=DEFAULT_HIDDEN,
     for idx, (w, b) in enumerate(layers):
         sigmoid_out = idx < len(layers) - 1
         w, b, losses = _train_dae_layer(h, w.copy(), b.copy(), rng,
-                                        noise_level, epochs, step, sigmoid_out)
+                                        noise_level, epochs, step, sigmoid_out,
+                                        return_losses)
         trained.append((w, b))
         histories.append(losses)
         if sigmoid_out:

@@ -119,28 +119,61 @@ def _check_feature_matrix(G, dim=None) -> np.ndarray:
 
 
 def _label_index(labels, num_classes) -> np.ndarray:
-    """Flat indices of the labelled entries of an (n, num_classes) array."""
-    return np.arange(labels.size) * num_classes + (labels - 1)
+    """Flat indices of the labelled entries of a (num_classes, n) array."""
+    return (labels - 1) * labels.size + np.arange(labels.size)
 
 
-def _softmax_core(weights, G, label_index):
-    """Mean negative log-likelihood and the softmax residual matrix P - Y.
+def _class_sum(rows):
+    """Sum of the K rows of a (K, n) array, added as numpy adds a length-K axis.
 
-    ``label_index`` comes from ``_label_index``.  The logits buffer is
-    shifted, exponentiated and normalized in place to become the residual.
+    Bit for bit ``np.ascontiguousarray(rows.T).sum(axis=1)``: numpy's
+    pairwise summation adds fewer than 8 terms in sequence, up to 128 in
+    8 interleaved accumulators combined as a tree and then the remainder,
+    and halves longer runs at a multiple of 8.
     """
-    logits = G @ weights.T
+    k = rows.shape[0]
+    if k < 8:
+        total = rows[0].copy()
+        for i in range(1, k):
+            total += rows[i]
+        return total
+    if k <= 128:
+        blocked = k - k % 8
+        acc = rows[:8].copy()
+        for i in range(8, blocked, 8):
+            acc += rows[i:i + 8]
+        pairs = acc[0::2] + acc[1::2]
+        total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+        for i in range(blocked, k):
+            total += rows[i]
+        return total
+    half = k // 2
+    half -= half % 8
+    return _class_sum(rows[:half]) + _class_sum(rows[half:])
+
+
+def _softmax_core(weights, G_t, label_index):
+    """Mean negative log-likelihood and the class-major residual (P - Y)'.
+
+    ``G_t`` is the (feature_dim, n) transpose of the features, C-contiguous,
+    and ``label_index`` comes from ``_label_index``.  The (num_classes, n)
+    logits buffer is shifted, exponentiated and normalized in place to
+    become the residual, so every per-sample step runs over a contiguous
+    row of n values.  The arithmetic is that of the row-major form
+    (``tests/oracles.py::softmax_core_reference``), bit for bit.
+    """
+    logits = weights @ G_t
     flat = logits.reshape(-1)
     picked = flat[label_index]
-    shift = logits[:, 0].copy()
-    for k in range(1, logits.shape[1]):
-        np.maximum(shift, logits[:, k], out=shift)
-    logits -= shift[:, None]
+    shift = logits[0].copy()
+    for row in logits[1:]:
+        np.maximum(shift, row, out=shift)
+    logits -= shift
     np.exp(logits, out=logits)
-    norms = logits.sum(axis=1)
+    norms = _class_sum(logits)
     log_norm = shift + np.log(norms)
     nll = float(np.mean(log_norm - picked))
-    logits /= norms[:, None]
+    logits /= norms
     flat[label_index] -= 1.0
     return nll, logits
 
@@ -160,11 +193,11 @@ def softmax_risk(head: SoftmaxHead, G, labels):
         raise ShapeError("labels and features disagree on the sample count")
     n = G.shape[0]
     lam = head.reg_lambda
-    nll, residual = _softmax_core(head.weights, G,
+    nll, residual = _softmax_core(head.weights, np.ascontiguousarray(G.T),
                                   _label_index(labels, head.num_classes))
     risk = nll + 0.5 * lam * float((head.weights ** 2).sum())
-    grad_head = residual.T @ G / n + lam * head.weights
-    grad_features = residual @ head.weights / n
+    grad_head = residual @ G / n + lam * head.weights
+    grad_features = residual.T @ head.weights / n
     return risk, grad_head, grad_features
 
 
@@ -190,13 +223,14 @@ def fit_softmax_with_info(G, labels, num_classes, reg_lambda=1e-6, tol=1e-8,
             raise ShapeError("warm-start head has the wrong shape")
         x0 = init.weights.ravel().copy()
     lam = float(reg_lambda)
+    G_t = np.ascontiguousarray(G.T)
     label_index = _label_index(labels, num_classes)
 
     def value_and_grad(flat):
         weights = flat.reshape(num_classes, d)
-        nll, residual = _softmax_core(weights, G, label_index)
+        nll, residual = _softmax_core(weights, G_t, label_index)
         risk = nll + 0.5 * lam * float((weights ** 2).sum())
-        grad = residual.T @ G / n + lam * weights
+        grad = residual @ G / n + lam * weights
         return risk, grad.ravel()
 
     # L-BFGS-B's gtol bounds the max gradient component; scale it so the

@@ -158,6 +158,10 @@ class FittedHeads:
     ``feature_grad`` is sum_i kappa_i grad_G f_priv_i - rho sum_j omega_j
     grad_G f_util_j at the filter outputs G the heads were scored on; its
     vector-Jacobian product through the filter is the descent direction.
+    ``worst_inner_grad`` is the largest risk-gradient norm of a softmax
+    head fit in this pass and ``inner_unconverged`` the number of those
+    fits that ended above ``inner_tol`` (least-squares and reconstruction
+    heads are solved exactly and count as 0).
     """
 
     private: tuple
@@ -165,6 +169,8 @@ class FittedHeads:
     inner_iterations: int = 0
     feature_grad: np.ndarray | None = field(default=None, repr=False,
                                             compare=False)
+    worst_inner_grad: float = 0.0
+    inner_unconverged: int = 0
 
 
 def _task_labels(task: TaskSpec, data):
@@ -175,10 +181,13 @@ def _task_labels(task: TaskSpec, data):
 
 
 def _task_pass(task: TaskSpec, head, G, data, cfg: TradeoffConfig, refit):
-    """Score one head at features ``G``; return (head, risk, grad_G, iterations).
+    """Score one head at features ``G``.
 
-    With ``refit`` the head is first fit to inner optimality (``head`` is
-    the warm start, or None); otherwise ``head`` is held fixed.
+    Returns (head, risk, grad_G, iterations, inner_grad).  With ``refit``
+    the head is first fit to inner optimality (``head`` is the warm start,
+    or None); otherwise ``head`` is held fixed.  ``inner_grad`` is the norm
+    of the risk gradient in the head's weights after a softmax refit, and
+    0.0 otherwise.
     """
     if task.kind == TASK_SOFTMAX:
         labels = _task_labels(task, data)
@@ -187,8 +196,9 @@ def _task_pass(task: TaskSpec, head, G, data, cfg: TradeoffConfig, refit):
             head, nit = heads_mod.fit_softmax_with_info(
                 G, labels, int(labels.max()), task.reg_lambda,
                 tol=cfg.inner_tol, max_iter=cfg.inner_max_iter, init=head)
-        risk, _, grad_features = heads_mod.softmax_risk(head, G, labels)
-        return head, risk, grad_features, nit
+        risk, grad_head, grad_features = heads_mod.softmax_risk(head, G, labels)
+        inner_grad = float(np.linalg.norm(grad_head)) if refit else 0.0
+        return head, risk, grad_features, nit, inner_grad
     if task.kind == TASK_LEAST_SQUARES:
         labels = _task_labels(task, data)
         num_classes = int(labels.max()) if refit else head.weights.shape[1]
@@ -199,7 +209,7 @@ def _task_pass(task: TaskSpec, head, G, data, cfg: TradeoffConfig, refit):
         head = heads_mod.fit_reconstruction(G, target, task.reg_lambda,
                                             task.fit_intercept)
     risk, _, grad_features = heads_mod.reconstruction_risk(head, G, target)
-    return head, risk, grad_features, 1 if refit else 0
+    return head, risk, grad_features, 1 if refit else 0, 0.0
 
 
 def _tradeoff_pass(state: FilterState, heads, data, cfg: TradeoffConfig, refit):
@@ -212,27 +222,33 @@ def _tradeoff_pass(state: FilterState, heads, data, cfg: TradeoffConfig, refit):
     G = apply_filter(state, data.X)
     upstream = np.zeros_like(G)
     iterations = 0
+    inner_grads = []
     privacy_value = 0.0
     private_heads = []
     for i, (task, weight) in enumerate(cfg.private_tasks):
         given = heads.private[i] if heads is not None else None
-        head, risk, grad_features, nit = _task_pass(task, given, G, data, cfg, refit)
+        head, risk, grad_features, nit, inner_grad = _task_pass(
+            task, given, G, data, cfg, refit)
         private_heads.append(head)
         privacy_value += weight * (-risk)
         upstream += weight * grad_features
         iterations += nit
+        inner_grads.append(inner_grad)
     utility_value = 0.0
     utility_heads = []
     for j, (task, weight) in enumerate(cfg.utility_tasks):
         given = heads.utility[j] if heads is not None else None
-        head, risk, grad_features, nit = _task_pass(task, given, G, data, cfg, refit)
+        head, risk, grad_features, nit, inner_grad = _task_pass(
+            task, given, G, data, cfg, refit)
         utility_heads.append(head)
         utility_value += weight * (-risk)
         upstream -= cfg.utility_weight * weight * grad_features
         iterations += nit
+        inner_grads.append(inner_grad)
     objective = privacy_value - cfg.utility_weight * utility_value
     fitted = FittedHeads(tuple(private_heads), tuple(utility_heads), iterations,
-                         upstream)
+                         upstream, max(inner_grads),
+                         sum(g > cfg.inner_tol for g in inner_grads))
     return objective, privacy_value, utility_value, fitted
 
 
@@ -276,7 +292,11 @@ class IterationRecord:
     record) and ``inner_iterations`` counts head-solver iterations spent
     during that outer step, line-search probes included.  ``probes`` is the
     number of ``joint_objective`` calls in that outer step (1 for the
-    initial record; 0 in reports saved before the field existed).
+    initial record).  ``worst_inner_grad`` is the largest risk-gradient
+    norm of a softmax head fit over the same probes: above
+    ``inner_tol``, some head was not a best response and the step's
+    direction is not the exact gradient.  Reports saved before a field
+    existed load it as 0.
     """
 
     iteration: int
@@ -287,6 +307,7 @@ class IterationRecord:
     inner_iterations: int
     grad_norm: float
     probes: int = 0
+    worst_inner_grad: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -298,6 +319,8 @@ class TrainReport:
     made before the field existed.  A stalled search's ``joint_objective``
     calls and head-solver iterations belong to no record, so they are
     kept in ``stall_probes`` and ``stall_inner_iterations`` (0 otherwise).
+    ``inner_unconverged`` counts the softmax head fits of the whole run,
+    stalled search included, that ended above ``inner_tol``.
     """
 
     records: tuple
@@ -306,6 +329,7 @@ class TrainReport:
     stop_reason: str | None = None
     stall_probes: int = 0
     stall_inner_iterations: int = 0
+    inner_unconverged: int = 0
 
     @property
     def iterations(self) -> int:
@@ -351,20 +375,26 @@ def _line_search(state, direction, objective, fitted, data, cfg, grid, start):
     probe is accepted, expands up the grid while the larger step is
     accepted as well.  Every probe warm-starts from the heads ``fitted`` at
     ``state``, so an accepted probe does not depend on the probes before
-    it.  Returns (accepted, probes, inner_iterations) where accepted is
-    (k, trial_state, trial_values), or None when no step is accepted.
+    it.  Returns (accepted, probes, inner_iterations, worst_inner_grad,
+    inner_unconverged) where accepted is (k, trial_state, trial_values), or
+    None when no step is accepted; the last four sum (or maximize) over
+    every probe.
     """
     grad_norm_sq = float(direction @ direction)
     probes = 0
     inner_used = 0
+    worst_grad = 0.0
+    unconverged = 0
 
     def probe(k):
-        nonlocal probes, inner_used
+        nonlocal probes, inner_used, worst_grad, unconverged
         step = grid[k]
         trial = state.with_params(state.params + step * direction)
         values = joint_objective(trial, data, cfg, warm=fitted)
         probes += 1
         inner_used += values[3].inner_iterations
+        worst_grad = max(worst_grad, values[3].worst_inner_grad)
+        unconverged += values[3].inner_unconverged
         margin = cfg.line_search.sufficient_decrease * step * grad_norm_sq
         return (k, trial, values) if values[0] < objective - margin else None
 
@@ -379,7 +409,7 @@ def _line_search(state, direction, objective, fitted, data, cfg, grid, start):
             if larger is None:
                 break
             accepted = larger
-    return accepted, probes, inner_used
+    return accepted, probes, inner_used, worst_grad, unconverged
 
 
 def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
@@ -407,14 +437,17 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
     direction = filter_param_grad(state, data.X, fitted.feature_grad)
     records = [IterationRecord(0, objective, privacy_value, utility_value,
                                0.0, fitted.inner_iterations,
-                               float(np.linalg.norm(direction)), probes=1)]
+                               float(np.linalg.norm(direction)), probes=1,
+                               worst_inner_grad=fitted.worst_inner_grad)]
+    unconverged = fitted.inner_unconverged
     stop_reason = "max_iter"
     stall_probes = stall_inner = 0
     slow_count = 0
     start = 0
     for iteration in range(1, cfg.max_iter + 1):
-        accepted, probes, inner_used = _line_search(
+        accepted, probes, inner_used, worst_grad, step_unconverged = _line_search(
             state, direction, objective, fitted, data, cfg, grid, start)
+        unconverged += step_unconverged
         if accepted is None:
             # No productive step along the gradient; at (or numerically
             # indistinguishable from) a stationary point.
@@ -429,7 +462,7 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
         records.append(IterationRecord(iteration, objective, privacy_value,
                                        utility_value, grid[k], inner_used,
                                        float(np.linalg.norm(direction)),
-                                       probes))
+                                       probes, worst_grad))
         if decrease < cfg.convergence_tol:
             slow_count += 1
             if slow_count >= cfg.slow_iterations:
@@ -438,4 +471,4 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
         else:
             slow_count = 0
     return TrainReport(tuple(records), state, stop_reason == "converged",
-                       stop_reason, stall_probes, stall_inner)
+                       stop_reason, stall_probes, stall_inner, unconverged)

@@ -137,6 +137,18 @@ def test_pretrain_reduces_layer_losses():
         assert losses[-1] <= losses[0]
 
 
+def test_pretrain_loss_tracking_leaves_params_unchanged():
+    # the clean-input losses draw no random numbers, so skipping them
+    # must not move the trained parameters by a single bit
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((40, 6))
+    plain = pretrain_autoencoder(X, 2, (5, 4), epochs=7, seed=3)
+    tracked, histories = pretrain_autoencoder(X, 2, (5, 4), epochs=7, seed=3,
+                                               return_losses=True)
+    np.testing.assert_array_equal(plain.params, tracked.params)
+    assert [h.shape for h in histories] == [(8,)] * 3
+
+
 def test_pretrain_is_deterministic():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((25, 6))

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import central_diff, rel_error, softmax_core_reference
 from privfilter.errors import DataError, NumericError, ShapeError
-from privfilter.heads import (_label_index, _softmax_core,
+from privfilter.heads import (_class_sum, _label_index, _softmax_core,
                               ReconstructionHead, SoftmaxHead, accuracy,
                               fit_reconstruction, fit_softmax,
                               fit_softmax_with_info, load_reconstruction_head,
@@ -261,14 +261,67 @@ def test_softmax_core_matches_reference_bit_for_bit(num_classes):
         G = rng.standard_normal((n, d)) * 3.0
         weights = rng.standard_normal((num_classes, d)) * 2.0
         labels = rng.integers(1, num_classes + 1, size=n)
-        nll, residual = _softmax_core(weights, G, _label_index(labels, num_classes))
+        nll, residual = _softmax_core(weights, np.ascontiguousarray(G.T),
+                                      _label_index(labels, num_classes))
         ref_nll, ref_residual = softmax_core_reference(weights, G, labels)
         assert nll == ref_nll
-        assert np.array_equal(residual, ref_residual)
+        assert np.array_equal(residual.T, ref_residual)
 
         head = SoftmaxHead(weights, reg_lambda=1e-3)
         risk, grad_head, grad_features = softmax_risk(head, G, labels)
         lam = head.reg_lambda
         assert risk == ref_nll + 0.5 * lam * float((head.weights ** 2).sum())
-        assert np.array_equal(grad_head, ref_residual.T @ G / n + lam * head.weights)
-        assert np.array_equal(grad_features, ref_residual @ head.weights / n)
+        # BLAS rounds a product according to its operands' memory layout,
+        # so the gradients are checked against the reference residual laid
+        # out class-major, as the core stores it
+        class_major = np.ascontiguousarray(ref_residual.T)
+        assert np.array_equal(grad_head, class_major @ G / n + lam * head.weights)
+        assert np.array_equal(grad_features, class_major.T @ head.weights / n)
+
+
+@pytest.mark.parametrize("num_classes",
+                         [2, 3, 7, 8, 9, 16, 17, 20, 64, 128, 129, 200])
+def test_class_sum_matches_numpy_row_sum_bit_for_bit(num_classes):
+    rng = np.random.default_rng(50 + num_classes)
+    for n in (1, 37, 640):
+        # magnitudes spread over twelve decades make every change of
+        # summation order visible in the last bits
+        rows = (rng.standard_normal((num_classes, n))
+                * 10.0 ** rng.integers(-6, 7, size=(num_classes, 1)))
+        expected = np.ascontiguousarray(rows.T).sum(axis=1)
+        assert np.array_equal(_class_sum(rows), expected)
+
+
+def _fit_grad_norm(G, labels, num_classes, tol):
+    head, _ = fit_softmax_with_info(G, labels, num_classes, tol=tol)
+    assert np.all(np.isfinite(head.weights))
+    return float(np.linalg.norm(softmax_risk(head, G, labels)[1]))
+
+
+def test_softmax_fit_with_an_empty_class_converges():
+    rng = np.random.default_rng(60)
+    G = rng.standard_normal((50, 4))
+    labels = rng.integers(1, 3, size=50)  # class 3 has no rows
+    assert _fit_grad_norm(G, labels, 3, tol=1e-8) <= 1e-8
+
+
+@pytest.mark.parametrize("value", [0.0, 2.5])
+def test_softmax_fit_on_constant_features_converges(value):
+    rng = np.random.default_rng(61)
+    labels = rng.integers(1, 4, size=40)
+    G = np.full((40, 3), value)
+    assert _fit_grad_norm(G, labels, 3, tol=1e-8) <= 1e-8
+
+
+@pytest.mark.parametrize("num_classes", [2, 4])
+def test_softmax_fit_on_one_sample_converges(num_classes):
+    rng = np.random.default_rng(62)
+    G = rng.standard_normal((1, 5))
+    assert _fit_grad_norm(G, np.array([2]), num_classes, tol=1e-8) <= 1e-8
+
+
+def test_softmax_fit_rejects_empty_and_mismatched_inputs():
+    with pytest.raises(ShapeError):
+        fit_softmax_with_info(np.zeros((0, 3)), np.array([], dtype=int), 2)
+    with pytest.raises(ShapeError):
+        fit_softmax_with_info(np.zeros((3, 2)), np.array([1, 2]), 2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import central_diff, rel_error
-from privfilter import minimax_opt
+from privfilter import heads, minimax_opt
 from privfilter.closed_form import compute_moments, least_squares_minimax
 from privfilter.data import Dataset
 from privfilter.errors import DataError, ShapeError
@@ -333,6 +333,55 @@ def test_report_without_probes_still_loads(tmp_path):
                     '"utility_value": 0.05}\n', encoding="utf-8")
     (record,) = load_report_records(path)
     assert record == IterationRecord(0, -1.0, -0.5, 0.05, 0.0, 12, 0.5, probes=0)
+
+
+def test_report_without_worst_inner_grad_still_loads(tmp_path):
+    # reports saved before records kept the inner solves' gradient norms
+    path = tmp_path / "old.report.jsonl"
+    path.write_text('{"grad_norm": 0.5, "inner_iterations": 12, "iteration": 3, '
+                    '"objective": -1.0, "privacy_value": -0.5, "probes": 2, '
+                    '"step_size": 0.25, "utility_value": 0.05}\n',
+                    encoding="utf-8")
+    (record,) = load_report_records(path)
+    assert record == IterationRecord(3, -1.0, -0.5, 0.05, 0.25, 12, 0.5,
+                                     probes=2, worst_inner_grad=0.0)
+
+
+def test_inner_solve_quality_is_recorded(monkeypatch):
+    rng = np.random.default_rng(16)
+    data = _toy_dataset(rng)
+    # one solver iteration per head fit leaves the heads far from optimal
+    cfg = classification_tradeoff(2.0, 1e-4, max_iter=4, inner_max_iter=1)
+    fit_grads = []  # risk-gradient norm after every softmax head fit
+    original = heads.fit_softmax_with_info
+
+    def checked(G, labels, *args, **kwargs):
+        head, nit = original(G, labels, *args, **kwargs)
+        fit_grads.append(float(np.linalg.norm(
+            heads.softmax_risk(head, G, labels)[1])))
+        return head, nit
+
+    monkeypatch.setattr(heads, "fit_softmax_with_info", checked)
+    report = train_minimax(init_filter(FilterKind.LINEAR, 6, 2, seed=17), data, cfg)
+    assert report.inner_unconverged > 0
+    assert report.inner_unconverged == sum(g > cfg.inner_tol for g in fit_grads)
+    # each probe refits one private and one utility head, in record order
+    fits_per_probe = len(cfg.private_tasks) + len(cfg.utility_tasks)
+    used = 0
+    for record in report.records:
+        fits = fits_per_probe * record.probes
+        assert record.worst_inner_grad == max(fit_grads[used:used + fits])
+        used += fits
+    assert used + fits_per_probe * report.stall_probes == len(fit_grads)
+
+
+def test_exact_inner_solves_record_no_failures():
+    rng = np.random.default_rng(18)
+    data = _toy_dataset(rng)
+    report = train_minimax(init_filter(FilterKind.LINEAR, 6, 2, seed=19), data,
+                           least_squares_tradeoff(2.0, 1e-3, max_iter=3))
+    assert report.inner_unconverged == 0
+    assert all(r.worst_inner_grad == 0.0 for r in report.records)
 
 
 def _top_down_reference(init, data, cfg):
