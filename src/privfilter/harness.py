@@ -16,6 +16,11 @@ Per-cell failures are recorded in the cell's record and the run
 continues.  All randomness is derived from the master seed and the cell
 indices, so any cell is reproducible in isolation and the whole report is
 deterministic; recorded wall times are the only non-deterministic field.
+Each record also keeps the risk-gradient norm of both evaluation heads
+(``target_head_grad``, ``private_head_grad``): above ``eval_tol``, the
+head stopped at ``eval_max_iter`` short of the best-response attack.
+These solver diagnostics and the wall time stay out of the scientific
+payload.
 
 Random streams (roles): 0 splits, keyed (trial); 1 filter fitting, keyed
 (filter, dim, trial) plus the noise index for post chains since those
@@ -41,13 +46,16 @@ from .errors import DataError, ShapeError
 from .filters import (DEFAULT_HIDDEN, FilterKind, apply_filter,
                       identity_filter, init_filter, linear_filter,
                       pretrain_autoencoder)
-from .heads import accuracy, fit_softmax, one_hot
+from .heads import accuracy, fit_softmax, one_hot, softmax_risk
 from .minimax_opt import TradeoffConfig, train_minimax
 
 SCHEMA_VERSION = 1
 FILTER_CHOICES = ("raw", "rand", "pca", "ppls", "minimax-linear",
                   "minimax-mlp", "lds-init")
 CHAIN_CHOICES = ("none", "pre", "post")
+
+# Record fields left out of EvalReport.scientific_payload()
+_RUN_FIELDS = ("target_head_grad", "private_head_grad", "wall_time_s")
 
 _ROLE_SPLIT = 0
 _ROLE_FILTER = 1
@@ -216,7 +224,14 @@ def _evaluate_cell(g_train, g_test, train, test, data, cfg):
         "tradeoff": target_acc - private_acc,
         "chance_target": 1.0 / num_target,
         "chance_private": 1.0 / num_private,
+        "target_head_grad": _head_grad(target_head, g_train, train.z),
+        "private_head_grad": _head_grad(private_head, g_train, train.y),
     }
+
+
+def _head_grad(head, G, labels):
+    """Norm of the head's risk gradient on the features it was fit on."""
+    return float(np.linalg.norm(softmax_risk(head, G, labels)[1]))
 
 
 @dataclass(frozen=True)
@@ -226,8 +241,9 @@ class EvalReport:
     records: tuple
 
     def scientific_payload(self):
-        """Records minus wall times, the part that must be reproducible."""
-        return [{k: v for k, v in record.items() if k != "wall_time_s"}
+        """Records minus wall times and evaluation-solver diagnostics, the
+        part that must be reproducible."""
+        return [{k: v for k, v in record.items() if k not in _RUN_FIELDS}
                 for record in self.records]
 
     def summary(self):
@@ -315,6 +331,8 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
                         "chance_target": 1.0 / data.num_target_classes,
                         "chance_private": 1.0 / data.num_private_classes,
                         "error": None,
+                        "target_head_grad": None,
+                        "private_head_grad": None,
                     }
                     try:
                         noise_rng = derive_rng(cfg.master_seed, _ROLE_NOISE,

@@ -290,9 +290,13 @@ class IterationRecord:
     ``objective`` and ``grad_norm`` are measured at the recorded iterate;
     ``step_size`` is the accepted step that produced it (0 for the initial
     record) and ``inner_iterations`` counts head-solver iterations spent
-    during that outer step, line-search probes included.  ``probes`` is the
-    number of ``joint_objective`` calls in that outer step (1 for the
-    initial record).  ``worst_inner_grad`` is the largest risk-gradient
+    during that outer step, line-search probes included.  A softmax head
+    counts damped Newton steps when it is warm-started (every probe after
+    the initial record) and has few weights (see
+    ``heads.fit_softmax_with_info``), and L-BFGS-B iterations otherwise;
+    an exact least-squares or reconstruction solve counts 1.  ``probes``
+    is the number of ``joint_objective`` calls in that outer step (1 for
+    the initial record).  ``worst_inner_grad`` is the largest risk-gradient
     norm of a softmax head fit over the same probes: above
     ``inner_tol``, some head was not a best response and the step's
     direction is not the exact gradient.  Reports saved before a field

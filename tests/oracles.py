@@ -2,11 +2,13 @@
 
 Central finite differences and a scale-aware relative error, used to
 check every analytic gradient against an independent computation, plus
-the straightforward forms of two optimized kernels (the dense diameter
-scan and the allocating softmax core) that the library must reproduce.
+the straightforward forms of optimized code that the library must
+reproduce: the dense diameter scan, the allocating softmax core and the
+L-BFGS-B softmax fit that cold and large heads still run.
 """
 
 import numpy as np
+from scipy.optimize import minimize
 
 
 def central_diff(fn, x, step=1e-6):
@@ -80,3 +82,31 @@ def softmax_core_reference(weights, G, labels):
     residual = exp_shifted / norms[:, None]
     residual[np.arange(n), labels - 1] -= 1.0
     return nll, residual
+
+
+def lbfgs_softmax_reference(G, labels, num_classes, reg_lambda, tol, max_iter,
+                            init=None):
+    """The softmax head fit by L-BFGS-B alone: (weights, iterations).
+
+    Cold fits, and warm fits with more weights than the Newton bound, must
+    reproduce it bit for bit.
+    """
+    from privfilter.heads import _label_index, _softmax_core
+
+    n, d = G.shape
+    x0 = (np.zeros(num_classes * d) if init is None
+          else init.weights.ravel().copy())
+    G_t = np.ascontiguousarray(G.T)
+    label_index = _label_index(labels, num_classes)
+
+    def value_and_grad(flat):
+        weights = flat.reshape(num_classes, d)
+        nll, residual = _softmax_core(weights, G_t, label_index)
+        risk = nll + 0.5 * reg_lambda * float((weights ** 2).sum())
+        grad = residual @ G / n + reg_lambda * weights
+        return risk, grad.ravel()
+
+    gtol = tol / np.sqrt(num_classes * d)
+    result = minimize(value_and_grad, x0, jac=True, method="L-BFGS-B",
+                      options={"maxiter": max_iter, "gtol": gtol, "ftol": 0.0})
+    return result.x.reshape(num_classes, d), int(result.nit)

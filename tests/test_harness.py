@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,26 @@ def test_export_and_load_round_trip(tmp_path):
     (tmp_path / "hollow.jsonl").write_text("\n")
     with pytest.raises(DataError):
         load_results(tmp_path / "hollow.jsonl")
+
+
+_PAYLOAD_FIELDS = {"schema_version", "filter", "dim", "epsilon_inverse",
+                   "trial", "target_accuracy", "private_accuracy", "tradeoff",
+                   "chance_target", "chance_private", "error"}
+
+
+def test_evaluation_head_convergence_is_recorded_outside_the_payload():
+    data = _small_data()
+    cfg = _fast_config(filters=("raw", "pca"), epsilon_inverses=(0.0, 1.0),
+                       chain="pre", trials=1)
+    stopped = run_experiment(replace(cfg, eval_max_iter=1), data)
+    converged = run_experiment(replace(cfg, eval_max_iter=1000), data)
+    for r in stopped.records:
+        assert r["error"] is None
+        assert r["target_head_grad"] > cfg.eval_tol
+        assert r["private_head_grad"] > cfg.eval_tol
+    for r in converged.records:
+        assert r["target_head_grad"] <= cfg.eval_tol
+        assert r["private_head_grad"] <= cfg.eval_tol
+    for report in (stopped, converged):
+        assert all(set(r) == _PAYLOAD_FIELDS
+                   for r in report.scientific_payload())

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import central_diff, rel_error, softmax_core_reference
+from oracles import (central_diff, lbfgs_softmax_reference, rel_error,
+                     softmax_core_reference)
+from privfilter import heads
 from privfilter.errors import DataError, NumericError, ShapeError
-from privfilter.heads import (_class_sum, _label_index, _softmax_core,
+from privfilter.heads import (_NEWTON_MAX_WEIGHTS, _class_sum, _label_index,
+                              _softmax_core, _softmax_hessian,
                               ReconstructionHead, SoftmaxHead, accuracy,
                               fit_reconstruction, fit_softmax,
                               fit_softmax_with_info, load_reconstruction_head,
@@ -325,3 +328,125 @@ def test_softmax_fit_rejects_empty_and_mismatched_inputs():
         fit_softmax_with_info(np.zeros((0, 3)), np.array([], dtype=int), 2)
     with pytest.raises(ShapeError):
         fit_softmax_with_info(np.zeros((3, 2)), np.array([1, 2]), 2)
+
+
+def _warm_problem(rng, num_classes, d, n=200, drift=0.05):
+    """Overlapping classes, a head fit to them, and nearby features.
+
+    The head is the warm start for the drifted features, as in a minimax
+    line-search probe.
+    """
+    centers = rng.standard_normal((num_classes, d))
+    labels = rng.integers(1, num_classes + 1, size=n)
+    labels[:num_classes] = np.arange(1, num_classes + 1)
+    G = centers[labels - 1] + 1.5 * rng.standard_normal((n, d))
+    warm = fit_softmax(G, labels, num_classes, reg_lambda=1e-6, tol=1e-6)
+    return G + drift * rng.standard_normal((n, d)), labels, warm
+
+
+def _no_lbfgs(*args, **kwargs):
+    raise AssertionError("a small warm fit must not run L-BFGS-B")
+
+
+def _centered(weights):
+    # the risk at lam = 0 is flat along a shift shared by all class rows
+    return weights - weights.mean(axis=0)
+
+
+@pytest.mark.parametrize("num_classes,d", [(2, 5), (8, 5)])
+@pytest.mark.parametrize("lam", [0.0, 1e-6, 1e-4])
+def test_newton_warm_fit_reaches_tol_and_the_lbfgs_optimum(
+        monkeypatch, num_classes, d, lam):
+    rng = np.random.default_rng(70 + num_classes)
+    G, labels, warm = _warm_problem(rng, num_classes, d)
+    ref_weights, _ = lbfgs_softmax_reference(G, labels, num_classes, lam,
+                                             tol=1e-11, max_iter=5000)
+    tol = 1e-8
+    monkeypatch.setattr(heads, "minimize", _no_lbfgs)
+    head, steps = fit_softmax_with_info(G, labels, num_classes, lam, tol=tol,
+                                        init=warm)
+    assert 1 <= steps <= 5
+    assert np.linalg.norm(softmax_risk(head, G, labels)[1]) <= tol
+    ref_risk = softmax_risk(SoftmaxHead(ref_weights, lam), G, labels)[0]
+    assert abs(softmax_risk(head, G, labels)[0] - ref_risk) <= 1e-14
+    # ||W - W*|| <= ||grad|| / mu, and mu (the smallest curvature off the
+    # shift direction) is above 0.01 on these problems
+    assert np.abs(_centered(head.weights) - _centered(ref_weights)).max() <= 1e-6
+
+
+def test_newton_at_zero_ridge_on_rank_deficient_features(monkeypatch):
+    # constant rows: every direction but the one along the row is flat, so
+    # the Hessian is singular far beyond the class shift; the fit must
+    # take least-squares steps instead of raising LinAlgError
+    rng = np.random.default_rng(80)
+    labels = rng.integers(1, 5, size=60)
+    labels[:4] = np.arange(1, 5)
+    G = np.full((60, 5), 2.5)
+    warm = SoftmaxHead(rng.standard_normal((4, 5)))
+    monkeypatch.setattr(heads, "minimize", _no_lbfgs)
+    head, steps = fit_softmax_with_info(G, labels, 4, reg_lambda=0.0,
+                                        tol=1e-10, init=warm)
+    assert steps >= 1
+    assert np.linalg.norm(softmax_risk(head, G, labels)[1]) <= 1e-10
+    # the fitted probabilities are the class frequencies
+    logits = G[0] @ head.weights.T
+    probs = np.exp(logits - logits.max())
+    np.testing.assert_allclose(probs / probs.sum(),
+                               np.bincount(labels, minlength=5)[1:] / 60,
+                               atol=1e-10)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+def test_newton_honours_max_iter(monkeypatch, max_iter):
+    rng = np.random.default_rng(81)
+    G, labels, _ = _warm_problem(rng, 8, 5)
+    far = SoftmaxHead(5.0 * rng.standard_normal((8, 5)))
+    monkeypatch.setattr(heads, "minimize", _no_lbfgs)
+    head, steps = fit_softmax_with_info(G, labels, 8, 1e-6, tol=1e-12,
+                                        max_iter=max_iter, init=far)
+    assert steps == max_iter
+    assert np.linalg.norm(softmax_risk(head, G, labels)[1]) > 1e-12
+    # a warm start that already meets tol takes no step
+    _, steps = fit_softmax_with_info(G, labels, 8, 1e-6, tol=1e3, init=far)
+    assert steps == 0
+
+
+def test_softmax_hessian_matches_finite_differences():
+    rng = np.random.default_rng(82)
+    G, labels = _random_instance(rng, n=60, d=4, num_classes=3)
+    weights = 0.5 * rng.standard_normal((3, 4))
+    lam = 1e-3
+    G_t = np.ascontiguousarray(G.T)
+    label_index = _label_index(labels, 3)
+    _, residual = _softmax_core(weights, G_t, label_index)
+    residual.reshape(-1)[label_index] += 1.0
+    hessian = _softmax_hessian(residual, G, G_t, lam)
+
+    def grad_of(flat):
+        return softmax_risk(SoftmaxHead(flat.reshape(3, 4), lam), G,
+                            labels)[1].ravel()
+
+    columns = [central_diff(lambda x: grad_of(x)[i], weights.ravel())
+               for i in range(12)]
+    assert rel_error(hessian, np.array(columns)) <= 1e-6
+    # symmetric up to the rounding of the diagonal blocks' product
+    np.testing.assert_allclose(hessian, hessian.T, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("num_classes,d,warm", [
+    (3, 4, False), (8, 5, False), (20, 7, False), (10, 7, True),
+    (20, 5, True)])
+def test_cold_and_large_fits_match_the_lbfgs_path_bit_for_bit(
+        num_classes, d, warm):
+    rng = np.random.default_rng(90 + num_classes * d)
+    G, labels, warm_head = _warm_problem(rng, num_classes, d, n=150)
+    init = warm_head if warm else None
+    if warm:
+        assert num_classes * d > _NEWTON_MAX_WEIGHTS
+    for lam, tol, max_iter in ((1e-6, 1e-8, 500), (1e-3, 1e-6, 7)):
+        head, nit = fit_softmax_with_info(G, labels, num_classes, lam, tol=tol,
+                                          max_iter=max_iter, init=init)
+        ref_weights, ref_nit = lbfgs_softmax_reference(
+            G, labels, num_classes, lam, tol, max_iter, init=init)
+        assert np.array_equal(head.weights, ref_weights)
+        assert nit == ref_nit
