@@ -7,7 +7,7 @@ required, and compare against standard baselines under a repeatable
 evaluation protocol.
 """
 
-from .baselines import BaselineKind, BaselineSpec, fit_baseline, fit_pca, fit_ppls, fit_rand
+from .baselines import fit_pca, fit_ppls, fit_rand
 from .closed_form import (MomentSet, ScatterSet, build_scatters,
                           compute_moments, least_squares_minimax,
                           privacy_lds, trace_objective)
@@ -15,15 +15,15 @@ from .data import (CsvSchema, Dataset, gen_synthetic, load_csv, save_csv,
                    split_per_subject)
 from .dp_mech import (BoundKind, DiameterReport, NoiseConfig, bound,
                       bound_scale_from_norms, compute_diameters, log_density,
-                      release_post, release_pre, sample_noise)
+                      sample_noise)
 from .errors import DataError, NumericError, ShapeError
 from .filters import (FilterKind, FilterState, apply_filter,
                       filter_param_grad, identity_filter, init_filter,
                       linear_filter, load_filter, pretrain_autoencoder,
                       save_filter)
 from .harness import (EvalReport, ExperimentConfig, derive_rng,
-                      export_results, fit_filter, load_results,
-                      run_experiment)
+                      evaluate_heads, export_results, fit_filter,
+                      load_results, release_features, run_experiment)
 from .heads import (ReconstructionHead, SoftmaxHead, accuracy,
                     fit_reconstruction, fit_softmax, one_hot, predict_labels,
                     reconstruction_risk, softmax_risk)
@@ -37,23 +37,22 @@ from .minimax_opt import (LineSearchConfig, TaskSpec, TradeoffConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineKind", "BaselineSpec", "BoundKind", "CsvSchema", "DataError",
-    "Dataset", "DiameterReport", "EvalReport", "ExperimentConfig",
-    "FilterKind", "FilterState", "LineSearchConfig", "MomentSet",
-    "NoiseConfig", "NumericError", "ReconstructionHead", "ScatterSet",
-    "ShapeError", "SoftmaxHead", "TaskSpec", "TradeoffConfig", "TrainReport",
-    "accuracy", "apply_filter", "bound", "bound_scale_from_norms",
-    "build_scatters", "classification_tradeoff", "compute_diameters",
-    "compute_moments", "derive_rng", "descent_direction",
-    "evaluate_objective", "export_results", "filter_param_grad",
-    "fit_baseline", "fit_filter", "fit_pca", "fit_ppls", "fit_rand",
-    "fit_reconstruction", "fit_softmax", "gen_synthetic", "identity_filter",
-    "init_filter", "joint_objective", "least_squares_minimax",
-    "least_squares_task", "least_squares_tradeoff", "linear_filter",
-    "load_csv", "load_filter", "load_results", "log_density", "one_hot",
-    "predict_labels", "pretrain_autoencoder", "privacy_lds",
-    "reconstruction_risk", "reconstruction_task", "release_post",
-    "release_pre", "run_experiment", "sample_noise", "save_csv",
-    "save_filter", "softmax_risk", "softmax_task", "split_per_subject",
-    "trace_objective", "train_minimax",
+    "BoundKind", "CsvSchema", "DataError", "Dataset", "DiameterReport",
+    "EvalReport", "ExperimentConfig", "FilterKind", "FilterState",
+    "LineSearchConfig", "MomentSet", "NoiseConfig", "NumericError",
+    "ReconstructionHead", "ScatterSet", "ShapeError", "SoftmaxHead",
+    "TaskSpec", "TradeoffConfig", "TrainReport", "accuracy", "apply_filter",
+    "bound", "bound_scale_from_norms", "build_scatters",
+    "classification_tradeoff", "compute_diameters", "compute_moments",
+    "derive_rng", "descent_direction", "evaluate_heads", "evaluate_objective",
+    "export_results", "filter_param_grad", "fit_filter", "fit_pca",
+    "fit_ppls", "fit_rand", "fit_reconstruction", "fit_softmax",
+    "gen_synthetic", "identity_filter", "init_filter", "joint_objective",
+    "least_squares_minimax", "least_squares_task", "least_squares_tradeoff",
+    "linear_filter", "load_csv", "load_filter", "load_results", "log_density",
+    "one_hot", "predict_labels", "pretrain_autoencoder", "privacy_lds",
+    "reconstruction_risk", "reconstruction_task", "release_features",
+    "run_experiment", "sample_noise", "save_csv", "save_filter",
+    "softmax_risk", "softmax_task", "split_per_subject", "trace_objective",
+    "train_minimax",
 ]

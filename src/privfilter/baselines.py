@@ -4,43 +4,19 @@ All three return plain linear FilterStates so they drop into the same
 release and evaluation pipeline: a full-rank random projection, principal
 components, and a partial-least-squares-style filter whose directions
 favor target-label covariance while penalizing private-label covariance.
+``harness.fit_filter`` dispatches to them by filter kind.
 """
 
 from __future__ import annotations
-
-import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_form import fix_eigvec_signs
 from .errors import DataError, NumericError, ShapeError
 from .filters import FilterState, linear_filter
-from .heads import one_hot
 
 _RANK_TOL = 1e-10
 _MAX_RANK_RETRIES = 10
-
-
-class BaselineKind(str, enum.Enum):
-    RAND = "rand"
-    PCA = "pca"
-    PPLS = "ppls"
-
-
-@dataclass(frozen=True)
-class BaselineSpec:
-    kind: BaselineKind
-    d: int
-    ppls_lambda: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", BaselineKind(self.kind))
-        if self.d < 1:
-            raise ShapeError("d must be positive")
-        if self.ppls_lambda < 0:
-            raise DataError("ppls_lambda must be non-negative")
 
 
 def fit_rand(input_dim: int, d: int, seed=None) -> FilterState:
@@ -113,18 +89,3 @@ def fit_ppls(X, y_onehot, z_onehot, ppls_lambda: float, d: int) -> FilterState:
         m = projector @ m @ projector
         m = 0.5 * (m + m.T)
     return linear_filter(columns)
-
-
-def fit_baseline(spec: BaselineSpec, X, y=None, z=None) -> FilterState:
-    """Dispatch on the baseline kind; labels are needed only for ppls."""
-    X = np.asarray(X, dtype=np.float64)
-    if spec.kind is BaselineKind.RAND:
-        return fit_rand(X.shape[1], spec.d, spec.seed)
-    if spec.kind is BaselineKind.PCA:
-        return fit_pca(X, spec.d)
-    if y is None or z is None:
-        raise DataError("ppls needs both private (y) and target (z) labels")
-    y = np.asarray(y)
-    z = np.asarray(z)
-    return fit_ppls(X, one_hot(y, int(y.max())), one_hot(z, int(z.max())),
-                    spec.ppls_lambda, spec.d)

@@ -2,7 +2,8 @@
 
 Subcommands: ``synth`` writes a synthetic CSV, ``diameters`` prints the
 subject-distance summary of a dataset, ``train`` fits a single filter and
-saves it, ``eval`` scores a saved filter, ``sweep`` runs a full
+saves it, ``eval`` scores a saved filter the way a sweep cell does (the
+harness's release and evaluation heads), ``sweep`` runs a full
 experiment grid and exports the results.
 
 ``sweep`` optionally reads an INI config whose ``[experiment]`` keys
@@ -18,19 +19,17 @@ import configparser
 import json
 import sys
 
-import numpy as np
-
 from .data import CsvSchema, gen_synthetic, load_csv, save_csv, split_per_subject
-from .dp_mech import NoiseConfig, bound, bound_scale_from_norms, compute_diameters, sample_noise
+from .dp_mech import BoundKind, compute_diameters
 from .errors import DataError
 from .filters import apply_filter, load_filter, save_filter
 from .harness import (CHAIN_CHOICES, FILTER_CHOICES, ExperimentConfig,
                       _ROLE_FILTER, _ROLE_NOISE, _ROLE_SPLIT, derive_rng,
-                      fit_filter, run_experiment, export_results)
-from .heads import accuracy, fit_softmax
+                      evaluate_heads, fit_filter, release_features,
+                      run_experiment, export_results)
 from .minimax_opt import classification_tradeoff, save_report
 
-_BOUND_CHOICES = ("clip", "squash", "normalize")
+_BOUND_CHOICES = tuple(kind.value for kind in BoundKind)
 
 
 def _add_data_arg(parser):
@@ -105,34 +104,20 @@ def _cmd_eval(args) -> int:
     data = _load(args)
     if data.z is None:
         raise DataError("evaluation needs a z column")
+    noisy = args.epsilon_inverse > 0 or args.bound is not None
+    cfg = ExperimentConfig(chain="pre" if noisy else "none",
+                           bound_kind=args.bound or "clip",
+                           bound_scale=args.bound_scale,
+                           train_fraction=args.train_fraction,
+                           master_seed=args.seed)
     train, test = split_per_subject(
-        data, args.train_fraction, derive_rng(args.seed, _ROLE_SPLIT, 0))
+        data, cfg.train_fraction, derive_rng(args.seed, _ROLE_SPLIT, 0))
     state = load_filter(args.filter_path)
-    g_train = apply_filter(state, train.X)
-    g_test = apply_filter(state, test.X)
-    if args.epsilon_inverse > 0 or args.bound is not None:
-        kind = args.bound or "clip"
-        scale = args.bound_scale
-        if scale is None:
-            scale = bound_scale_from_norms(np.linalg.norm(g_train, axis=1))
-        noise = NoiseConfig.from_epsilon_inverse(args.epsilon_inverse,
-                                                 bound_kind=kind,
-                                                 bound_scale=scale)
-        rng = derive_rng(args.seed, _ROLE_NOISE, 0)
-        g_train = bound(noise.bound_kind, scale, g_train) + sample_noise(
-            noise, state.output_dim, rng=rng, size=g_train.shape[0])
-        g_test = bound(noise.bound_kind, scale, g_test) + sample_noise(
-            noise, state.output_dim, rng=rng, size=g_test.shape[0])
-    g_train = np.hstack([g_train, np.ones((g_train.shape[0], 1))])
-    g_test = np.hstack([g_test, np.ones((g_test.shape[0], 1))])
-    target_head = fit_softmax(g_train, train.z, data.num_target_classes)
-    private_head = fit_softmax(g_train, train.y, data.num_private_classes)
-    print(json.dumps({
-        "target_accuracy": accuracy(target_head, g_test, test.z),
-        "private_accuracy": accuracy(private_head, g_test, test.y),
-        "chance_target": 1.0 / data.num_target_classes,
-        "chance_private": 1.0 / data.num_private_classes,
-    }, sort_keys=True))
+    g_train, g_test = release_features(
+        apply_filter(state, train.X), apply_filter(state, test.X), cfg,
+        args.epsilon_inverse, derive_rng(args.seed, _ROLE_NOISE, 0))
+    print(json.dumps(evaluate_heads(g_train, g_test, train, test, data, cfg),
+                     sort_keys=True))
     return 0
 
 

@@ -14,9 +14,8 @@ exactly the radial marginal of the density above (the r^{d-1} area factor
 turns the exponential into a Gamma).  In one dimension this reduces to
 the scalar Laplace distribution.
 
-Two release orders are supported: bound-and-perturb the filter output
-("pre", noise dimension d), or bound-and-perturb the raw features and
-filter afterwards ("post", noise dimension D).
+The release itself, which bounds and perturbs rows in one of two orders,
+is ``harness.release_features``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DataError, ShapeError
-from .filters import FilterState, apply_filter
 
 DEFAULT_SENSITIVITY = 2.0
 _NORMALIZE_FLOOR = 1e-300
@@ -45,22 +43,16 @@ class BoundKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Mechanism parameters.  ``epsilon=None`` means release without noise."""
+    """Noise parameters.  ``epsilon=None`` means release without noise."""
 
     epsilon: float | None
     sensitivity: float = DEFAULT_SENSITIVITY
-    bound_kind: BoundKind = BoundKind.CLIP
-    bound_scale: float = 1.0
-    seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "bound_kind", BoundKind(self.bound_kind))
         if self.epsilon is not None and not self.epsilon > 0:
             raise DataError("epsilon must be positive (or None for no noise)")
         if self.sensitivity <= 0:
             raise DataError("sensitivity must be positive")
-        if self.bound_scale <= 0:
-            raise DataError("bound_scale must be positive")
 
     @classmethod
     def from_epsilon_inverse(cls, epsilon_inverse: float, **kwargs) -> "NoiseConfig":
@@ -136,16 +128,11 @@ def bound_scale_from_norms(norms, percentile=95.0) -> float:
     return 1.0 / reference
 
 
-def _as_rng(cfg: NoiseConfig, rng) -> np.random.Generator:
-    if rng is None:
-        return np.random.default_rng(cfg.seed)
-    return rng
-
-
 def sample_noise(cfg: NoiseConfig, dim: int, rng=None, size=None) -> np.ndarray:
     """Draw noise vectors; returns (dim,) or (size, dim).
 
-    With the no-noise sentinel this returns exact zeros without consuming
+    ``rng`` is a Generator, a seed or None (fresh entropy).  With the
+    no-noise sentinel this returns exact zeros without consuming
     random state.
     """
     if dim < 1:
@@ -154,7 +141,7 @@ def sample_noise(cfg: NoiseConfig, dim: int, rng=None, size=None) -> np.ndarray:
     if not cfg.noisy:
         out = np.zeros((n, dim))
         return out[0] if size is None else out
-    rng = _as_rng(cfg, rng)
+    rng = np.random.default_rng(rng)
     directions = rng.standard_normal((n, dim))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     # A zero draw from a continuous density has probability zero but would
@@ -184,28 +171,6 @@ def log_density(xi, cfg: NoiseConfig) -> float | np.ndarray:
                 + gammaln(dim) - dim * math.log(rate))
     values = -rate * np.linalg.norm(rows, axis=1) - log_norm
     return float(values[0]) if single else values
-
-
-def release_pre(x, f: FilterState, cfg: NoiseConfig, rng=None) -> np.ndarray:
-    """Bound the filter output, then add noise in the output space."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    rows = np.atleast_2d(x)
-    bounded = bound(cfg.bound_kind, cfg.bound_scale, apply_filter(f, rows))
-    noise = sample_noise(cfg, f.output_dim, rng=_as_rng(cfg, rng), size=rows.shape[0])
-    out = bounded + noise
-    return out[0] if single else out
-
-
-def release_post(x, f: FilterState, cfg: NoiseConfig, rng=None) -> np.ndarray:
-    """Bound and perturb the raw features, then filter the noisy release."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    rows = np.atleast_2d(x)
-    bounded = bound(cfg.bound_kind, cfg.bound_scale, rows)
-    noise = sample_noise(cfg, f.input_dim, rng=_as_rng(cfg, rng), size=rows.shape[0])
-    out = apply_filter(f, bounded + noise)
-    return out[0] if single else out
 
 
 @dataclass(frozen=True)

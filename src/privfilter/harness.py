@@ -2,11 +2,19 @@
 
 Runs the full protocol over a grid of (filter kind, output dim,
 epsilon_inverse, trial): split per subject, fit the filter on the
-training half only, push both halves through the release chain, train
-fresh softmax evaluation heads for the target task (z) and the private
-task (y) on the released training features, and score both on the test
-half.  Larger epsilon_inverse means more noise; epsilon_inverse = 0 is
-the no-noise limit.
+training half only (``fit_filter``), release both halves
+(``release_features``), train fresh softmax evaluation heads for the
+target task (z) and the private task (y) on the released training
+features, and score both on the test half (``evaluate_heads``).  Larger
+epsilon_inverse means more noise; epsilon_inverse = 0 is the no-noise
+limit.  The ``eval`` command of the CLI scores a saved filter with the
+same two release and evaluation functions.
+
+The release bounds rows into the unit ball and adds noise in one of two
+orders: the "pre" chain bounds and perturbs the filter outputs (noise
+dimension d); the "post" chain bounds and perturbs the raw features and
+fits and applies the filter afterwards (noise dimension D).  Chain
+"none" releases the filter outputs as they are.
 
 Evaluation heads are fit with an appended constant feature, giving the
 attack model an intercept even though heads themselves are bias-free;
@@ -164,45 +172,38 @@ def fit_filter(kind: str, train: Dataset, d: int, cfg: ExperimentConfig, rng):
     return report.final_state, report
 
 
-def _released_features(filt, train, test, cfg, einv, noise_rng):
-    """Push both halves through the configured release chain."""
-    g_train = apply_filter(filt, train.X)
-    g_test = apply_filter(filt, test.X)
+def release_features(train_rows, test_rows, cfg, einv, noise_rng):
+    """Bound both halves' rows, then add noise at ``epsilon_inverse = einv``.
+
+    The pre chain passes filter outputs, the post chain raw features;
+    with chain "none" the rows come back unchanged.  The training rows
+    draw their noise first.  Without a configured ``bound_scale`` the
+    scale is fit on the training rows.
+    """
     if cfg.chain == "none":
-        return g_train, g_test
+        return train_rows, test_rows
     scale = cfg.bound_scale
     if scale is None:
-        scale = bound_scale_from_norms(np.linalg.norm(g_train, axis=1))
-    noise = NoiseConfig.from_epsilon_inverse(einv, sensitivity=cfg.sensitivity,
-                                             bound_kind=cfg.bound_kind,
-                                             bound_scale=scale)
-    released_train = bound(noise.bound_kind, scale, g_train) + sample_noise(
-        noise, filt.output_dim, rng=noise_rng, size=g_train.shape[0])
-    released_test = bound(noise.bound_kind, scale, g_test) + sample_noise(
-        noise, filt.output_dim, rng=noise_rng, size=g_test.shape[0])
-    return released_train, released_test
-
-
-def _perturb_raw(train, test, cfg, einv, noise_rng):
-    """Post chain: bound and perturb the raw features of both halves."""
-    scale = cfg.bound_scale
-    if scale is None:
-        scale = bound_scale_from_norms(np.linalg.norm(train.X, axis=1))
-    noise = NoiseConfig.from_epsilon_inverse(einv, sensitivity=cfg.sensitivity,
-                                             bound_kind=cfg.bound_kind,
-                                             bound_scale=scale)
-    released_train = bound(noise.bound_kind, scale, train.X) + sample_noise(
-        noise, train.dim, rng=noise_rng, size=train.n_samples)
-    released_test = bound(noise.bound_kind, scale, test.X) + sample_noise(
-        noise, test.dim, rng=noise_rng, size=test.n_samples)
-    return replace(train, X=released_train), replace(test, X=released_test)
+        scale = bound_scale_from_norms(np.linalg.norm(train_rows, axis=1))
+    noise = NoiseConfig.from_epsilon_inverse(einv, sensitivity=cfg.sensitivity)
+    return tuple(bound(cfg.bound_kind, scale, rows) + sample_noise(
+        noise, rows.shape[1], rng=noise_rng, size=rows.shape[0])
+        for rows in (train_rows, test_rows))
 
 
 def _with_intercept(G):
     return np.hstack([G, np.ones((G.shape[0], 1))])
 
 
-def _evaluate_cell(g_train, g_test, train, test, data, cfg):
+def evaluate_heads(g_train, g_test, train, test, data, cfg):
+    """Score released features with fresh softmax attack heads.
+
+    Fits target (z) and private (y) heads on the released training rows
+    at ``eval_reg_lambda``, ``eval_tol`` and ``eval_max_iter`` and scores
+    them on the released test rows.  Returns the accuracies, their
+    difference (``tradeoff``), chance levels and both heads' risk-gradient
+    norms.
+    """
     # Heads have no intercept of their own; give the evaluation heads one
     # by appending a constant feature so the attack model is a full
     # logistic regression (filters never see this column).
@@ -338,16 +339,17 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
                         noise_rng = derive_rng(cfg.master_seed, _ROLE_NOISE,
                                                fi, di, ei, trial)
                         if cfg.chain == "post":
-                            train_rel, test_rel = _perturb_raw(
-                                train, test, cfg, einv, noise_rng)
+                            X_train, X_test = release_features(
+                                train.X, test.X, cfg, einv, noise_rng)
+                            train_rel = replace(train, X=X_train)
                             filt, report = fit_filter(
                                 kind, train_rel, d, cfg,
                                 derive_rng(cfg.master_seed, _ROLE_FILTER,
                                            fi, di, ei, trial))
                             if training_log is not None and report is not None:
                                 training_log.append(report)
-                            g_train = apply_filter(filt, train_rel.X)
-                            g_test = apply_filter(filt, test_rel.X)
+                            g_train = apply_filter(filt, X_train)
+                            g_test = apply_filter(filt, X_test)
                         else:
                             if cached_filter is None:
                                 filt, report = fit_filter(
@@ -357,9 +359,11 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
                                 if training_log is not None and report is not None:
                                     training_log.append(report)
                                 cached_filter = filt
-                            g_train, g_test = _released_features(
-                                cached_filter, train, test, cfg, einv, noise_rng)
-                        record.update(_evaluate_cell(g_train, g_test, train,
+                            g_train, g_test = release_features(
+                                apply_filter(cached_filter, train.X),
+                                apply_filter(cached_filter, test.X),
+                                cfg, einv, noise_rng)
+                        record.update(evaluate_heads(g_train, g_test, train,
                                                      test, data, cfg))
                     except Exception as exc:  # recorded, run continues
                         record["error"] = f"{type(exc).__name__}: {exc}"

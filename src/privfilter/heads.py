@@ -218,6 +218,7 @@ def softmax_risk(head: SoftmaxHead, G, labels):
 _NEWTON_MAX_WEIGHTS = 64
 _ARMIJO = 1e-4        # sufficient-decrease constant of the Newton line search
 _MAX_HALVINGS = 40    # step halvings before a Newton line search gives up
+_EPS = np.finfo(np.float64).eps
 
 
 def fit_softmax_with_info(G, labels, num_classes, reg_lambda=1e-6, tol=1e-8,
@@ -287,28 +288,36 @@ def _newton_fit(value_and_grad, weights, G, G_t, label_index, lam, tol,
     """Damped Newton minimization of the softmax risk from ``weights``.
 
     Each step solves H s = -grad and backtracks from t = 1, halving t until
-    the Armijo condition holds.  Stops at ||grad|| <= tol, after
-    ``max_iter`` steps, or when no halving decreases the risk.  Returns
-    (weights, risk, steps).
+    the Armijo condition holds or, where the predicted decrease is below
+    rounding level, until the gradient norm falls.  Stops at
+    ||grad|| <= tol, after ``max_iter`` steps, or when no halving is
+    accepted.  Returns (weights, risk, steps).
     """
     risk, grad, residual = value_and_grad(weights)
+    grad_norm = np.linalg.norm(grad)
     steps = 0
-    while steps < max_iter and np.linalg.norm(grad) > tol:
+    while steps < max_iter and grad_norm > tol:
         probs = residual  # P - Y, turned into P in place
         probs.reshape(-1)[label_index] += 1.0
         step = -_newton_step(_softmax_hessian(probs, G, G_t, lam), grad, lam)
         slope = float((grad * step).sum())
+        # Once the predicted decrease is below the risk's rounding error,
+        # Armijo cannot tell progress from noise; accept a step that
+        # shrinks the gradient instead (Hager & Zhang's approximate Wolfe).
+        flat = -slope <= 4.0 * _EPS * abs(risk)
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = weights + t * step
             trial_risk, trial_grad, trial_residual = value_and_grad(trial)
-            if trial_risk <= risk + _ARMIJO * t * slope:
+            trial_norm = np.linalg.norm(trial_grad)
+            if trial_risk <= risk + _ARMIJO * t * slope or (
+                    flat and trial_norm < grad_norm):
                 break
             t *= 0.5
         else:
             break
-        weights, risk, grad, residual = (trial, trial_risk, trial_grad,
-                                          trial_residual)
+        weights, risk, grad, grad_norm, residual = (
+            trial, trial_risk, trial_grad, trial_norm, trial_residual)
         steps += 1
     return weights, risk, steps
 

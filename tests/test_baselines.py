@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from privfilter.baselines import (BaselineKind, BaselineSpec, fit_baseline,
-                                  fit_pca, fit_ppls, fit_rand)
+from privfilter.baselines import fit_pca, fit_ppls, fit_rand
+from privfilter.data import Dataset
 from privfilter.errors import DataError, ShapeError
 from privfilter.filters import FilterKind, apply_filter
+from privfilter.harness import ExperimentConfig, fit_filter
 from privfilter.heads import one_hot
 
 
@@ -113,12 +114,16 @@ def test_dispatcher_and_validation():
     X = rng.standard_normal((30, 5))
     y = rng.integers(1, 3, size=30)
     z = rng.integers(1, 3, size=30)
+    train = Dataset(X, y, np.arange(30), z)
+    cfg = ExperimentConfig()
     for kind in ("rand", "pca", "ppls"):
-        spec = BaselineSpec(kind=kind, d=2, seed=1)
-        filt = fit_baseline(spec, X, y, z)
+        filt, report = fit_filter(kind, train, 2, cfg, 1)
+        assert report is None
         assert apply_filter(filt, X).shape == (30, 2)
     with pytest.raises(DataError):
-        fit_baseline(BaselineSpec(kind=BaselineKind.PPLS, d=2), X)
+        fit_filter("ppls", Dataset(X, y, np.arange(30)), 2, cfg, 1)
+    with pytest.raises(ShapeError):
+        fit_filter("pca", train, 0, cfg, 1)
     with pytest.raises(ShapeError):
         fit_rand(4, 0)
     with pytest.raises(ShapeError):
@@ -129,17 +134,14 @@ def test_dispatcher_and_validation():
         fit_ppls(X, one_hot(y, 2), one_hot(z, 2), 1.0, 6)
     with pytest.raises(DataError):
         fit_ppls(X, one_hot(y, 2), one_hot(z, 2), -0.5, 2)
-    with pytest.raises(ShapeError):
-        BaselineSpec(kind="pca", d=0)
 
 
 def test_baselines_are_deterministic_given_inputs():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((50, 4))
-    y = rng.integers(1, 3, size=50)
-    z = rng.integers(1, 3, size=50)
-    spec = BaselineSpec(kind="ppls", d=2, ppls_lambda=2.0)
-    a = fit_baseline(spec, X, y, z)
-    b = fit_baseline(spec, X.copy(), y.copy(), z.copy())
+    y = one_hot(rng.integers(1, 3, size=50), 2)
+    z = one_hot(rng.integers(1, 3, size=50), 2)
+    a = fit_ppls(X, y, z, 2.0, 2)
+    b = fit_ppls(X.copy(), y.copy(), z.copy(), 2.0, 2)
     assert np.array_equal(a.params, b.params)
     assert np.array_equal(fit_pca(X, 3).params, fit_pca(X.copy(), 3).params)

@@ -7,7 +7,7 @@ import numpy as np
 from privfilter.cli import main
 from privfilter.data import load_csv
 from privfilter.filters import load_filter
-from privfilter.harness import load_results
+from privfilter.harness import ExperimentConfig, load_results, run_experiment
 from privfilter.minimax_opt import load_report_records
 
 
@@ -76,8 +76,27 @@ def test_train_then_eval_pipeline(tmp_path):
     assert code == 0, err
     metrics = json.loads(out)
     assert set(metrics) == {"target_accuracy", "private_accuracy",
-                            "chance_target", "chance_private"}
+                            "tradeoff", "chance_target", "chance_private",
+                            "target_head_grad", "private_head_grad"}
     assert 0.0 <= metrics["private_accuracy"] <= 1.0
+
+
+def test_eval_matches_the_sweep_cell(tmp_path):
+    path = _make_dataset(tmp_path)
+    prefix = tmp_path / "pca"
+    assert _run(["train", "--data", str(path), "--filter", "pca",
+                 "--seed", "3", "--out", str(prefix)])[0] == 0
+    code, out, err = _run(["eval", "--data", str(path), "--filter-path",
+                           str(prefix) + ".filter", "--seed", "3"])
+    assert code == 0, err
+    metrics = json.loads(out)
+    cfg = ExperimentConfig(filters=("pca",), trials=1, master_seed=3,
+                           chain="none")
+    record = run_experiment(cfg, load_csv(path)).records[0]
+    assert record["error"] is None
+    for key in ("target_accuracy", "private_accuracy", "target_head_grad",
+                "private_head_grad"):
+        assert metrics[key] == record[key], key
 
 
 def test_train_baseline_writes_no_report(tmp_path):

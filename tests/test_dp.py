@@ -12,10 +12,10 @@ from privfilter import dp_mech
 from privfilter.data import gen_synthetic
 from privfilter.dp_mech import (BoundKind, NoiseConfig, bound,
                                 bound_scale_from_norms, compute_diameters,
-                                log_density, release_post, release_pre,
-                                sample_noise)
+                                log_density, sample_noise)
 from privfilter.errors import DataError, ShapeError
-from privfilter.filters import linear_filter
+from privfilter.filters import apply_filter, linear_filter
+from privfilter.harness import ExperimentConfig, release_features
 
 
 def test_clip_known_values():
@@ -168,9 +168,9 @@ def test_privacy_ratio_bound_holds_exactly():
 
 
 def test_seeded_sampling_is_reproducible():
-    cfg = NoiseConfig(epsilon=1.0, seed=7)
-    a = sample_noise(cfg, 4, size=10)
-    b = sample_noise(cfg, 4, size=10)
+    cfg = NoiseConfig(epsilon=1.0)
+    a = sample_noise(cfg, 4, rng=7, size=10)
+    b = sample_noise(cfg, 4, rng=7, size=10)
     assert np.array_equal(a, b)
     rng1 = np.random.default_rng(9)
     rng2 = np.random.default_rng(9)
@@ -180,30 +180,52 @@ def test_seeded_sampling_is_reproducible():
 
 def test_release_pre_shape_and_no_noise_path():
     rng = np.random.default_rng(5)
-    U = rng.standard_normal((6, 2))
-    filt = linear_filter(U)
-    X = rng.standard_normal((10, 6))
-    silent = NoiseConfig(epsilon=None, bound_kind=BoundKind.CLIP, bound_scale=0.5)
-    out = release_pre(X, filt, silent)
-    np.testing.assert_allclose(out, bound(BoundKind.CLIP, 0.5, X @ U))
-    assert np.linalg.norm(out, axis=1).max() <= 1.0 + 1e-12
-    single = release_pre(X[0], filt, silent)
-    np.testing.assert_allclose(single, out[0])
-    noisy = release_pre(X, filt, NoiseConfig(epsilon=1.0, seed=3))
-    assert noisy.shape == (10, 2)
+    filt = linear_filter(rng.standard_normal((6, 2)))
+    g_train = apply_filter(filt, rng.standard_normal((10, 6)))
+    g_test = apply_filter(filt, rng.standard_normal((4, 6)))
+    cfg = ExperimentConfig(chain="pre", bound_kind="clip", bound_scale=0.5)
+    silent_train, silent_test = release_features(g_train, g_test, cfg, 0.0,
+                                                 np.random.default_rng(0))
+    assert np.array_equal(silent_train, bound(BoundKind.CLIP, 0.5, g_train))
+    assert np.array_equal(silent_test, bound(BoundKind.CLIP, 0.5, g_test))
+    assert np.linalg.norm(silent_train, axis=1).max() <= 1.0
+    assert np.linalg.norm(silent_test, axis=1).max() <= 1.0
+    # without a configured scale it is fit on the training rows only
+    scale = bound_scale_from_norms(np.linalg.norm(g_train, axis=1))
+    _, auto_test = release_features(g_train, g_test,
+                                    ExperimentConfig(chain="pre"), 0.0, None)
+    assert np.array_equal(auto_test, bound(BoundKind.CLIP, scale, g_test))
+    # the training rows draw their noise first, the test rows second
+    noisy_train, noisy_test = release_features(g_train, g_test, cfg, 1.0,
+                                               np.random.default_rng(3))
+    noise = NoiseConfig(epsilon=1.0)
+    check = np.random.default_rng(3)
+    first = sample_noise(noise, 2, rng=check, size=10)
+    second = sample_noise(noise, 2, rng=check, size=4)
+    assert np.array_equal(noisy_train, silent_train + first)
+    assert np.array_equal(noisy_test, silent_test + second)
+    # chain "none" releases the rows as they are
+    plain = release_features(g_train, g_test, ExperimentConfig(), 1.0, None)
+    assert plain[0] is g_train and plain[1] is g_test
 
 
 def test_release_post_filters_after_perturbing():
     rng = np.random.default_rng(6)
     U = rng.standard_normal((4, 2))
     filt = linear_filter(U)
-    X = rng.standard_normal((8, 4))
-    cfg = NoiseConfig(epsilon=2.0, seed=11)
-    out = release_post(X, filt, cfg)
-    rng_check = np.random.default_rng(11)
-    noise = sample_noise(cfg, 4, rng=rng_check, size=8)
-    expected = (bound(cfg.bound_kind, cfg.bound_scale, X) + noise) @ U
-    np.testing.assert_allclose(out, expected)
+    X_train = rng.standard_normal((8, 4))
+    X_test = rng.standard_normal((3, 4))
+    cfg = ExperimentConfig(chain="post", bound_kind="squash", bound_scale=0.7,
+                           sensitivity=3.0)
+    released = release_features(X_train, X_test, cfg, 0.5,
+                                np.random.default_rng(11))
+    noise = NoiseConfig(epsilon=2.0, sensitivity=3.0)
+    check = np.random.default_rng(11)
+    for rows, out in zip((X_train, X_test), released):
+        expected = bound(BoundKind.SQUASH, 0.7, rows) + sample_noise(
+            noise, 4, rng=check, size=rows.shape[0])
+        assert np.array_equal(out, expected)
+        np.testing.assert_allclose(apply_filter(filt, out), expected @ U)
 
 
 def test_diameters_by_enumeration():

@@ -374,6 +374,22 @@ def test_newton_warm_fit_reaches_tol_and_the_lbfgs_optimum(
     assert np.abs(_centered(head.weights) - _centered(ref_weights)).max() <= 1e-6
 
 
+@pytest.mark.parametrize("seed,num_classes,lam", [
+    (64, 2, 1e-4), (71, 8, 1e-6), (84, 8, 1e-4)])
+def test_newton_reaches_a_tol_below_the_risk_rounding_level(
+        monkeypatch, seed, num_classes, lam):
+    # Near the optimum the predicted decrease falls below one ulp of the
+    # risk; on these problems the full Newton step's risk rounds up, so an
+    # Armijo-only search backtracks to zero-progress steps until max_iter.
+    rng = np.random.default_rng(seed)
+    G, labels, warm = _warm_problem(rng, num_classes, 5)
+    monkeypatch.setattr(heads, "minimize", _no_lbfgs)
+    head, steps = fit_softmax_with_info(G, labels, num_classes, lam,
+                                        tol=1e-10, max_iter=500, init=warm)
+    assert steps <= 5
+    assert np.linalg.norm(softmax_risk(head, G, labels)[1]) <= 1e-10
+
+
 def test_newton_at_zero_ridge_on_rank_deficient_features(monkeypatch):
     # constant rows: every direction but the one along the row is flat, so
     # the Hessian is singular far beyond the class shift; the fit must
