@@ -4,7 +4,9 @@ Subcommands: ``synth`` writes a synthetic CSV, ``diameters`` prints the
 subject-distance summary of a dataset, ``train`` fits a single filter and
 saves it, ``eval`` scores a saved filter the way a sweep cell does (the
 harness's release and evaluation heads), ``sweep`` runs a full
-experiment grid and exports the results.
+experiment grid and exports the results.  ``eval`` draws its noise from
+the stream of trial 0 of a sweep with one filter, one dim and one noise
+level, so with the training seed it reproduces that cell, noisy or not.
 
 ``sweep`` optionally reads an INI config whose ``[experiment]`` keys
 match ExperimentConfig fields one for one (list-valued fields as comma
@@ -115,7 +117,7 @@ def _cmd_eval(args) -> int:
     state = load_filter(args.filter_path)
     g_train, g_test = release_features(
         apply_filter(state, train.X), apply_filter(state, test.X), cfg,
-        args.epsilon_inverse, derive_rng(args.seed, _ROLE_NOISE, 0))
+        args.epsilon_inverse, derive_rng(args.seed, _ROLE_NOISE, 0, 0, 0, 0))
     print(json.dumps(evaluate_heads(g_train, g_test, train, test, data, cfg),
                      sort_keys=True))
     return 0

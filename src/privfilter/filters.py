@@ -10,6 +10,14 @@ Flat layout (fixed, so saved filters are portable): matrices are flattened
 row-major; the MLP stores W1, b1, W2, b2, W3, b3 for layers
 input -> hidden1 -> hidden2 -> output.  The linear filter stores the
 input_dim x output_dim matrix U row-major.
+
+``apply_filter`` can hand an MLP's hidden activations to the caller, and
+``filter_param_grad`` takes them back, so minimax training pays one
+backward pass and no forward pass for an accepted step's direction.  The
+forward pass, the backward pass and the denoising-autoencoder epochs work
+in the buffers their matrix products allocate, with the same operations
+in the same order as the plain expressions: the results match those bit
+for bit without the n-row temporaries each expression would allocate.
 """
 
 from __future__ import annotations
@@ -127,22 +135,39 @@ def _check_features(f: FilterState, X) -> np.ndarray:
     return X
 
 
+def _affine(X, w, b, sigmoid):
+    """``expit(X @ w + b)`` (or ``X @ w + b``) in the product's own buffer.
+
+    Same operations in the same order as the allocating expression, so
+    the same bits, without the two n-row temporaries it would allocate.
+    """
+    h = X @ w
+    h += b
+    if sigmoid:
+        expit(h, out=h)
+    return h
+
+
 def _mlp_forward(f: FilterState, X):
     """Outputs plus hidden activations (needed for backprop)."""
     (w1, b1), (w2, b2), (w3, b3) = _unpack_mlp(f)
-    h1 = expit(X @ w1 + b1)
-    h2 = expit(h1 @ w2 + b2)
-    out = h2 @ w3 + b3
-    return out, h1, h2
+    h1 = _affine(X, w1, b1, True)
+    h2 = _affine(h1, w2, b2, True)
+    return _affine(h2, w3, b3, False), h1, h2
 
 
-def apply_filter(f: FilterState, X) -> np.ndarray:
+def apply_filter(f: FilterState, X, hidden=None) -> np.ndarray:
     """Map raw features to filter outputs, one row per sample.
 
     Parameters
     ----------
     f : FilterState
     X : array, shape (n_samples, input_dim)
+    hidden : list, optional
+        For an MLP filter, the hidden activations (h1, h2) of this pass
+        are appended to it, so that ``filter_param_grad`` at the same
+        ``f`` and ``X`` can skip its forward pass.  A linear filter
+        appends nothing.
 
     Returns
     -------
@@ -151,17 +176,32 @@ def apply_filter(f: FilterState, X) -> np.ndarray:
     X = _check_features(f, X)
     if f.kind is FilterKind.LINEAR:
         return X @ f.as_matrix()
-    out, _, _ = _mlp_forward(f, X)
+    out, h1, h2 = _mlp_forward(f, X)
+    if hidden is not None:
+        hidden.extend((h1, h2))
     return out
 
 
-def filter_param_grad(f: FilterState, X, upstream) -> np.ndarray:
+def _sigmoid_backward(delta, w, h, scratch):
+    """``(delta @ w.T) * h * (1.0 - h)``, reusing ``scratch`` for 1 - h."""
+    out = delta @ w.T
+    out *= h
+    one_minus = scratch[:h.size].reshape(h.shape)
+    np.subtract(1.0, h, out=one_minus)
+    out *= one_minus
+    return out
+
+
+def filter_param_grad(f: FilterState, X, upstream, hidden=None) -> np.ndarray:
     """Vector-Jacobian product of the filter with respect to its parameters.
 
     Returns the gradient of sum_i <upstream_i, g(x_i)> as a flat vector in
     the same layout as ``f.params``.  Chained with a head's feature
     gradient this yields the gradient of the head's risk in the filter
-    parameters.
+    parameters.  ``hidden`` is the (h1, h2) an MLP filter's
+    ``apply_filter(f, X, hidden)`` collected; given, only the backward
+    pass runs, and otherwise the forward pass is recomputed.  The result
+    is the same either way.
     """
     X = _check_features(f, X)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -174,14 +214,21 @@ def filter_param_grad(f: FilterState, X, upstream) -> np.ndarray:
         return (X.T @ upstream).ravel()
 
     (w1, b1), (w2, b2), (w3, b3) = _unpack_mlp(f)
-    _, h1, h2 = _mlp_forward(f, X)
+    if hidden:
+        h1, h2 = hidden
+        expected = [(X.shape[0], h) for h in f.hidden_dims]
+        if [np.shape(h1), np.shape(h2)] != expected:
+            raise ShapeError(f"hidden activations do not match {expected}")
+    else:
+        _, h1, h2 = _mlp_forward(f, X)
+    scratch = np.empty(max(h1.size, h2.size))
     delta = upstream
     g_w3 = h2.T @ delta
     g_b3 = delta.sum(axis=0)
-    delta = (delta @ w3.T) * h2 * (1.0 - h2)
+    delta = _sigmoid_backward(delta, w3, h2, scratch)
     g_w2 = h1.T @ delta
     g_b2 = delta.sum(axis=0)
-    delta = (delta @ w2.T) * h1 * (1.0 - h1)
+    delta = _sigmoid_backward(delta, w2, h1, scratch)
     g_w1 = X.T @ delta
     g_b1 = delta.sum(axis=0)
     return _pack_mlp([(g_w1, g_b1), (g_w2, g_b2), (g_w3, g_b3)])
@@ -225,8 +272,8 @@ def identity_filter(dim: int) -> FilterState:
 
 
 def _dae_eval_loss(H, w, b, w_dec, c, sigmoid_out):
-    z = expit(H @ w + b) if sigmoid_out else H @ w + b
-    r = z @ w_dec + c - H
+    r = _affine(_affine(H, w, b, sigmoid_out), w_dec, c, False)
+    r -= H
     return float((r * r).sum() / H.shape[0])
 
 
@@ -248,19 +295,25 @@ def _train_dae_layer(H, w, b, rng, noise_level, epochs, step, sigmoid_out,
     losses = []
     if track_losses:
         losses.append(_dae_eval_loss(H, w, b, w_dec, c, sigmoid_out))
+    # One C-ordered noise buffer for every epoch; each line below keeps
+    # the operands and order of the allocating form, so the bits match.
+    corrupted = np.empty(H.shape) if noise_level > 0 else H
     for _ in range(epochs):
         if noise_level > 0:
-            corrupted = H + noise_level * rng.standard_normal(H.shape)
-        else:
-            corrupted = H
-        pre = corrupted @ w + b
-        z = expit(pre) if sigmoid_out else pre
-        r = z @ w_dec + c - H
-        d_r = (2.0 / n_samples) * r
+            rng.standard_normal(H.shape, out=corrupted)
+            corrupted *= noise_level
+            corrupted += H
+        z = _affine(corrupted, w, b, sigmoid_out)
+        d_r = _affine(z, w_dec, c, False)
+        d_r -= H
+        d_r *= 2.0 / n_samples
         g_wdec = z.T @ d_r
         g_c = d_r.sum(axis=0)
-        d_z = d_r @ w_dec.T
-        d_pre = d_z * z * (1.0 - z) if sigmoid_out else d_z
+        d_pre = d_r @ w_dec.T
+        if sigmoid_out:
+            d_pre *= z
+            np.subtract(1.0, z, out=z)
+            d_pre *= z
         g_w = corrupted.T @ d_pre
         g_b = d_pre.sum(axis=0)
         w = w - step * g_w
@@ -307,7 +360,7 @@ def pretrain_autoencoder(X, output_dim, hidden_dims=DEFAULT_HIDDEN,
         trained.append((w, b))
         histories.append(losses)
         if sigmoid_out:
-            h = expit(h @ w + b)
+            h = _affine(h, w, b, True)
     state = state.with_params(_pack_mlp(trained))
     if return_losses:
         return state, histories

@@ -14,7 +14,8 @@ The release bounds rows into the unit ball and adds noise in one of two
 orders: the "pre" chain bounds and perturbs the filter outputs (noise
 dimension d); the "post" chain bounds and perturbs the raw features and
 fits and applies the filter afterwards (noise dimension D).  Chain
-"none" releases the filter outputs as they are.
+"none" releases the filter outputs as they are, so its configs accept
+only epsilon_inverse = 0.
 
 Evaluation heads are fit with an appended constant feature, giving the
 attack model an intercept even though heads themselves are bias-free;
@@ -117,6 +118,9 @@ class ExperimentConfig:
             raise DataError("epsilon_inverses must be non-negative")
         if self.chain not in CHAIN_CHOICES:
             raise DataError(f"chain must be one of {CHAIN_CHOICES}")
+        if self.chain == "none" and any(self.epsilon_inverses):
+            raise DataError("chain 'none' releases no noise; a nonzero "
+                            "epsilon_inverse needs chain 'pre' or 'post'")
         BoundKind(self.bound_kind)
         if self.bound_scale is not None and self.bound_scale <= 0:
             raise DataError("bound_scale must be positive (or None for automatic)")

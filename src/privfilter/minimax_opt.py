@@ -26,8 +26,9 @@ expands toward initial_step while the larger step is still accepted.
 Every probe refits all heads, warm-started from the current iterate's
 heads, so recorded objective values are true Phi evaluations and the
 accepted sequence decreases monotonically.  The accepted probe's forward
-pass also yields the next direction's feature gradient, so each accepted
-step costs one extra vector-Jacobian product and no extra head work.
+pass also yields the next direction's feature gradient and, for an MLP
+filter, the hidden activations, so each accepted step costs one backward
+pass through the filter and no extra forward pass or head work.
 """
 
 from __future__ import annotations
@@ -158,10 +159,13 @@ class FittedHeads:
     ``feature_grad`` is sum_i kappa_i grad_G f_priv_i - rho sum_j omega_j
     grad_G f_util_j at the filter outputs G the heads were scored on; its
     vector-Jacobian product through the filter is the descent direction.
-    ``worst_inner_grad`` is the largest risk-gradient norm of a softmax
-    head fit in this pass and ``inner_unconverged`` the number of those
-    fits that ended above ``inner_tol`` (least-squares and reconstruction
-    heads are solved exactly and count as 0).
+    ``hidden`` holds an MLP filter's hidden activations (h1, h2) from the
+    same pass (empty for a linear filter), so that product needs no
+    second forward pass.  ``worst_inner_grad`` is the largest
+    risk-gradient norm of a softmax head fit in this pass and
+    ``inner_unconverged`` the number of those fits that ended above
+    ``inner_tol`` (least-squares and reconstruction heads are solved
+    exactly and count as 0).
     """
 
     private: tuple
@@ -171,6 +175,7 @@ class FittedHeads:
                                             compare=False)
     worst_inner_grad: float = 0.0
     inner_unconverged: int = 0
+    hidden: tuple = field(default=(), repr=False, compare=False)
 
 
 def _task_labels(task: TaskSpec, data):
@@ -216,10 +221,11 @@ def _tradeoff_pass(state: FilterState, heads, data, cfg: TradeoffConfig, refit):
     """One forward pass over every task at ``state``.
 
     Returns (objective, privacy_value, utility_value, FittedHeads) with the
-    heads' ``feature_grad`` filled in; ``heads`` are warm starts (or None)
-    when ``refit`` is set and the fixed heads otherwise.
+    heads' ``feature_grad`` and ``hidden`` filled in; ``heads`` are warm
+    starts (or None) when ``refit`` is set and the fixed heads otherwise.
     """
-    G = apply_filter(state, data.X)
+    hidden = []
+    G = apply_filter(state, data.X, hidden)
     upstream = np.zeros_like(G)
     iterations = 0
     inner_grads = []
@@ -248,7 +254,8 @@ def _tradeoff_pass(state: FilterState, heads, data, cfg: TradeoffConfig, refit):
     objective = privacy_value - cfg.utility_weight * utility_value
     fitted = FittedHeads(tuple(private_heads), tuple(utility_heads), iterations,
                          upstream, max(inner_grads),
-                         sum(g > cfg.inner_tol for g in inner_grads))
+                         sum(g > cfg.inner_tol for g in inner_grads),
+                         tuple(hidden))
     return objective, privacy_value, utility_value, fitted
 
 
@@ -279,8 +286,9 @@ def descent_direction(state: FilterState, fitted: FittedHeads, data,
     q = sum_i kappa_i grad_u f_priv_i - rho sum_j omega_j grad_u f_util_j,
     assembled as one vector-Jacobian product through the filter.
     """
-    upstream = _tradeoff_pass(state, fitted, data, cfg, refit=False)[3].feature_grad
-    return filter_param_grad(state, data.X, upstream)
+    at_state = _tradeoff_pass(state, fitted, data, cfg, refit=False)[3]
+    return filter_param_grad(state, data.X, at_state.feature_grad,
+                             at_state.hidden)
 
 
 @dataclass(frozen=True)
@@ -438,7 +446,8 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
     grid = _step_grid(cfg.line_search)
     state = init
     objective, privacy_value, utility_value, fitted = joint_objective(state, data, cfg)
-    direction = filter_param_grad(state, data.X, fitted.feature_grad)
+    direction = filter_param_grad(state, data.X, fitted.feature_grad,
+                                  fitted.hidden)
     records = [IterationRecord(0, objective, privacy_value, utility_value,
                                0.0, fitted.inner_iterations,
                                float(np.linalg.norm(direction)), probes=1,
@@ -462,7 +471,8 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
         start = max(k - 1, 0)
         decrease = objective - trial_objective
         objective = trial_objective
-        direction = filter_param_grad(state, data.X, fitted.feature_grad)
+        direction = filter_param_grad(state, data.X, fitted.feature_grad,
+                                      fitted.hidden)
         records.append(IterationRecord(iteration, objective, privacy_value,
                                        utility_value, grid[k], inner_used,
                                        float(np.linalg.norm(direction)),

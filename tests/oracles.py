@@ -3,8 +3,10 @@
 Central finite differences and a scale-aware relative error, used to
 check every analytic gradient against an independent computation, plus
 the straightforward forms of optimized code that the library must
-reproduce: the dense diameter scan, the allocating softmax core and the
-L-BFGS-B softmax fit that cold and large heads still run.
+reproduce: the dense diameter scan, the allocating softmax core, the
+L-BFGS-B softmax fit that cold and large heads still run, and the
+allocating MLP forward pass, MLP vector-Jacobian product and
+denoising-autoencoder layer.
 """
 
 import numpy as np
@@ -110,3 +112,81 @@ def lbfgs_softmax_reference(G, labels, num_classes, reg_lambda, tol, max_iter,
     result = minimize(value_and_grad, x0, jac=True, method="L-BFGS-B",
                       options={"maxiter": max_iter, "gtol": gtol, "ftol": 0.0})
     return result.x.reshape(num_classes, d), int(result.nit)
+
+
+def mlp_forward_reference(f, X):
+    """The allocating MLP forward pass: (outputs, h1, h2)."""
+    from scipy.special import expit
+
+    from privfilter.filters import _unpack_mlp
+
+    (w1, b1), (w2, b2), (w3, b3) = _unpack_mlp(f)
+    h1 = expit(X @ w1 + b1)
+    h2 = expit(h1 @ w2 + b2)
+    out = h2 @ w3 + b3
+    return out, h1, h2
+
+
+def mlp_param_grad_reference(f, X, upstream):
+    """The MLP vector-Jacobian product with its own forward pass."""
+    from privfilter.filters import _pack_mlp, _unpack_mlp
+
+    X = np.asarray(X, dtype=np.float64)
+    (w1, b1), (w2, b2), (w3, b3) = _unpack_mlp(f)
+    _, h1, h2 = mlp_forward_reference(f, X)
+    delta = upstream
+    g_w3 = h2.T @ delta
+    g_b3 = delta.sum(axis=0)
+    delta = (delta @ w3.T) * h2 * (1.0 - h2)
+    g_w2 = h1.T @ delta
+    g_b2 = delta.sum(axis=0)
+    delta = (delta @ w2.T) * h1 * (1.0 - h1)
+    g_w1 = X.T @ delta
+    g_b1 = delta.sum(axis=0)
+    return _pack_mlp([(g_w1, g_b1), (g_w2, g_b2), (g_w3, g_b3)])
+
+
+def _dae_eval_loss_reference(H, w, b, w_dec, c, sigmoid_out):
+    from scipy.special import expit
+
+    z = expit(H @ w + b) if sigmoid_out else H @ w + b
+    r = z @ w_dec + c - H
+    return float((r * r).sum() / H.shape[0])
+
+
+def train_dae_layer_reference(H, w, b, rng, noise_level, epochs, step,
+                              sigmoid_out, track_losses):
+    """The allocating denoising-autoencoder layer: (w, b, losses or None)."""
+    from scipy.special import expit
+
+    n_samples = H.shape[0]
+    n_hidden = w.shape[1]
+    bound = 1.0 / np.sqrt(n_hidden)
+    w_dec = rng.uniform(-bound, bound, size=(n_hidden, H.shape[1]))
+    c = np.zeros(H.shape[1])
+    losses = []
+    if track_losses:
+        losses.append(_dae_eval_loss_reference(H, w, b, w_dec, c, sigmoid_out))
+    for _ in range(epochs):
+        if noise_level > 0:
+            corrupted = H + noise_level * rng.standard_normal(H.shape)
+        else:
+            corrupted = H
+        pre = corrupted @ w + b
+        z = expit(pre) if sigmoid_out else pre
+        r = z @ w_dec + c - H
+        d_r = (2.0 / n_samples) * r
+        g_wdec = z.T @ d_r
+        g_c = d_r.sum(axis=0)
+        d_z = d_r @ w_dec.T
+        d_pre = d_z * z * (1.0 - z) if sigmoid_out else d_z
+        g_w = corrupted.T @ d_pre
+        g_b = d_pre.sum(axis=0)
+        w = w - step * g_w
+        b = b - step * g_b
+        w_dec = w_dec - step * g_wdec
+        c = c - step * g_c
+        if track_losses:
+            losses.append(_dae_eval_loss_reference(H, w, b, w_dec, c,
+                                                   sigmoid_out))
+    return w, b, np.array(losses) if track_losses else None

@@ -82,21 +82,29 @@ def test_train_then_eval_pipeline(tmp_path):
 
 
 def test_eval_matches_the_sweep_cell(tmp_path):
+    # a noisy eval draws the noise of trial 0 of a one-filter, one-dim,
+    # one-level sweep, so it reproduces that pre-chain cell exactly
     path = _make_dataset(tmp_path)
     prefix = tmp_path / "pca"
     assert _run(["train", "--data", str(path), "--filter", "pca",
                  "--seed", "3", "--out", str(prefix)])[0] == 0
-    code, out, err = _run(["eval", "--data", str(path), "--filter-path",
-                           str(prefix) + ".filter", "--seed", "3"])
-    assert code == 0, err
-    metrics = json.loads(out)
-    cfg = ExperimentConfig(filters=("pca",), trials=1, master_seed=3,
-                           chain="none")
-    record = run_experiment(cfg, load_csv(path)).records[0]
-    assert record["error"] is None
-    for key in ("target_accuracy", "private_accuracy", "target_head_grad",
-                "private_head_grad"):
-        assert metrics[key] == record[key], key
+    cases = [([], dict(chain="none")),
+             (["--epsilon-inverse", "1.0", "--bound", "clip"],
+              dict(epsilon_inverses=(1.0,), chain="pre", bound_kind="clip")),
+             (["--epsilon-inverse", "0.3", "--bound", "squash"],
+              dict(epsilon_inverses=(0.3,), chain="pre", bound_kind="squash"))]
+    for flags, release in cases:
+        code, out, err = _run(["eval", "--data", str(path), "--filter-path",
+                               str(prefix) + ".filter", "--seed", "3", *flags])
+        assert code == 0, err
+        metrics = json.loads(out)
+        cfg = ExperimentConfig(filters=("pca",), trials=1, master_seed=3,
+                               **release)
+        record = run_experiment(cfg, load_csv(path)).records[0]
+        assert record["error"] is None
+        for key in ("target_accuracy", "private_accuracy", "target_head_grad",
+                    "private_head_grad"):
+            assert metrics[key] == record[key], (flags, key)
 
 
 def test_train_baseline_writes_no_report(tmp_path):
@@ -184,6 +192,22 @@ def test_error_paths_exit_nonzero(tmp_path):
     code, _, err = _run(["sweep", "--data", str(path), "--config",
                          str(missing_config), "--out", str(tmp_path / "x")])
     assert code == 1 and "cannot read" in err
+
+
+def test_sweep_rejects_a_noise_grid_without_a_release_chain(tmp_path):
+    path = _make_dataset(tmp_path)
+    code, out, err = _run(["sweep", "--data", str(path), "--filter", "pca",
+                           "--dim", "2", "--trials", "1",
+                           "--epsilon-inverse", "0,1",
+                           "--out", str(tmp_path / "x")])
+    assert code != 0 and "error:" in err
+    assert "chain 'none'" in err
+    assert not (tmp_path / "x.csv").exists()
+    code, _, err = _run(["sweep", "--data", str(path), "--filter", "pca",
+                         "--dim", "2", "--trials", "1",
+                         "--epsilon-inverse", "0,1", "--chain", "pre",
+                         "--out", str(tmp_path / "y")])
+    assert code == 0, err
 
 
 def test_train_seed_reproduces_filter(tmp_path):

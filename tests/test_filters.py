@@ -1,13 +1,27 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from oracles import central_diff, rel_error
+from oracles import (central_diff, mlp_forward_reference,
+                     mlp_param_grad_reference, rel_error,
+                     train_dae_layer_reference)
 from privfilter.errors import DataError, ShapeError
 from privfilter.filters import (FilterKind, FilterState, apply_filter,
                                 filter_param_grad, identity_filter,
                                 init_filter, linear_filter, load_filter,
                                 pretrain_autoencoder, save_filter,
-                                _unpack_mlp)
+                                _train_dae_layer, _unpack_mlp)
+
+# (n, input_dim, hidden_dims, output_dim) for the bit-identity checks
+_MLP_SHAPES = [(1, 3, (2, 2), 1), (9, 7, (5, 4), 3), (64, 12, (20, 10), 5),
+               (3200, 20, (20, 10), 5), (257, 6, (3, 11), 6)]
+
+
+def _layouts(X):
+    """The same values C-ordered, Fortran-ordered and as a strided view."""
+    padded = np.zeros((X.shape[0], 2 * X.shape[1]))
+    padded[:, ::2] = X
+    return {"C": X, "F": np.asfortranarray(X), "strided": padded[:, ::2]}
 
 
 def _grad_objective(state, X, upstream):
@@ -69,6 +83,127 @@ def test_mlp_gradient_matches_finite_differences():
         grad = filter_param_grad(state, X, upstream)
         fd = central_diff(_grad_objective(state, X, upstream), state.params)
         assert rel_error(grad, fd) <= 1e-5
+
+
+def test_mlp_forward_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for n, D, hidden, d in _MLP_SHAPES:
+        state = init_filter(FilterKind.TWO_LAYER_SIGMOID, D, d, hidden, seed=rng)
+        for layout, X in _layouts(rng.standard_normal((n, D))).items():
+            ref_out, ref_h1, ref_h2 = mlp_forward_reference(state, X)
+            collected = []
+            out = apply_filter(state, X, collected)
+            np.testing.assert_array_equal(out, ref_out, err_msg=layout)
+            assert len(collected) == 2
+            np.testing.assert_array_equal(collected[0], ref_h1, err_msg=layout)
+            np.testing.assert_array_equal(collected[1], ref_h2, err_msg=layout)
+            np.testing.assert_array_equal(apply_filter(state, X), ref_out)
+
+
+def test_mlp_vjp_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for n, D, hidden, d in _MLP_SHAPES:
+        state = init_filter(FilterKind.TWO_LAYER_SIGMOID, D, d, hidden, seed=rng)
+        upstream = rng.standard_normal((n, d))
+        for layout, X in _layouts(rng.standard_normal((n, D))).items():
+            ref = mlp_param_grad_reference(state, X, upstream)
+            collected = []
+            apply_filter(state, X, collected)
+            np.testing.assert_array_equal(
+                filter_param_grad(state, X, upstream), ref, err_msg=layout)
+            np.testing.assert_array_equal(
+                filter_param_grad(state, X, upstream, collected), ref,
+                err_msg=layout)
+            for up_layout, up in _layouts(upstream).items():
+                np.testing.assert_array_equal(
+                    filter_param_grad(state, X, up, collected),
+                    mlp_param_grad_reference(state, X, up),
+                    err_msg=f"{layout}/{up_layout}")
+
+
+def test_vjp_does_not_modify_the_given_activations():
+    rng = np.random.default_rng(14)
+    state = init_filter(FilterKind.TWO_LAYER_SIGMOID, 6, 2, (5, 4), seed=rng)
+    X = rng.standard_normal((20, 6))
+    collected = []
+    apply_filter(state, X, collected)
+    before = [h.copy() for h in collected]
+    filter_param_grad(state, X, rng.standard_normal((20, 2)), collected)
+    for h, kept in zip(collected, before):
+        np.testing.assert_array_equal(h, kept)
+
+
+def test_vjp_rejects_mismatched_activations():
+    rng = np.random.default_rng(15)
+    state = init_filter(FilterKind.TWO_LAYER_SIGMOID, 6, 2, (5, 4), seed=rng)
+    X = rng.standard_normal((20, 6))
+    upstream = rng.standard_normal((20, 2))
+    collected = []
+    apply_filter(state, X[:10], collected)
+    with pytest.raises(ShapeError):
+        filter_param_grad(state, X, upstream, collected)
+    with pytest.raises(ShapeError):
+        filter_param_grad(state, X, upstream, collected[::-1])
+
+
+def test_linear_filter_collects_no_activations():
+    rng = np.random.default_rng(16)
+    state = init_filter(FilterKind.LINEAR, 6, 2, seed=rng)
+    X = rng.standard_normal((8, 6))
+    upstream = rng.standard_normal((8, 2))
+    collected = []
+    np.testing.assert_array_equal(apply_filter(state, X, collected), X @ state.as_matrix())
+    assert collected == []
+    np.testing.assert_array_equal(filter_param_grad(state, X, upstream, collected),
+                                  (X.T @ upstream).ravel())
+
+
+@pytest.mark.parametrize("noise_level", [0.0, 0.3])
+@pytest.mark.parametrize("sigmoid_out", [True, False])
+@pytest.mark.parametrize("track_losses", [False, True])
+def test_dae_layer_matches_reference_bit_for_bit(noise_level, sigmoid_out,
+                                                 track_losses):
+    rng = np.random.default_rng(17)
+    for n, D, hidden in [(1, 3, 2), (40, 8, 5), (3200, 20, 20), (333, 10, 10)]:
+        H = rng.standard_normal((n, D))
+        w0 = rng.uniform(-0.5, 0.5, size=(D, hidden))
+        b0 = rng.uniform(-0.5, 0.5, size=hidden)
+        for layout, view in _layouts(H).items():
+            ours_rng = np.random.default_rng(n)
+            ref_rng = np.random.default_rng(n)
+            w, b, losses = _train_dae_layer(view, w0.copy(), b0.copy(), ours_rng,
+                                            noise_level, 6, 0.05, sigmoid_out,
+                                            track_losses)
+            ref_w, ref_b, ref_losses = train_dae_layer_reference(
+                view, w0.copy(), b0.copy(), ref_rng, noise_level, 6, 0.05,
+                sigmoid_out, track_losses)
+            np.testing.assert_array_equal(w, ref_w, err_msg=layout)
+            np.testing.assert_array_equal(b, ref_b, err_msg=layout)
+            if track_losses:
+                np.testing.assert_array_equal(losses, ref_losses)
+            else:
+                assert losses is None and ref_losses is None
+            # both consumed the same random stream
+            assert ours_rng.random() == ref_rng.random()
+
+
+def test_pretrain_matches_reference_layers_bit_for_bit():
+    rng = np.random.default_rng(18)
+    X = np.asfortranarray(rng.standard_normal((150, 9)))
+    state = pretrain_autoencoder(X, 3, (6, 4), noise_level=0.2, epochs=5,
+                                 step=0.02, seed=21)
+    ref_rng = np.random.default_rng(21)
+    init = init_filter(FilterKind.TWO_LAYER_SIGMOID, 9, 3, (6, 4), seed=ref_rng)
+    h = X
+    for idx, ((w, b), (got_w, got_b)) in enumerate(zip(_unpack_mlp(init),
+                                                        _unpack_mlp(state))):
+        sigmoid_out = idx < 2
+        w, b, _ = train_dae_layer_reference(h, w.copy(), b.copy(), ref_rng,
+                                            0.2, 5, 0.02, sigmoid_out, False)
+        np.testing.assert_array_equal(got_w, w)
+        np.testing.assert_array_equal(got_b, b)
+        if sigmoid_out:
+            h = expit(h @ w + b)
 
 
 def test_init_respects_fan_in_bounds():

@@ -65,6 +65,20 @@ def test_config_validation():
     assert ExperimentConfig().chain in CHAIN_CHOICES
 
 
+def test_noise_grid_needs_a_release_chain():
+    # chain "none" adds no noise, so a nonzero level would label noiseless
+    # cells as noisy
+    for grid in ((0.0, 10.0), (1e-3,)):
+        with pytest.raises(DataError, match="chain 'none'"):
+            ExperimentConfig(epsilon_inverses=grid)
+        with pytest.raises(DataError, match="chain 'none'"):
+            ExperimentConfig(epsilon_inverses=grid, chain="none")
+        for chain in ("pre", "post"):
+            assert ExperimentConfig(epsilon_inverses=grid,
+                                    chain=chain).epsilon_inverses == grid
+    assert ExperimentConfig(epsilon_inverses=(0.0, 0.0)).chain == "none"
+
+
 def test_fit_filter_every_kind():
     data = _small_data()
     cfg = _fast_config()

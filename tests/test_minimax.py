@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from oracles import central_diff, rel_error
-from privfilter import heads, minimax_opt
+from privfilter import filters, heads, minimax_opt
 from privfilter.closed_form import compute_moments, least_squares_minimax
 from privfilter.data import Dataset
 from privfilter.errors import DataError, ShapeError
@@ -462,3 +464,55 @@ def test_warm_started_search_matches_top_down_backtracking(seed, initial_step):
     assert [r.probes for r in accepted] == _scheduled_probes(ks)
     # the top-down search spends k + 1 probes on a step at grid index k
     assert probes == 1 + sum(k + 1 for k in ks)
+
+
+@pytest.mark.parametrize("max_iter, max_backtracks", [(12, 30), (200, 1)])
+def test_training_runs_one_forward_pass_per_objective_call(
+        monkeypatch, max_iter, max_backtracks):
+    # the accepted probe's hidden activations feed the vector-Jacobian
+    # product, so filter_param_grad runs no forward pass of its own
+    data = _toy_dataset(np.random.default_rng(6), n=40, dim=5)
+    cfg = least_squares_tradeoff(
+        3.0, 1e-3, max_iter=max_iter,
+        line_search=LineSearchConfig(max_backtracks=max_backtracks))
+    init = init_filter(FilterKind.TWO_LAYER_SIGMOID, 5, 2, (6, 4), seed=6)
+    forwards, objectives = [], []
+    forward = filters._mlp_forward
+    objective = minimax_opt.joint_objective
+
+    def counted_forward(*args, **kwargs):
+        forwards.append(1)
+        return forward(*args, **kwargs)
+
+    def counted_objective(*args, **kwargs):
+        objectives.append(1)
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr(filters, "_mlp_forward", counted_forward)
+    monkeypatch.setattr(minimax_opt, "joint_objective", counted_objective)
+    report = train_minimax(init, data, cfg)
+    calls = sum(r.probes for r in report.records) + report.stall_probes
+    assert len(forwards) == len(objectives) == calls
+    assert report.stop_reason == ("max_iter" if max_iter == 12 else "stalled")
+
+    # recomputing the activations inside the product changes nothing
+    grad = filters.filter_param_grad
+    monkeypatch.setattr(minimax_opt, "filter_param_grad",
+                        lambda f, X, upstream, hidden=None: grad(f, X, upstream))
+    recomputed = train_minimax(init, data, cfg)
+    assert recomputed.records == report.records
+    assert np.array_equal(recomputed.final_state.params, report.final_state.params)
+    assert len(forwards) == 2 * calls + len(report.records)
+
+
+def test_fitted_heads_keep_activations_out_of_repr_and_equality():
+    data = _toy_dataset(np.random.default_rng(7), n=30, dim=5)
+    cfg = least_squares_tradeoff(3.0, 1e-3)
+    state = init_filter(FilterKind.TWO_LAYER_SIGMOID, 5, 2, (6, 4), seed=7)
+    fitted = joint_objective(state, data, cfg)[3]
+    assert [h.shape for h in fitted.hidden] == [(30, 6), (30, 4)]
+    assert "hidden" not in repr(fitted)
+    assert fitted == replace(fitted, hidden=())
+    linear = joint_objective(init_filter(FilterKind.LINEAR, 5, 2, seed=7),
+                             data, cfg)[3]
+    assert linear.hidden == ()
