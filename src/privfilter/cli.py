@@ -4,7 +4,8 @@ Subcommands: ``synth`` writes a synthetic CSV, ``diameters`` prints the
 subject-distance summary of a dataset, ``train`` fits a single filter and
 saves it, ``eval`` scores a saved filter the way a sweep cell does (the
 harness's release and evaluation heads), ``sweep`` runs a full
-experiment grid and exports the results.  ``eval`` draws its noise from
+experiment grid and exports the results, logging each finished cell on
+stderr as it goes.  ``eval`` draws its noise from
 the stream of trial 0 of a sweep with one filter, one dim and one noise
 level, so with the training seed it reproduces that cell, noisy or not.
 
@@ -18,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
+import logging
 import sys
 
 from .data import CsvSchema, gen_synthetic, load_csv, save_csv, split_per_subject
@@ -197,7 +200,8 @@ def _cmd_sweep(args) -> int:
         experiment["tradeoff"] = classification_tradeoff(**tradeoff)
     cfg = ExperimentConfig(**experiment)
     data = _load(args)
-    report = run_experiment(cfg, data)
+    with _progress_on_stderr():
+        report = run_experiment(cfg, data)
     export_results(report, args.out)
     failed = sum(1 for r in report.records if r["error"] is not None)
     print(f"wrote {len(report.records)} cells to {args.out}.jsonl "
@@ -208,6 +212,22 @@ def _cmd_sweep(args) -> int:
               f"target={_fmt(row['target_accuracy_mean'])} "
               f"private={_fmt(row['private_accuracy_mean'])}")
     return 0
+
+
+@contextlib.contextmanager
+def _progress_on_stderr():
+    """Show the harness's per-cell log records on stderr inside the block."""
+    logger = logging.getLogger(run_experiment.__module__)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("privfilter: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def _fmt(value):

@@ -11,13 +11,14 @@ bit-exact.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataError, ShapeError
+
+_CSV_CHUNK = 1 << 20  # characters of whole lines per load_csv chunk
 
 
 def _check_label_array(values, name) -> np.ndarray:
@@ -122,73 +123,93 @@ def _relabel_contiguous(values) -> np.ndarray:
 def load_csv(path, schema: CsvSchema = CsvSchema()) -> Dataset:
     """Read a dataset written by ``save_csv`` (or any CSV with that header).
 
-    A plain numeric table, one line per row with every field present, is
-    parsed in one vectorized call.  Anything else (a parse failure, a ragged
-    or blank line, quoted fields) is parsed row by row, which names the first
-    bad row in its error.  Feature values parse as floats and must be
+    A UTF-8 byte-order mark before the header is skipped.  A plain numeric
+    table, one line per row with every field present, is parsed in chunks
+    of about ``_CSV_CHUNK`` characters, one vectorized call per chunk, so
+    the text held at any time is one chunk however long the file is.
+    Anything else (a parse failure, a ragged or blank line, quoted fields)
+    sends the whole file through the row-by-row parser, which names the
+    first bad row in its error.  Feature values parse as floats and must be
     finite; label and subject columns must hold integers.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header_line = fh.readline()
-        body = fh.read()
-    if not header_line:
-        raise DataError(f"{path}: empty file")
-    header = next(csv.reader([header_line]))
-    if not body:
-        raise DataError(f"{path}: no data rows")
-    index = {name: i for i, name in enumerate(header)}
-    if schema.feature_cols is None:
-        feature_cols = [name for name in header
-                        if name.startswith("f") and name[1:].isdigit()]
-        feature_cols.sort(key=lambda name: int(name[1:]))
-        if not feature_cols:
-            raise DataError(f"{path}: no f0..fD feature columns found")
-    else:
-        feature_cols = list(schema.feature_cols)
-    for name in feature_cols + [schema.y_col, schema.subject_col]:
-        if name not in index:
-            raise DataError(f"{path}: missing column {name!r}")
-    has_z = schema.z_col in index
-    feature_idx = [index[name] for name in feature_cols]
-    label_cols = [schema.y_col, schema.subject_col] + ([schema.z_col] if has_z else [])
-    label_idx = [index[name] for name in label_cols]
+        if not header_line:
+            raise DataError(f"{path}: empty file")
+        header = next(csv.reader([header_line]))
+        body_start = fh.tell()
+        if not fh.read(1):
+            raise DataError(f"{path}: no data rows")
+        fh.seek(body_start)
+        index = {name: i for i, name in enumerate(header)}
+        if schema.feature_cols is None:
+            feature_cols = [name for name in header
+                            if name.startswith("f") and name[1:].isdigit()]
+            feature_cols.sort(key=lambda name: int(name[1:]))
+            if not feature_cols:
+                raise DataError(f"{path}: no f0..fD feature columns found")
+        else:
+            feature_cols = list(schema.feature_cols)
+        for name in feature_cols + [schema.y_col, schema.subject_col]:
+            if name not in index:
+                raise DataError(f"{path}: missing column {name!r}")
+        has_z = schema.z_col in index
+        feature_idx = [index[name] for name in feature_cols]
+        label_cols = [schema.y_col, schema.subject_col] + ([schema.z_col] if has_z else [])
+        label_idx = [index[name] for name in label_cols]
 
-    parsed = _parse_table(body, len(header), feature_idx, label_idx)
-    if parsed is None:
-        X, labels = _parse_rows(path, body, len(header), feature_idx, label_idx)
-    else:
-        X, labels = parsed
-        finite = np.isfinite(X).all(axis=1)
-        if not finite.all():
-            raise DataError(f"{path}: row {int(np.argmin(finite))} "
-                            "contains a non-finite feature")
+        parsed = _parse_table(path, fh, len(header), feature_idx, label_idx)
+        if parsed is None:
+            fh.seek(body_start)
+            parsed = _parse_rows(path, csv.reader(fh), len(header),
+                                 feature_idx, label_idx)
+    X, labels = parsed
     y, subjects = labels[:, 0], labels[:, 1]
     z = _relabel_contiguous(labels[:, 2]) if has_z else None
     return Dataset(X, _relabel_contiguous(y), subjects, z, name=str(path))
 
 
-def _parse_table(body, n_fields, feature_idx, label_idx):
-    """(X, labels) from a plain numeric table in one ``np.loadtxt`` call, or
-    None when ``body`` is not one (the caller then parses row by row)."""
-    lines = body.splitlines()
-    if any(line.count(",") != n_fields - 1 for line in lines):
-        return None
+def _parse_table(path, fh, n_fields, feature_idx, label_idx):
+    """(X, labels) from a plain numeric table, or None when the text from
+    ``fh`` on is not one (the caller then parses row by row).
+
+    Reads about ``_CSV_CHUNK`` characters of whole lines at a time and
+    parses each chunk with one ``np.loadtxt`` call.  A non-finite feature
+    in a plain chunk raises at once: the row parser, which would otherwise
+    take over, stops at the same row with the same message.
+    """
     dtype = np.dtype([("X", np.float64, (len(feature_idx),)),
                       ("labels", np.int64, (len(label_idx),))])
+    X_parts, label_parts = [], []
+    rows = 0
+    while lines := fh.readlines(_CSV_CHUNK):
+        if any(line.count(",") != n_fields - 1 for line in lines):
+            return None
+        try:
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",",
+                               comments=None, usecols=feature_idx + label_idx,
+                               ndmin=1)
+        except ValueError:
+            return None
+        if table.shape[0] != len(lines):
+            return None
+        finite = np.isfinite(table["X"]).all(axis=1)
+        if not finite.all():
+            raise DataError(f"{path}: row {rows + int(np.argmin(finite))} "
+                            "contains a non-finite feature")
+        X_parts.append(table["X"])
+        label_parts.append(table["labels"])
+        rows += len(lines)
+    return np.concatenate(X_parts), np.concatenate(label_parts)
+
+
+def _parse_rows(path, reader, n_fields, feature_idx, label_idx):
+    """Row-by-row parse of the records from ``reader``; raises ``DataError``
+    naming the first bad row."""
     try:
-        table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",",
-                           comments=None, usecols=feature_idx + label_idx,
-                           ndmin=1)
-    except ValueError:
-        return None
-    if table.shape[0] != len(lines):
-        return None
-    return np.ascontiguousarray(table["X"]), table["labels"]
-
-
-def _parse_rows(path, body, n_fields, feature_idx, label_idx):
-    """Row-by-row parse that raises ``DataError`` naming the first bad row."""
-    rows = list(csv.reader(io.StringIO(body)))
+        rows = list(reader)
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     X = np.empty((len(rows), len(feature_idx)))
     labels = np.empty((len(rows), len(label_idx)), dtype=np.int64)
     for r, row in enumerate(rows):

@@ -32,7 +32,7 @@ from .errors import DataError, ShapeError
 
 DEFAULT_SENSITIVITY = 2.0
 _NORMALIZE_FLOOR = 1e-300
-_SCAN_BLOCK = 1 << 20  # distance entries per block of the diameter scan
+_SCAN_BLOCK = 1 << 16  # distance entries per block of the diameter scan
 
 
 class BoundKind(str, enum.Enum):
@@ -197,30 +197,48 @@ def compute_diameters(X, y, z) -> DiameterReport:
 
     A cross-subject pair shares its target label, so it is searched only
     inside each z group, and a within-subject pair only inside each y
-    group.  The work is O(sum of squared group sizes) distance entries
-    instead of O(N^2).  Each group's upper triangle is walked in blocks
-    of consecutive rows, each block against the group's rows from its own
-    first row on, with about ``_SCAN_BLOCK`` entries per block (at least
-    two rows), so the working memory is a few block-sized arrays plus one
-    copy of the group's features.  Squared distances are ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j,
+    group.  Squared distances are ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j,
     clamped at 0.  Among pairs at the maximal distance the report names
     the smallest (i, j), i < j, in row-major order.  Non-finite features
     raise ``DataError``.
+
+    Each group is scanned farthest-from-centre first and pruned exactly
+    (see ``_farthest_pair``), in blocks of about ``_SCAN_BLOCK`` distance
+    entries, so the working memory is a few block-sized arrays plus one
+    copy of the largest group's features.  The work is at most
+    O(sum of squared group sizes) distance entries, and on data with a
+    few far-out rows per group it is far less.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     z = np.asarray(z)
-    if X.ndim != 2 or X.shape[0] == 0:
+    if X.ndim != 2 or X.size == 0:
         raise ShapeError("features must be a non-empty 2-d array")
     if y.shape != (X.shape[0],) or z.shape != (X.shape[0],):
         raise ShapeError("labels must be 1-d with one entry per sample")
-    if not np.all(np.isfinite(X)):
-        raise DataError("features contain non-finite values")
-    sq_norms = (X * X).sum(axis=1)
+    rows = max(1, _SCAN_BLOCK // X.shape[1])
+    sq_norms = np.empty(X.shape[0])
+    for r in range(0, X.shape[0], rows):
+        block = X[r:r + rows]
+        if not np.all(np.isfinite(block)):
+            raise DataError("features contain non-finite values")
+        np.sum(block * block, axis=1, out=sq_norms[r:r + rows])
     cross, cross_pair, cross_ok = _farthest_pair(X, sq_norms, z, y)
     within, within_pair, within_ok = _farthest_pair(X, sq_norms, y, z)
     return DiameterReport(cross, within, cross_pair, within_pair,
                           cross_ok, within_ok)
+
+
+def _centre_distances(X, members, rows):
+    """||x_i - c|| for each member row, c the members' mean, ``rows`` rows
+    at a time."""
+    centre = X[members].mean(axis=0)
+    out = np.empty(members.size)
+    for r in range(0, members.size, rows):
+        diff = X[members[r:r + rows]] - centre
+        diff *= diff
+        np.sqrt(diff.sum(axis=1), out=out[r:r + rows])
+    return out
 
 
 def _farthest_pair(X, sq_norms, group_labels, pair_labels):
@@ -232,34 +250,69 @@ def _farthest_pair(X, sq_norms, group_labels, pair_labels):
     sorted_labels = group_labels[order]
     cuts = np.flatnonzero(sorted_labels[1:] != sorted_labels[:-1]) + 1
     for members in np.split(order, cuts):
-        m = members.size
-        if m < 2:
-            continue
-        Xg = X[members]
-        norms = sq_norms[members]
         labels = pair_labels[members]
-        rows = max(2, _SCAN_BLOCK // m)
-        for r in range(0, m - 1, rows):
-            stop = min(r + rows, m)
-            # Rows r..stop-1 against columns r..m-1: with two or more rows on
-            # each side BLAS takes a matrix-matrix kernel, as the dense X @ X.T
-            # does, and not a vector kernel, which sums in another order.
-            dots = Xg[r:stop] @ Xg[r:].T
-            dots *= 2.0
-            sq_dist = norms[r:stop, None] + norms[None, r:]
-            sq_dist -= dots
-            np.maximum(sq_dist, 0.0, out=sq_dist)
-            drop = labels[r:stop, None] == labels[None, r:]
-            drop[:, :stop - r] |= np.tri(stop - r, dtype=bool)
-            np.copyto(sq_dist, -np.inf, where=drop)
-            flat = int(np.argmax(sq_dist))
-            a, c = divmod(flat, m - r)
-            value = sq_dist[a, c]
-            if value == -np.inf:
-                continue
-            pair = (int(members[r + a]), int(members[r + c]))
-            if best is None or value > best[0] or (value == best[0] and pair < best[1]):
-                best = (value, pair)
+        if members.size > 1 and np.any(labels != labels[0]):
+            best = _scan_group(X, sq_norms, members, labels, best)
     if best is None:
         return 0.0, None, False
     return float(np.sqrt(best[0])), best[1], True
+
+
+def _scan_group(X, sq_norms, members, labels, best):
+    """The best (squared distance, (i, j)) over ``best`` (or None) and the
+    pairs of ``members`` whose ``labels`` differ.
+
+    The rows are ordered by their distance r_i from the group centre,
+    farthest first, and the scan walks the upper triangle of that order in
+    blocks of rows.  By the triangle inequality a pair is no farther apart
+    than r_i + r_j, so a block's columns stop where that bound, widened
+    for the rounding in the squared distances and in r, falls strictly
+    below the best squared distance so far; once no column is left, no
+    later row can reach it either.  Skipped pairs are strictly shorter
+    than the best, so the maximum and its smallest-(i, j) tie-break are
+    those of the full scan.
+    """
+    m, dim = members.size, X.shape[1]
+    radii = _centre_distances(X, members, max(1, _SCAN_BLOCK // dim))
+    visit = np.argsort(-radii, kind="stable")
+    members, radii, labels = members[visit], radii[visit], labels[visit]
+    Xg = X[members]
+    norms = sq_norms[members]
+    # The computed squared distance of a pair is within about
+    # (dim + 3) eps (||x_i||^2 + ||x_j||^2) of the exact one, and each r
+    # within (dim + 3) eps / 2 of its exact value; ``rel`` covers both
+    # several times over.
+    rel = 8 * (dim + 4) * np.finfo(np.float64).eps
+    slack = rel * 2.0 * norms.max()
+    p, q = 0, m
+    while True:
+        if best is not None and q - p >= 2:
+            reach = radii[p] + radii[p + 1:q]
+            reach *= reach
+            reach *= 1.0 + rel
+            reach += slack
+            q = p + 1 + int(np.count_nonzero(reach >= best[0]))
+        if q - p < 2:
+            return best
+        r, p = p, min(p + max(2, _SCAN_BLOCK // (q - p)), q)
+        # Rows r..p-1 against columns r..q-1: with two or more rows on each
+        # side BLAS takes a matrix-matrix kernel, as the dense X @ X.T does,
+        # and not a vector kernel, which sums in another order.
+        dots = Xg[r:p] @ Xg[r:q].T
+        dots *= 2.0
+        sq_dist = norms[r:p, None] + norms[None, r:q]
+        sq_dist -= dots
+        np.maximum(sq_dist, 0.0, out=sq_dist)
+        drop = labels[r:p, None] == labels[None, r:q]
+        drop[:, :p - r] |= np.tri(p - r, dtype=bool)
+        np.copyto(sq_dist, -np.inf, where=drop)
+        value = sq_dist.max()
+        if value == -np.inf or (best is not None and value < best[0]):
+            continue
+        a, c = np.nonzero(sq_dist == value)
+        first, second = members[r + a], members[r + c]
+        lo, hi = np.minimum(first, second), np.maximum(first, second)
+        k = np.lexsort((hi, lo))[0]
+        pair = (int(lo[k]), int(hi[k]))
+        if best is None or value > best[0] or pair < best[1]:
+            best = (value, pair)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import time
 from dataclasses import dataclass, field, replace
 
@@ -69,6 +70,8 @@ _RUN_FIELDS = ("target_head_grad", "private_head_grad", "wall_time_s")
 _ROLE_SPLIT = 0
 _ROLE_FILTER = 1
 _ROLE_NOISE = 2
+
+_log = logging.getLogger(__name__)
 
 
 def derive_rng(master_seed, *key) -> np.random.Generator:
@@ -309,11 +312,16 @@ class EvalReport:
 def run_experiment(cfg: ExperimentConfig, data: Dataset,
                    training_log=None) -> EvalReport:
     """Run the full grid.  ``training_log`` (a list, optional) collects the
-    TrainReport of every minimax fit for convergence inspection."""
+    TrainReport of every minimax fit for convergence inspection.  Each
+    finished cell logs one INFO record on this module's logger with its
+    position in the grid, filter, dim, epsilon_inverse, trial, wall time
+    and error."""
     if data.z is None:
         raise DataError("the experiment protocol needs target labels z")
     if any(d > data.dim for d in cfg.dims):
         raise ShapeError("a requested filter dim exceeds the data dimension")
+    n_cells = cfg.trials * len(cfg.epsilon_inverses) * sum(
+        1 if kind == "raw" else len(cfg.dims) for kind in cfg.filters)
     records = []
     for trial in range(cfg.trials):
         split_rng = derive_rng(cfg.master_seed, _ROLE_SPLIT, trial)
@@ -373,6 +381,10 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
                         record["error"] = f"{type(exc).__name__}: {exc}"
                     record["wall_time_s"] = time.perf_counter() - start
                     records.append(record)
+                    _log.info("cell %d/%d filter=%s dim=%d eps_inv=%g trial=%d "
+                              "wall=%.3fs error=%s", len(records), n_cells,
+                              kind, d, einv, trial, record["wall_time_s"],
+                              record["error"])
     return EvalReport(tuple(records))
 
 

@@ -387,12 +387,18 @@ def reconstruction_risk(head: ReconstructionHead, G, target):
         )
     n = G.shape[0]
     lam = head.reg_lambda
-    residual = G @ head.weights + head.bias - target
-    risk = float((residual * residual).sum() / n)
-    risk += 0.5 * lam * float((head.weights ** 2).sum())
+    # One n-row buffer for the residual and one for grad_features; the
+    # residual is squared in place once the gradients have used it.
+    residual = G @ head.weights
+    residual += head.bias
+    residual -= target
     grad_weights = (2.0 / n) * (G.T @ residual) + lam * head.weights
     grad_bias = (2.0 / n) * residual.sum(axis=0)
-    grad_features = (2.0 / n) * (residual @ head.weights.T)
+    grad_features = residual @ head.weights.T
+    grad_features *= 2.0 / n
+    residual *= residual
+    risk = float(residual.sum() / n)
+    risk += 0.5 * lam * float((head.weights ** 2).sum())
     return risk, (grad_weights, grad_bias), grad_features
 
 

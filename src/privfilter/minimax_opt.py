@@ -185,14 +185,35 @@ def _task_labels(task: TaskSpec, data):
     return np.asarray(labels)
 
 
-def _task_pass(task: TaskSpec, head, G, data, cfg: TradeoffConfig, refit):
+def _task_target(task: TaskSpec, data, num_classes=None):
+    """What a least-squares or reconstruction head is scored against: the
+    one-hot labels (``num_classes`` columns, by default the largest label)
+    or the features."""
+    if task.kind == TASK_LEAST_SQUARES:
+        labels = _task_labels(task, data)
+        if num_classes is None:
+            num_classes = int(labels.max())
+        return heads_mod.one_hot(labels, num_classes)
+    return np.asarray(data.X, dtype=np.float64)
+
+
+def _task_targets(cfg: TradeoffConfig, data):
+    """``_task_target`` of every private then utility task (None for a
+    softmax task), built once for the many passes over fixed data."""
+    return tuple(None if task.kind == TASK_SOFTMAX else _task_target(task, data)
+                 for task, _ in (*cfg.private_tasks, *cfg.utility_tasks))
+
+
+def _task_pass(task: TaskSpec, head, G, data, cfg: TradeoffConfig, refit,
+               target=None):
     """Score one head at features ``G``.
 
     Returns (head, risk, grad_G, iterations, inner_grad).  With ``refit``
     the head is first fit to inner optimality (``head`` is the warm start,
     or None); otherwise ``head`` is held fixed.  ``inner_grad`` is the norm
     of the risk gradient in the head's weights after a softmax refit, and
-    0.0 otherwise.
+    0.0 otherwise.  ``target`` is the task's ``_task_target``, built here
+    when None.
     """
     if task.kind == TASK_SOFTMAX:
         labels = _task_labels(task, data)
@@ -204,12 +225,9 @@ def _task_pass(task: TaskSpec, head, G, data, cfg: TradeoffConfig, refit):
         risk, grad_head, grad_features = heads_mod.softmax_risk(head, G, labels)
         inner_grad = float(np.linalg.norm(grad_head)) if refit else 0.0
         return head, risk, grad_features, nit, inner_grad
-    if task.kind == TASK_LEAST_SQUARES:
-        labels = _task_labels(task, data)
-        num_classes = int(labels.max()) if refit else head.weights.shape[1]
-        target = heads_mod.one_hot(labels, num_classes)
-    else:
-        target = np.asarray(data.X, dtype=np.float64)
+    if target is None:
+        target = _task_target(task, data,
+                              None if refit else head.weights.shape[1])
     if refit:
         head = heads_mod.fit_reconstruction(G, target, task.reg_lambda,
                                             task.fit_intercept)
@@ -217,13 +235,18 @@ def _task_pass(task: TaskSpec, head, G, data, cfg: TradeoffConfig, refit):
     return head, risk, grad_features, 1 if refit else 0, 0.0
 
 
-def _tradeoff_pass(state: FilterState, heads, data, cfg: TradeoffConfig, refit):
+def _tradeoff_pass(state: FilterState, heads, data, cfg: TradeoffConfig, refit,
+                   targets=None):
     """One forward pass over every task at ``state``.
 
     Returns (objective, privacy_value, utility_value, FittedHeads) with the
     heads' ``feature_grad`` and ``hidden`` filled in; ``heads`` are warm
     starts (or None) when ``refit`` is set and the fixed heads otherwise.
+    ``targets`` are ``_task_targets(cfg, data)`` or None.
     """
+    n_private = len(cfg.private_tasks)
+    if targets is None:
+        targets = (None,) * (n_private + len(cfg.utility_tasks))
     hidden = []
     G = apply_filter(state, data.X, hidden)
     upstream = np.zeros_like(G)
@@ -234,7 +257,7 @@ def _tradeoff_pass(state: FilterState, heads, data, cfg: TradeoffConfig, refit):
     for i, (task, weight) in enumerate(cfg.private_tasks):
         given = heads.private[i] if heads is not None else None
         head, risk, grad_features, nit, inner_grad = _task_pass(
-            task, given, G, data, cfg, refit)
+            task, given, G, data, cfg, refit, targets[i])
         private_heads.append(head)
         privacy_value += weight * (-risk)
         upstream += weight * grad_features
@@ -245,7 +268,7 @@ def _tradeoff_pass(state: FilterState, heads, data, cfg: TradeoffConfig, refit):
     for j, (task, weight) in enumerate(cfg.utility_tasks):
         given = heads.utility[j] if heads is not None else None
         head, risk, grad_features, nit, inner_grad = _task_pass(
-            task, given, G, data, cfg, refit)
+            task, given, G, data, cfg, refit, targets[n_private + j])
         utility_heads.append(head)
         utility_value += weight * (-risk)
         upstream -= cfg.utility_weight * weight * grad_features
@@ -259,15 +282,18 @@ def _tradeoff_pass(state: FilterState, heads, data, cfg: TradeoffConfig, refit):
     return objective, privacy_value, utility_value, fitted
 
 
-def joint_objective(state: FilterState, data, cfg: TradeoffConfig, warm=None):
+def joint_objective(state: FilterState, data, cfg: TradeoffConfig, warm=None,
+                    targets=None):
     """Fit all heads at ``state`` and evaluate the tradeoff objective.
 
     Returns (objective, privacy_value, utility_value, fitted_heads) where
     privacy_value = sum_i kappa_i * (-best private risk_i) and
     utility_value = sum_j omega_j * (-best utility risk_j).  The fitted
     heads carry the feature gradient at ``state`` (see ``FittedHeads``).
+    ``targets`` (``_task_targets(cfg, data)``) spares rebuilding the fixed
+    least-squares and reconstruction targets on every call.
     """
-    return _tradeoff_pass(state, warm, data, cfg, refit=True)
+    return _tradeoff_pass(state, warm, data, cfg, refit=True, targets=targets)
 
 
 def evaluate_objective(state: FilterState, fitted: FittedHeads, data,
@@ -378,7 +404,8 @@ def _step_grid(ls: LineSearchConfig):
     return grid
 
 
-def _line_search(state, direction, objective, fitted, data, cfg, grid, start):
+def _line_search(state, direction, objective, fitted, data, cfg, grid, start,
+                 targets):
     """Armijo search along ``direction`` over the decreasing step ``grid``.
 
     Probes ``grid[start]`` first.  If it is rejected, backtracks down the
@@ -402,7 +429,7 @@ def _line_search(state, direction, objective, fitted, data, cfg, grid, start):
         nonlocal probes, inner_used, worst_grad, unconverged
         step = grid[k]
         trial = state.with_params(state.params + step * direction)
-        values = joint_objective(trial, data, cfg, warm=fitted)
+        values = joint_objective(trial, data, cfg, warm=fitted, targets=targets)
         probes += 1
         inner_used += values[3].inner_iterations
         worst_grad = max(worst_grad, values[3].worst_inner_grad)
@@ -444,8 +471,10 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
     if X.ndim != 2 or X.shape[1] != init.input_dim:
         raise ShapeError("initial filter does not match the data dimension")
     grid = _step_grid(cfg.line_search)
+    targets = _task_targets(cfg, data)
     state = init
-    objective, privacy_value, utility_value, fitted = joint_objective(state, data, cfg)
+    objective, privacy_value, utility_value, fitted = joint_objective(
+        state, data, cfg, targets=targets)
     direction = filter_param_grad(state, data.X, fitted.feature_grad,
                                   fitted.hidden)
     records = [IterationRecord(0, objective, privacy_value, utility_value,
@@ -459,7 +488,7 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
     start = 0
     for iteration in range(1, cfg.max_iter + 1):
         accepted, probes, inner_used, worst_grad, step_unconverged = _line_search(
-            state, direction, objective, fitted, data, cfg, grid, start)
+            state, direction, objective, fitted, data, cfg, grid, start, targets)
         unconverged += step_unconverged
         if accepted is None:
             # No productive step along the gradient; at (or numerically

@@ -3,10 +3,10 @@
 Central finite differences and a scale-aware relative error, used to
 check every analytic gradient against an independent computation, plus
 the straightforward forms of optimized code that the library must
-reproduce: the dense diameter scan, the allocating softmax core, the
-L-BFGS-B softmax fit that cold and large heads still run, and the
-allocating MLP forward pass, MLP vector-Jacobian product and
-denoising-autoencoder layer.
+reproduce: the dense diameter scan, the allocating softmax core and
+reconstruction risk, the L-BFGS-B softmax fit that cold and large heads
+still run, and the allocating MLP forward pass, MLP vector-Jacobian
+product and denoising-autoencoder layer.
 """
 
 import numpy as np
@@ -84,6 +84,19 @@ def softmax_core_reference(weights, G, labels):
     residual = exp_shifted / norms[:, None]
     residual[np.arange(n), labels - 1] -= 1.0
     return nll, residual
+
+
+def reconstruction_risk_reference(head, G, target):
+    """The allocating reconstruction risk: (risk, (grad_w, grad_b), grad_G)."""
+    n = G.shape[0]
+    lam = head.reg_lambda
+    residual = G @ head.weights + head.bias - target
+    risk = float((residual * residual).sum() / n)
+    risk += 0.5 * lam * float((head.weights ** 2).sum())
+    grad_weights = (2.0 / n) * (G.T @ residual) + lam * head.weights
+    grad_bias = (2.0 / n) * residual.sum(axis=0)
+    grad_features = (2.0 / n) * (residual @ head.weights.T)
+    return risk, (grad_weights, grad_bias), grad_features
 
 
 def lbfgs_softmax_reference(G, labels, num_classes, reg_lambda, tol, max_iter,

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import logging
 
 import numpy as np
 
@@ -221,3 +222,23 @@ def test_train_seed_reproduces_filter(tmp_path):
     pa = load_filter(str(a) + ".filter").params
     pb = load_filter(str(b) + ".filter").params
     assert np.array_equal(pa, pb)
+
+
+def test_sweep_logs_each_cell_on_stderr(tmp_path):
+    path = _make_dataset(tmp_path)
+    logger = logging.getLogger("privfilter.harness")
+    handlers, level = list(logger.handlers), logger.level
+    code, out, err = _run([
+        "sweep", "--data", str(path), "--filter", "pca,raw", "--dim", "2",
+        "--trials", "2", "--out", str(tmp_path / "r3")])
+    assert code == 0, err
+    lines = err.splitlines()
+    assert len(lines) == 4 and "wrote 4 cells" in out
+    assert lines[0].startswith("privfilter: cell 1/4 filter=pca dim=2 ")
+    assert lines[-1].startswith("privfilter: cell 4/4 filter=raw dim=6 ")
+    assert all(line.endswith("error=None") for line in lines)
+    # the stderr handler is gone after the command
+    assert logger.handlers == handlers and logger.level == level
+    code, _, err = _run(["sweep", "--data", str(path), "--filter", "pca",
+                         "--dim", "2", "--trials", "1", "--out", str(tmp_path / "r4")])
+    assert code == 0 and len(err.splitlines()) == 1

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from privfilter import data as data_mod
 from privfilter.data import (CsvSchema, Dataset, gen_synthetic, load_csv,
                              save_csv, split_per_subject)
 from privfilter.errors import DataError, ShapeError
@@ -186,6 +188,92 @@ def test_csv_irregular_files_parse_row_by_row(tmp_path):
         path.write_text(text)
         with pytest.raises(DataError, match=message):
             load_csv(path)
+
+
+def test_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbff0,f1,y,subject\n1.0,2.0,1,1\n3.0,4.0,2,1\n")
+    data = load_csv(path)
+    np.testing.assert_array_equal(data.X, [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(data.y, [1, 2])
+
+
+def test_csv_line_endings_parse_alike(tmp_path):
+    lines = ["f0,f1,y,z,subject", "0.5,1.0,1,2,3", "-1.5,2e3,2,1,3",
+             "4.25,-0.0,1,1,4"]
+    loaded = []
+    for ending in ("\n", "\r\n", "\r"):
+        path = tmp_path / "endings.csv"
+        path.write_bytes((ending.join(lines) + ending).encode())
+        loaded.append(load_csv(path))
+    for data in loaded:
+        np.testing.assert_array_equal(data.X, loaded[0].X)
+        np.testing.assert_array_equal(data.y, loaded[0].y)
+        np.testing.assert_array_equal(data.z, loaded[0].z)
+        np.testing.assert_array_equal(data.subject_ids, [3, 3, 4])
+    path.write_bytes(b"f0,y,subject\r\n1.0,1,1\r\n2.0,1\r\n")
+    with pytest.raises(DataError, match="row 1 has 2 fields"):
+        load_csv(path)
+
+
+def test_csv_chunks_parse_like_one_table(tmp_path, monkeypatch):
+    data = gen_synthetic(dim=7, n_subjects=3, n_target_classes=2,
+                         per_subject=30, noise=0.4, seed=6)
+    path = tmp_path / "chunks.csv"
+    save_csv(data, path)
+    whole = load_csv(path)
+    monkeypatch.setattr(data_mod, "_CSV_CHUNK", 300)  # a few rows per chunk
+    chunked = load_csv(path)
+    np.testing.assert_array_equal(chunked.X, whole.X)
+    np.testing.assert_array_equal(chunked.X, data.X)
+    np.testing.assert_array_equal(chunked.y, whole.y)
+    np.testing.assert_array_equal(chunked.z, whole.z)
+    np.testing.assert_array_equal(chunked.subject_ids, whole.subject_ids)
+
+
+def test_csv_errors_past_the_first_chunk_keep_file_row_numbers(tmp_path, monkeypatch):
+    monkeypatch.setattr(data_mod, "_CSV_CHUNK", 40)  # about four rows per chunk
+    rows = [f"{r}.5,1,{r % 3 + 1}" for r in range(30)]
+    path = tmp_path / "late.csv"
+    for bad_row, line, message in (
+            (17, "2.0,1", "row 17 has 2 fields, expected 3"),
+            (22, "", "row 22 has 0 fields, expected 3"),
+            (19, "oops,1,1", "row 19: could not convert string to float: 'oops'"),
+            (25, "inf,1,1", "row 25 contains a non-finite feature"),
+            (13, "1.0,2.5,1", "row 13: invalid literal for int"),
+            (28, '"1.0",1,1', None)):
+        body = rows.copy()
+        body[bad_row] = line
+        path.write_text("f0,y,subject\n" + "\n".join(body) + "\n")
+        if message is None:  # quoted: parsed row by row, and correctly
+            data = load_csv(path)
+            assert data.n_samples == 30 and data.X[28, 0] == 1.0
+            assert data.X[29, 0] == 29.5
+            continue
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+    huge = tmp_path / "huge.csv"
+    huge.write_text("f0,y,subject\n1.0,1,1\n\"" + "9" * 200_000 + "\",1,1\n")
+    with pytest.raises(DataError, match="field larger than field limit"):
+        load_csv(huge)
+
+
+def test_csv_load_memory_is_bounded(tmp_path):
+    data = gen_synthetic(dim=50, n_subjects=20, n_target_classes=4,
+                         per_subject=400, noise=1.0, seed=0)
+    path = tmp_path / "wide.csv"
+    save_csv(data, path)
+    tracemalloc.start()
+    try:
+        loaded = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(loaded.X, data.X)
+    # 8,000 x 50 features are 3.2 MB as float64 and 8.1 MB as text; holding
+    # the whole text, its split lines and a UCS-4 copy of it peaked at 50 MB
+    assert peak < 16 * 2**20
 
 
 def test_split_covers_every_subject_and_partitions():

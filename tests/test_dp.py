@@ -249,6 +249,8 @@ def test_diameters_with_no_qualifying_pairs():
     assert report.within_subject == 0.0 and not report.within_attained
     with pytest.raises(ShapeError):
         compute_diameters(X, np.array([1, 2]), np.array([1, 2, 3]))
+    with pytest.raises(ShapeError):  # rows without features
+        compute_diameters(np.empty((3, 0)), np.array([1, 2, 3]), np.ones(3))
 
 
 def test_brute_force_diameter_oracle():
@@ -281,9 +283,11 @@ def _grid_case(rng, n, dim):
     return X, y, z
 
 
-@pytest.mark.parametrize("block", [dp_mech._SCAN_BLOCK, 9, 2])
+@pytest.mark.parametrize("block", [1 << 20, 9, 2])
 def test_diameters_match_dense_reference_on_exact_grids(monkeypatch, block):
-    # block 9 and 2 force two-row blocks, so every group spans many blocks
+    # block 1 << 20 scans each group (under 90 rows) in one block, as the
+    # default does; 9 and 2 force two-row blocks, so every group spans many
+    # blocks
     monkeypatch.setattr(dp_mech, "_SCAN_BLOCK", block)
     rng = np.random.default_rng(21)
     for _ in range(60):
@@ -355,6 +359,78 @@ def test_diameters_match_dense_reference_on_random_floats(monkeypatch):
                 assert abs(value * value - ref * ref) <= limit
 
 
+@pytest.mark.parametrize("block", [dp_mech._SCAN_BLOCK, 9, 2])
+def test_pruned_scan_keeps_the_tie_break_on_hypercube_vertices(monkeypatch, block):
+    # every vertex of {0, 1/2}^dim has an antipode at the largest distance,
+    # and rows are shuffled so the farthest-first order is not index order
+    monkeypatch.setattr(dp_mech, "_SCAN_BLOCK", block)
+    rng = np.random.default_rng(24)
+    for dim in (1, 2, 3, 5):
+        corners = (np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1
+        X = np.repeat(corners / 2.0, 2, axis=0)
+        X = X[rng.permutation(len(X))]
+        y = rng.integers(1, 3, size=len(X))
+        z = rng.integers(1, 3, size=len(X))
+        report = compute_diameters(X, y, z)
+        assert report == dense_diameters(X, y, z)
+
+
+@pytest.mark.parametrize("block", [dp_mech._SCAN_BLOCK, 9, 2])
+def test_pruned_scan_matches_dense_reference_on_clustered_data(monkeypatch, block):
+    # tight dyadic clusters around far-apart integer centres, plus a few
+    # outliers: distances are exact, and most rows are pruned
+    monkeypatch.setattr(dp_mech, "_SCAN_BLOCK", block)
+    rng = np.random.default_rng(25)
+    for _ in range(25):
+        n, dim = int(rng.integers(2, 150)), int(rng.integers(1, 12))
+        centres = rng.integers(-16, 17, size=(int(rng.integers(1, 5)), dim))
+        X = centres[rng.integers(0, len(centres), size=n)] * 4.0
+        X += rng.integers(-2, 3, size=(n, dim)) / 8.0
+        outliers = rng.random(n) < 0.03
+        X[outliers] *= 3.0
+        y = rng.integers(1, int(rng.integers(2, 5)) + 1, size=n)
+        z = rng.integers(1, int(rng.integers(1, 4)) + 1, size=n)
+        assert compute_diameters(X, y, z) == dense_diameters(X, y, z)
+
+
+@pytest.mark.parametrize("block", [dp_mech._SCAN_BLOCK, 9, 2])
+def test_pruned_scan_matches_dense_reference_on_one_group(monkeypatch, block):
+    # one z group (cross pairs only) and one y group (within pairs only)
+    monkeypatch.setattr(dp_mech, "_SCAN_BLOCK", block)
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        n, dim = int(rng.integers(2, 120)), int(rng.integers(1, 30))
+        X = rng.integers(-4, 5, size=(n, dim)) / 4.0
+        labels = rng.integers(1, int(rng.integers(1, 4)) + 1, size=n)
+        one = np.full(n, 5)
+        for y, z in ((labels, one), (one, labels)):
+            assert compute_diameters(X, y, z) == dense_diameters(X, y, z)
+
+
+def test_pruned_scan_ties_at_zero_distance_across_groups():
+    # every row at one point: the z = 1 group, scanned first, finds (4, 5)
+    # at distance 0, and the z = 2 group's (0, 1) ties it and wins
+    X = np.zeros((6, 2))
+    y = np.array([1, 2, 1, 1, 1, 2])
+    z = np.array([2, 2, 3, 3, 1, 1])
+    report = compute_diameters(X, y, z)
+    assert report.cross_pair == (0, 1) and report.cross_subject == 0.0
+    assert report == dense_diameters(X, y, z)
+
+
+def test_pruned_scan_margin_covers_rounding_far_from_the_origin():
+    # one feature 1e6 from the origin: the computed squared distances are
+    # rounding noise (~1e-4) far above the true ones (~1e-6), and with one
+    # feature every kernel rounds each entry alike, so the result is exact
+    rng = np.random.default_rng(27)
+    for _ in range(10):
+        n = int(rng.integers(10, 80))
+        X = 1e6 + rng.uniform(-1e-3, 1e-3, size=(n, 1))
+        y = rng.integers(1, 3, size=n)
+        z = rng.integers(1, 3, size=n)
+        assert compute_diameters(X, y, z) == dense_diameters(X, y, z)
+
+
 def test_diameters_reject_non_finite_features():
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [5.0, 0.0]])
     y = np.array([1, 1, 2, 2])
@@ -376,5 +452,6 @@ def test_diameter_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert report.cross_attained and report.within_attained
-    # the dense N x N scan peaks at about 300 MB on this input
-    assert peak < 64 * 2**20
+    # the dense N x N scan peaks at about 300 MB on this input, and the
+    # unpruned scan in blocks of 2**20 entries at about 24 MB
+    assert peak < 8 * 2**20

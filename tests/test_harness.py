@@ -1,3 +1,4 @@
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -297,3 +298,28 @@ def test_evaluation_head_convergence_is_recorded_outside_the_payload():
     for report in (stopped, converged):
         assert all(set(r) == _PAYLOAD_FIELDS
                    for r in report.scientific_payload())
+
+
+def test_each_finished_cell_logs_one_record(caplog):
+    data = _small_data()
+    single_target = Dataset(data.X, data.y, data.subject_ids,
+                            np.ones(data.n_samples, dtype=np.int64))
+    cfg = _fast_config(filters=("raw", "pca"), dims=(2,),
+                       epsilon_inverses=(0.0, 1.0), chain="pre", trials=1)
+    with caplog.at_level(logging.INFO, logger="privfilter.harness"):
+        report = run_experiment(cfg, data)
+        failed = run_experiment(replace(cfg, filters=("pca",)), single_target)
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "privfilter.harness"]
+    assert all(r.levelno == logging.INFO for r in caplog.records)
+    assert len(messages) == len(report.records) + len(failed.records) == 6
+    for message, record in zip(messages, report.records + failed.records):
+        assert (f"filter={record['filter']} dim={record['dim']} "
+                f"eps_inv={record['epsilon_inverse']:g} "
+                f"trial={record['trial']} "
+                f"wall={record['wall_time_s']:.3f}s ") in message
+        assert message.endswith(f"error={record['error']}")
+    assert messages[0].startswith("cell 1/4 ") and messages[3].startswith("cell 4/4 ")
+    assert "error=DataError" in messages[5]
+    # the log is a side channel: the payload carries no trace of it
+    assert report.scientific_payload() == run_experiment(cfg, data).scientific_payload()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import (central_diff, lbfgs_softmax_reference, rel_error,
-                     softmax_core_reference)
+                     reconstruction_risk_reference, softmax_core_reference)
 from privfilter import heads
 from privfilter.errors import DataError, NumericError, ShapeError
 from privfilter.heads import (_NEWTON_MAX_WEIGHTS, _class_sum, _label_index,
@@ -144,6 +144,24 @@ def test_reconstruction_risk_known_values():
     means = ReconstructionHead(np.zeros((4, 4)), X.mean(axis=0), reg_lambda=0.0)
     expected = float(((X - X.mean(axis=0)) ** 2).sum() / 20)
     assert reconstruction_risk(means, X, X)[0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_reconstruction_risk_matches_the_allocating_reference_bit_for_bit():
+    rng = np.random.default_rng(10)
+    for n, d, k, lam in ((15, 3, 4, 0.05), (400, 5, 2, 0.0), (257, 8, 20, 1e-3)):
+        G = rng.standard_normal((n, d))
+        T = rng.standard_normal((n, k))
+        head = ReconstructionHead(rng.standard_normal((d, k)),
+                                  rng.standard_normal(k), reg_lambda=lam)
+        kept = T.copy()
+        risk, (grad_w, grad_b), grad_features = reconstruction_risk(head, G, T)
+        ref_risk, (ref_w, ref_b), ref_features = reconstruction_risk_reference(
+            head, G, T)
+        assert risk == ref_risk
+        for got, want in ((grad_w, ref_w), (grad_b, ref_b),
+                          (grad_features, ref_features)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(T, kept)  # the target is left alone
 
 
 def test_reconstruction_gradients_match_finite_differences():

@@ -516,3 +516,31 @@ def test_fitted_heads_keep_activations_out_of_repr_and_equality():
     linear = joint_objective(init_filter(FilterKind.LINEAR, 5, 2, seed=7),
                              data, cfg)[3]
     assert linear.hidden == ()
+
+
+def test_training_builds_least_squares_targets_once(monkeypatch):
+    data = _toy_dataset(np.random.default_rng(8), n=40, dim=5)
+    cfg = replace(least_squares_tradeoff(3.0, 1e-3, max_iter=8),
+                  private_tasks=((least_squares_task("y", 1e-3), 1.0),
+                                 (reconstruction_task(1e-3), 0.5)))
+    init = init_filter(FilterKind.LINEAR, 5, 3, seed=8)
+    built = []
+    one_hot_fn = heads.one_hot
+
+    def counted_one_hot(*args, **kwargs):
+        built.append(1)
+        return one_hot_fn(*args, **kwargs)
+
+    monkeypatch.setattr(heads, "one_hot", counted_one_hot)
+    report = train_minimax(init, data, cfg)
+    assert len(built) == 2  # one per least-squares task, not one per probe
+    calls = sum(r.probes for r in report.records) + report.stall_probes
+    assert calls > 2
+
+    # rebuilding the targets in every pass gives the same run bit for bit
+    monkeypatch.setattr(minimax_opt, "_task_targets",
+                        lambda cfg, data: (None,) * 3)
+    rebuilt = train_minimax(init, data, cfg)
+    assert len(built) == 2 + 2 * calls
+    assert rebuilt.records == report.records
+    assert np.array_equal(rebuilt.final_state.params, report.final_state.params)
