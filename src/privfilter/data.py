@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DataError, ShapeError
 
 _CSV_CHUNK = 1 << 20  # characters of whole lines per load_csv chunk
+_ROW_BLOCK = 4096     # rows per array block of the row-by-row parser
 
 
 def _check_label_array(values, name) -> np.ndarray:
@@ -205,26 +206,39 @@ def _parse_table(path, fh, n_fields, feature_idx, label_idx):
 
 def _parse_rows(path, reader, n_fields, feature_idx, label_idx):
     """Row-by-row parse of the records from ``reader``; raises ``DataError``
-    naming the first bad row."""
+    naming the first bad row.
+
+    Each row is converted as it is read into blocks of ``_ROW_BLOCK``
+    rows, so no row outlives its own iteration as text.
+    """
+    X_blocks = [np.empty((0, len(feature_idx)))]
+    label_blocks = [np.empty((0, len(label_idx)), dtype=np.int64)]
+    rows = 0
     try:
-        rows = list(reader)
+        for r, row in enumerate(reader):
+            i = r % _ROW_BLOCK
+            if i == 0:
+                X_blocks.append(np.empty((_ROW_BLOCK, len(feature_idx))))
+                label_blocks.append(np.empty((_ROW_BLOCK, len(label_idx)),
+                                             dtype=np.int64))
+            X, labels = X_blocks[-1], label_blocks[-1]
+            if len(row) != n_fields:
+                raise DataError(f"{path}: row {r} has {len(row)} fields, "
+                                f"expected {n_fields}")
+            try:
+                for c, col in enumerate(feature_idx):
+                    X[i, c] = float(row[col])
+                for c, col in enumerate(label_idx):
+                    labels[i, c] = int(row[col])
+            except ValueError as exc:
+                raise DataError(f"{path}: row {r}: {exc}") from None
+            if not np.all(np.isfinite(X[i])):
+                raise DataError(f"{path}: row {r} contains a non-finite feature")
+            rows = r + 1
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    X = np.empty((len(rows), len(feature_idx)))
-    labels = np.empty((len(rows), len(label_idx)), dtype=np.int64)
-    for r, row in enumerate(rows):
-        if len(row) != n_fields:
-            raise DataError(f"{path}: row {r} has {len(row)} fields, expected {n_fields}")
-        try:
-            for c, col in enumerate(feature_idx):
-                X[r, c] = float(row[col])
-            for c, col in enumerate(label_idx):
-                labels[r, c] = int(row[col])
-        except ValueError as exc:
-            raise DataError(f"{path}: row {r}: {exc}") from None
-        if not np.all(np.isfinite(X[r])):
-            raise DataError(f"{path}: row {r} contains a non-finite feature")
-    return X, labels
+    return (np.concatenate(X_blocks)[:rows],
+            np.concatenate(label_blocks)[:rows])
 
 
 def save_csv(data: Dataset, path) -> None:

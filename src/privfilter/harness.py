@@ -27,9 +27,11 @@ indices, so any cell is reproducible in isolation and the whole report is
 deterministic; recorded wall times are the only non-deterministic field.
 Each record also keeps the risk-gradient norm of both evaluation heads
 (``target_head_grad``, ``private_head_grad``): above ``eval_tol``, the
-head stopped at ``eval_max_iter`` short of the best-response attack.
-These solver diagnostics and the wall time stay out of the scientific
-payload.
+head stopped at ``eval_max_iter`` short of the best-response attack.  A
+minimax cell records how the fit behind its filter ended
+(``train_stop_reason``, ``train_iterations``, ``train_objective_calls``
+and ``train_inner_unconverged``, all None for other filters).  These
+solver diagnostics and the wall time stay out of the scientific payload.
 
 Random streams (roles): 0 splits, keyed (trial); 1 filter fitting, keyed
 (filter, dim, trial) plus the noise index for post chains since those
@@ -64,8 +66,12 @@ FILTER_CHOICES = ("raw", "rand", "pca", "ppls", "minimax-linear",
                   "minimax-mlp", "lds-init")
 CHAIN_CHOICES = ("none", "pre", "post")
 
+# How a cell's minimax fit ended (None for filters without one)
+_TRAIN_FIELDS = ("train_stop_reason", "train_iterations",
+                 "train_objective_calls", "train_inner_unconverged")
 # Record fields left out of EvalReport.scientific_payload()
-_RUN_FIELDS = ("target_head_grad", "private_head_grad", "wall_time_s")
+_RUN_FIELDS = ("target_head_grad", "private_head_grad", "wall_time_s",
+               *_TRAIN_FIELDS)
 
 _ROLE_SPLIT = 0
 _ROLE_FILTER = 1
@@ -314,8 +320,8 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
     """Run the full grid.  ``training_log`` (a list, optional) collects the
     TrainReport of every minimax fit for convergence inspection.  Each
     finished cell logs one INFO record on this module's logger with its
-    position in the grid, filter, dim, epsilon_inverse, trial, wall time
-    and error."""
+    position in the grid, filter, dim, epsilon_inverse, trial, wall time,
+    the ``_TRAIN_FIELDS`` of its minimax fit and error."""
     if data.z is None:
         raise DataError("the experiment protocol needs target labels z")
     if any(d > data.dim for d in cfg.dims):
@@ -329,7 +335,7 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
         for fi, kind in enumerate(cfg.filters):
             dims = (data.dim,) if kind == "raw" else cfg.dims
             for di, d in enumerate(dims):
-                cached_filter = None
+                cached = None  # (filter, TrainReport or None) of a pre/none chain
                 for ei, einv in enumerate(cfg.epsilon_inverses):
                     start = time.perf_counter()
                     record = {
@@ -346,6 +352,7 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
                         "error": None,
                         "target_head_grad": None,
                         "private_head_grad": None,
+                        **dict.fromkeys(_TRAIN_FIELDS),
                     }
                     try:
                         noise_rng = derive_rng(cfg.master_seed, _ROLE_NOISE,
@@ -363,18 +370,23 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
                             g_train = apply_filter(filt, X_train)
                             g_test = apply_filter(filt, X_test)
                         else:
-                            if cached_filter is None:
-                                filt, report = fit_filter(
+                            if cached is None:
+                                cached = fit_filter(
                                     kind, train, d, cfg,
                                     derive_rng(cfg.master_seed, _ROLE_FILTER,
                                                fi, di, trial))
-                                if training_log is not None and report is not None:
-                                    training_log.append(report)
-                                cached_filter = filt
+                                if training_log is not None and cached[1] is not None:
+                                    training_log.append(cached[1])
+                            filt, report = cached
                             g_train, g_test = release_features(
-                                apply_filter(cached_filter, train.X),
-                                apply_filter(cached_filter, test.X),
+                                apply_filter(filt, train.X),
+                                apply_filter(filt, test.X),
                                 cfg, einv, noise_rng)
+                        if report is not None:
+                            record.update(zip(_TRAIN_FIELDS, (
+                                report.stop_reason, report.iterations,
+                                report.objective_calls,
+                                report.inner_unconverged)))
                         record.update(evaluate_heads(g_train, g_test, train,
                                                      test, data, cfg))
                     except Exception as exc:  # recorded, run continues
@@ -382,8 +394,10 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
                     record["wall_time_s"] = time.perf_counter() - start
                     records.append(record)
                     _log.info("cell %d/%d filter=%s dim=%d eps_inv=%g trial=%d "
-                              "wall=%.3fs error=%s", len(records), n_cells,
+                              "wall=%.3fs stop=%s iters=%s calls=%s "
+                              "unconverged=%s error=%s", len(records), n_cells,
                               kind, d, einv, trial, record["wall_time_s"],
+                              *(record[k] for k in _TRAIN_FIELDS),
                               record["error"])
     return EvalReport(tuple(records))
 

@@ -16,24 +16,36 @@ minimizers are unique and Phi is differentiable with
     grad Phi(u) = -[ sum_i kappa_i grad_u f_i(u, v_i*)
                      - rho sum_j omega_j grad_u f_j(u, w_j*) ]
 
-so the bracketed quantity is a descent direction once the heads are fit
+so the bracketed quantity is the negated gradient once the heads are fit
 to optimality.  Training alternates exact head refits with an Armijo
-line search along that direction over the fixed step grid
-initial_step * shrink**k.  The first search starts at initial_step and
-backtracks; each later search starts one grid point above the last
-accepted step, backtracks if that probe is rejected, and otherwise
-expands toward initial_step while the larger step is still accepted.
-Every probe refits all heads, warm-started from the current iterate's
-heads, so recorded objective values are true Phi evaluations and the
-accepted sequence decreases monotonically.  The accepted probe's forward
-pass also yields the next direction's feature gradient and, for an MLP
-filter, the hidden activations, so each accepted step costs one backward
-pass through the filter and no extra forward pass or head work.
+line search along a limited-memory BFGS direction (Liu & Nocedal, Math.
+Prog. 1989; Nocedal & Wright, ch. 7): the two-loop recursion over the
+last ``_LBFGS_MEMORY`` pairs (s, y) of parameter and gradient changes,
+scaled by s.y / y.y of the newest pair.  Pairs with s.y <= 0 are
+skipped.  The memory is cleared whenever a probe of a step counts an
+unconverged inner fit, since the gradient is then inexact; a direction
+that is not a descent direction falls back to the negated gradient, and
+so does a search in which no grid step passes, which is retried along
+the negated gradient in the same iteration before the run counts as
+stalled.
+
+The search runs over the fixed step grid initial_step * shrink**k.  The
+first search starts at initial_step and backtracks; each later search
+starts one grid point above the last accepted step, backtracks if that
+probe is rejected, and otherwise expands toward initial_step while the
+larger step is still accepted.  Every probe refits all heads,
+warm-started from the current iterate's heads, so recorded objective
+values are true Phi evaluations and the accepted sequence decreases
+monotonically.  The accepted probe's forward pass also yields the next
+gradient's feature gradient and, for an MLP filter, the hidden
+activations, so each accepted step costs one backward pass through the
+filter and no extra forward pass or head work.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -41,6 +53,8 @@ import numpy as np
 from . import heads as heads_mod
 from .errors import DataError, ShapeError
 from .filters import FilterState, apply_filter, filter_param_grad
+
+_LBFGS_MEMORY = 10  # curvature pairs (s, y) behind each outer direction
 
 TASK_SOFTMAX = "softmax"
 TASK_LEAST_SQUARES = "least_squares"
@@ -158,7 +172,7 @@ class FittedHeads:
 
     ``feature_grad`` is sum_i kappa_i grad_G f_priv_i - rho sum_j omega_j
     grad_G f_util_j at the filter outputs G the heads were scored on; its
-    vector-Jacobian product through the filter is the descent direction.
+    vector-Jacobian product through the filter is -grad Phi.
     ``hidden`` holds an MLP filter's hidden activations (h1, h2) from the
     same pass (empty for a linear filter), so that product needs no
     second forward pass.  ``worst_inner_grad`` is the largest
@@ -321,20 +335,22 @@ def descent_direction(state: FilterState, fitted: FittedHeads, data,
 class IterationRecord:
     """State after ``iteration`` accepted steps.
 
-    ``objective`` and ``grad_norm`` are measured at the recorded iterate;
-    ``step_size`` is the accepted step that produced it (0 for the initial
-    record) and ``inner_iterations`` counts head-solver iterations spent
-    during that outer step, line-search probes included.  A softmax head
-    counts damped Newton steps when it is warm-started (every probe after
-    the initial record) and has few weights (see
-    ``heads.fit_softmax_with_info``), and L-BFGS-B iterations otherwise;
-    an exact least-squares or reconstruction solve counts 1.  ``probes``
-    is the number of ``joint_objective`` calls in that outer step (1 for
-    the initial record).  ``worst_inner_grad`` is the largest risk-gradient
-    norm of a softmax head fit over the same probes: above
-    ``inner_tol``, some head was not a best response and the step's
-    direction is not the exact gradient.  Reports saved before a field
-    existed load it as 0.
+    ``objective`` and ``grad_norm`` (the norm of grad Phi) are measured at
+    the recorded iterate; ``step_size`` is the accepted grid step along
+    that outer step's direction, the L-BFGS direction or the negated
+    gradient (0 for the initial record), and ``inner_iterations`` counts
+    head-solver iterations spent during that outer step, line-search
+    probes included.  A softmax head counts damped Newton steps when it
+    is warm-started (every probe after the initial record) and has few
+    weights (see ``heads.fit_softmax_with_info``), and L-BFGS-B
+    iterations otherwise; an exact least-squares or reconstruction solve
+    counts 1.  ``probes`` is the number of ``joint_objective`` calls in
+    that outer step (1 for the initial record), a failed L-BFGS search
+    before its retry along the negated gradient included.
+    ``worst_inner_grad`` is the largest risk-gradient norm of a softmax
+    head fit over the same probes: above ``inner_tol``, some head was not
+    a best response and the step's gradient is inexact.  Reports saved
+    before a field existed load it as 0.
     """
 
     iteration: int
@@ -353,8 +369,9 @@ class TrainReport:
     """Records of one training run and why it stopped.
 
     ``stop_reason`` is ``"converged"`` (slow progress), ``"stalled"`` (no
-    grid step passed the Armijo test) or ``"max_iter"``; None in reports
-    made before the field existed.  A stalled search's ``joint_objective``
+    grid step passed the Armijo test along the negated gradient) or
+    ``"max_iter"``; None in reports made before the field existed.  A
+    stalled search's ``joint_objective``
     calls and head-solver iterations belong to no record, so they are
     kept in ``stall_probes`` and ``stall_inner_iterations`` (0 otherwise).
     ``inner_unconverged`` counts the softmax head fits of the whole run,
@@ -376,6 +393,11 @@ class TrainReport:
     @property
     def final_objective(self) -> float:
         return self.records[-1].objective
+
+    @property
+    def objective_calls(self) -> int:
+        """``joint_objective`` calls of the whole run, stalled search included."""
+        return sum(r.probes for r in self.records) + self.stall_probes
 
 
 def save_report(report: TrainReport, path) -> None:
@@ -404,22 +426,47 @@ def _step_grid(ls: LineSearchConfig):
     return grid
 
 
-def _line_search(state, direction, objective, fitted, data, cfg, grid, start,
-                 targets):
+def _lbfgs_direction(neg_grad, pairs):
+    """The L-BFGS direction -H grad Phi, given ``neg_grad`` = -grad Phi.
+
+    Two-loop recursion (Nocedal & Wright, Algorithm 7.4) over ``pairs``
+    of (s, y, s.y), oldest first, whose initial inverse Hessian is
+    (s.y / y.y) I from the newest pair.  With no pairs the direction is
+    ``neg_grad`` itself.
+    """
+    if not pairs:
+        return neg_grad
+    q = neg_grad.copy()
+    alphas = []
+    for s, y, sy in reversed(pairs):
+        alpha = float(s @ q) / sy
+        q -= alpha * y
+        alphas.append(alpha)
+    _, y, sy = pairs[-1]
+    q *= sy / float(y @ y)
+    for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - float(y @ q) / sy) * s
+    return q
+
+
+def _line_search(state, direction, slope, objective, fitted, data, cfg, grid,
+                 start, targets):
     """Armijo search along ``direction`` over the decreasing step ``grid``.
 
-    Probes ``grid[start]`` first.  If it is rejected, backtracks down the
-    grid, and only when every smaller step fails too tries the larger ones
-    top-down, so a stall means that no grid step passes.  If the first
-    probe is accepted, expands up the grid while the larger step is
-    accepted as well.  Every probe warm-starts from the heads ``fitted`` at
-    ``state``, so an accepted probe does not depend on the probes before
-    it.  Returns (accepted, probes, inner_iterations, worst_inner_grad,
-    inner_unconverged) where accepted is (k, trial_state, trial_values), or
-    None when no step is accepted; the last four sum (or maximize) over
+    ``slope`` is -grad Phi . direction (positive for a descent direction);
+    a step t passes when it lowers the objective by more than
+    ``sufficient_decrease * t * slope``.  Probes ``grid[start]`` first.
+    If it is rejected, backtracks down the grid, and only when every
+    smaller step fails too tries the larger ones top-down, so a failed
+    search means that no grid step passes.  If the first probe is
+    accepted, expands up the grid while the larger step is accepted as
+    well.  Every probe warm-starts from the heads ``fitted`` at ``state``,
+    so an accepted probe does not depend on the probes before it.
+    Returns (accepted, probes, inner_iterations, worst_inner_grad,
+    inner_unconverged) where accepted is (k, trial_state, trial_values),
+    or None when no step is accepted; the last four sum (or maximize) over
     every probe.
     """
-    grad_norm_sq = float(direction @ direction)
     probes = 0
     inner_used = 0
     worst_grad = 0.0
@@ -434,7 +481,7 @@ def _line_search(state, direction, objective, fitted, data, cfg, grid, start,
         inner_used += values[3].inner_iterations
         worst_grad = max(worst_grad, values[3].worst_inner_grad)
         unconverged += values[3].inner_unconverged
-        margin = cfg.line_search.sufficient_decrease * step * grad_norm_sq
+        margin = cfg.line_search.sufficient_decrease * step * slope
         return (k, trial, values) if values[0] < objective - margin else None
 
     accepted = None
@@ -452,20 +499,25 @@ def _line_search(state, direction, objective, fitted, data, cfg, grid, start,
 
 
 def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
-    """Alternating descent on the tradeoff objective from ``init``.
+    """Alternating L-BFGS descent on the tradeoff objective from ``init``.
 
     Deterministic given the initial state.  Each iteration fits all heads,
-    takes the steepest-descent direction, and line-searches the step grid
-    ``initial_step * shrink**k`` (k <= ``max_backtracks``) for a step that
-    decreases the objective by the Armijo margin.  The first
+    takes the L-BFGS direction from the last ``_LBFGS_MEMORY`` curvature
+    pairs (the negated gradient while the memory is empty, or when the
+    L-BFGS direction is not a descent direction), and line-searches the
+    step grid ``initial_step * shrink**k`` (k <= ``max_backtracks``) for a
+    step that decreases the objective by the Armijo margin.  The first
     search probes ``initial_step`` and backtracks from there; each later
     search starts one grid point above the last accepted step (capped at
     ``initial_step``), backtracks if that probe is rejected and otherwise
-    expands up the grid while the larger step is still accepted.  The run
-    stops after ``cfg.slow_iterations`` consecutive decreases below
-    ``cfg.convergence_tol`` (converged), when no grid step is accepted
-    (stalled), or at ``cfg.max_iter``; the report's ``stop_reason`` says
-    which.
+    expands up the grid while the larger step is still accepted.  If no
+    grid step passes along an L-BFGS direction, the memory is cleared and
+    the same iteration searches again along the negated gradient.  The
+    memory is also cleared after any step with an unconverged inner fit.
+    The run stops after ``cfg.slow_iterations`` consecutive decreases
+    below ``cfg.convergence_tol`` (converged), when no grid step is
+    accepted along the negated gradient (stalled), or at ``cfg.max_iter``;
+    the report's ``stop_reason`` says which.
     """
     X = np.asarray(data.X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != init.input_dim:
@@ -475,20 +527,36 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
     state = init
     objective, privacy_value, utility_value, fitted = joint_objective(
         state, data, cfg, targets=targets)
-    direction = filter_param_grad(state, data.X, fitted.feature_grad,
-                                  fitted.hidden)
+    neg_grad = filter_param_grad(state, data.X, fitted.feature_grad,
+                                 fitted.hidden)
     records = [IterationRecord(0, objective, privacy_value, utility_value,
                                0.0, fitted.inner_iterations,
-                               float(np.linalg.norm(direction)), probes=1,
+                               float(np.linalg.norm(neg_grad)), probes=1,
                                worst_inner_grad=fitted.worst_inner_grad)]
     unconverged = fitted.inner_unconverged
     stop_reason = "max_iter"
     stall_probes = stall_inner = 0
     slow_count = 0
     start = 0
+    pairs = deque(maxlen=_LBFGS_MEMORY)
     for iteration in range(1, cfg.max_iter + 1):
-        accepted, probes, inner_used, worst_grad, step_unconverged = _line_search(
-            state, direction, objective, fitted, data, cfg, grid, start, targets)
+        direction = _lbfgs_direction(neg_grad, pairs)
+        slope = float(neg_grad @ direction)
+        if direction is not neg_grad and not slope > 0:
+            direction, slope = neg_grad, float(neg_grad @ neg_grad)
+        search = _line_search(state, direction, slope, objective, fitted, data,
+                              cfg, grid, start, targets)
+        accepted, probes, inner_used, worst_grad, step_unconverged = search
+        if accepted is None and direction is not neg_grad:
+            pairs.clear()
+            retry = _line_search(state, neg_grad, float(neg_grad @ neg_grad),
+                                 objective, fitted, data, cfg, grid, start,
+                                 targets)
+            accepted = retry[0]
+            probes += retry[1]
+            inner_used += retry[2]
+            worst_grad = max(worst_grad, retry[3])
+            step_unconverged += retry[4]
         unconverged += step_unconverged
         if accepted is None:
             # No productive step along the gradient; at (or numerically
@@ -496,15 +564,24 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
             stop_reason = "stalled"
             stall_probes, stall_inner = probes, inner_used
             break
-        k, state, (trial_objective, privacy_value, utility_value, fitted) = accepted
+        k, trial, (trial_objective, privacy_value, utility_value, fitted) = accepted
         start = max(k - 1, 0)
         decrease = objective - trial_objective
         objective = trial_objective
-        direction = filter_param_grad(state, data.X, fitted.feature_grad,
-                                      fitted.hidden)
+        trial_neg_grad = filter_param_grad(trial, data.X, fitted.feature_grad,
+                                           fitted.hidden)
+        if step_unconverged:
+            pairs.clear()
+        else:
+            s = trial.params - state.params
+            y = neg_grad - trial_neg_grad
+            sy = float(s @ y)
+            if sy > 0:
+                pairs.append((s, y, sy))
+        state, neg_grad = trial, trial_neg_grad
         records.append(IterationRecord(iteration, objective, privacy_value,
                                        utility_value, grid[k], inner_used,
-                                       float(np.linalg.norm(direction)),
+                                       float(np.linalg.norm(neg_grad)),
                                        probes, worst_grad))
         if decrease < cfg.convergence_tol:
             slow_count += 1

@@ -5,8 +5,10 @@ check every analytic gradient against an independent computation, plus
 the straightforward forms of optimized code that the library must
 reproduce: the dense diameter scan, the allocating softmax core and
 reconstruction risk, the L-BFGS-B softmax fit that cold and large heads
-still run, and the allocating MLP forward pass, MLP vector-Jacobian
-product and denoising-autoencoder layer.
+still run, the allocating MLP forward pass, MLP vector-Jacobian product
+and denoising-autoencoder layer, the dense BFGS inverse-Hessian update
+behind the minimax L-BFGS direction, and the minimax loop along the
+negated gradient alone (steepest descent).
 """
 
 import numpy as np
@@ -125,6 +127,78 @@ def lbfgs_softmax_reference(G, labels, num_classes, reg_lambda, tol, max_iter,
     result = minimize(value_and_grad, x0, jac=True, method="L-BFGS-B",
                       options={"maxiter": max_iter, "gtol": gtol, "ftol": 0.0})
     return result.x.reshape(num_classes, d), int(result.nit)
+
+
+def bfgs_inverse_hessian_reference(pairs):
+    """Dense inverse-Hessian estimate from curvature ``pairs`` (s, y, s.y),
+    oldest first: H = (s.y / y.y) I for the newest pair, then the BFGS
+    update H <- (I - s y'/s.y) H (I - y s'/s.y) + s s'/s.y per pair."""
+    _, y_new, sy_new = pairs[-1]
+    eye = np.eye(y_new.size)
+    H = (sy_new / float(y_new @ y_new)) * eye
+    for s, y, sy in pairs:
+        V = eye - np.outer(y, s) / sy
+        H = V.T @ H @ V + np.outer(s, s) / sy
+    return H
+
+
+def steepest_descent_reference(init, data, cfg):
+    """The minimax loop with every step along the negated gradient.
+
+    The same warm-started Armijo search over the step grid as
+    ``minimax_opt.train_minimax`` (start one grid point above the last
+    accepted step, backtrack on rejection, otherwise expand toward
+    ``initial_step``) and the same stopping rule, without curvature memory.
+    Returns (objectives, step sizes, final parameters, joint_objective
+    calls, stop reason), the objectives and steps of the accepted
+    iterates only.
+    """
+    from privfilter.minimax_opt import descent_direction, joint_objective
+
+    ls = cfg.line_search
+    grid = [ls.initial_step * ls.shrink ** k
+            for k in range(ls.max_backtracks + 1)]
+    state = init
+    objective, _, _, fitted = joint_objective(state, data, cfg)
+    direction = descent_direction(state, fitted, data, cfg)
+    objectives, steps, calls = [], [], 1
+    start, slow_count, stop_reason = 0, 0, "max_iter"
+
+    def probe(k):
+        trial = state.with_params(state.params + grid[k] * direction)
+        values = joint_objective(trial, data, cfg, warm=fitted)
+        margin = ls.sufficient_decrease * grid[k] * float(direction @ direction)
+        return (k, trial, values) if values[0] < objective - margin else None
+
+    for _ in range(cfg.max_iter):
+        accepted = None
+        for k in [*range(start, len(grid)), *range(start)]:
+            calls += 1
+            accepted = probe(k)
+            if accepted is not None:
+                break
+        if accepted is None:
+            stop_reason = "stalled"
+            break
+        if accepted[0] == start:
+            for k in range(start - 1, -1, -1):
+                calls += 1
+                larger = probe(k)
+                if larger is None:
+                    break
+                accepted = larger
+        k, state, (trial_objective, _, _, fitted) = accepted
+        start = max(k - 1, 0)
+        decrease = objective - trial_objective
+        objective = trial_objective
+        direction = descent_direction(state, fitted, data, cfg)
+        objectives.append(objective)
+        steps.append(grid[k])
+        slow_count = slow_count + 1 if decrease < cfg.convergence_tol else 0
+        if slow_count >= cfg.slow_iterations:
+            stop_reason = "converged"
+            break
+    return objectives, steps, state.params, calls, stop_reason
 
 
 def mlp_forward_reference(f, X):

@@ -276,6 +276,50 @@ def test_csv_load_memory_is_bounded(tmp_path):
     assert peak < 16 * 2**20
 
 
+def test_irregular_csv_load_memory_is_bounded(tmp_path):
+    data = gen_synthetic(dim=50, n_subjects=20, n_target_classes=4,
+                         per_subject=400, noise=1.0, seed=0)
+    path = tmp_path / "quoted.csv"
+    save_csv(data, path)
+    text = path.read_text()
+    first = text.index("\n") + 1
+    comma = text.index(",", first)
+    # quoting the first feature sends the whole file through the row parser
+    path.write_text(text[:first] + '"' + text[first:comma] + '"' + text[comma:])
+    tracemalloc.start()
+    try:
+        loaded = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(loaded.X, data.X)
+    np.testing.assert_array_equal(loaded.subject_ids, data.subject_ids)
+    # holding all 8,000 rows as lists of strings first peaked at 34 MB
+    assert peak < 16 * 2**20
+
+
+def test_row_parser_blocks_keep_values_and_row_numbers(tmp_path, monkeypatch):
+    monkeypatch.setattr(data_mod, "_ROW_BLOCK", 4)
+    rows = [f"{r}.5,1,{r % 3 + 1}" for r in range(30)]
+    path = tmp_path / "blocks.csv"
+    path.write_text('f0,y,subject\n"0.5",1,1\n' + "\n".join(rows[1:]) + "\n")
+    data = load_csv(path)
+    assert data.n_samples == 30
+    np.testing.assert_array_equal(data.X[:, 0], np.arange(30) + 0.5)
+    np.testing.assert_array_equal(data.subject_ids, np.arange(30) % 3 + 1)
+    for bad_row, line, message in (
+            (9, "2.0,1", "row 9 has 2 fields, expected 3"),
+            (12, "oops,1,1", "row 12: could not convert string to float"),
+            (23, "inf,1,1", "row 23 contains a non-finite feature")):
+        body = rows.copy()
+        body[0] = '"0.5",1,1'
+        body[bad_row] = line
+        path.write_text("f0,y,subject\n" + "\n".join(body) + "\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+
+
 def test_split_covers_every_subject_and_partitions():
     data = gen_synthetic(4, 5, 2, 11, noise=0.2, seed=5)
     train, test = split_per_subject(data, 0.8, seed=0)

@@ -323,3 +323,146 @@ def test_each_finished_cell_logs_one_record(caplog):
     assert "error=DataError" in messages[5]
     # the log is a side channel: the payload carries no trace of it
     assert report.scientific_payload() == run_experiment(cfg, data).scientific_payload()
+
+
+_TRAIN_FIELDS = ("train_stop_reason", "train_iterations",
+                 "train_objective_calls", "train_inner_unconverged")
+
+
+@pytest.mark.parametrize("chain, einvs", [("pre", (0.0, 1.0)),
+                                          ("post", (0.0, 1.0)),
+                                          ("none", (0.0,))])
+def test_minimax_cells_record_their_training_summary(caplog, chain, einvs):
+    data = _small_data()
+    cfg = _fast_config(filters=("minimax-linear", "pca"),
+                       epsilon_inverses=einvs, chain=chain, trials=1)
+    log = []
+    with caplog.at_level(logging.INFO, logger="privfilter.harness"):
+        report = run_experiment(cfg, data, training_log=log)
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "privfilter.harness"]
+    minimax = [r for r in report.records if r["filter"] == "minimax-linear"]
+    # a pre or none chain fits one filter for all noise levels, a post
+    # chain one per level; each cell names the fit behind its filter
+    assert len(log) == (len(einvs) if chain == "post" else 1)
+    fits = log if chain == "post" else log * len(einvs)
+    for record, fit in zip(minimax, fits):
+        assert record["train_stop_reason"] == fit.stop_reason
+        assert record["train_iterations"] == fit.iterations
+        assert record["train_objective_calls"] == fit.objective_calls
+        assert record["train_inner_unconverged"] == fit.inner_unconverged
+    for record, message in zip(report.records, messages):
+        assert (f"stop={record['train_stop_reason']} "
+                f"iters={record['train_iterations']} "
+                f"calls={record['train_objective_calls']} "
+                f"unconverged={record['train_inner_unconverged']} "
+                f"error=") in message
+        if record["filter"] == "pca":
+            assert all(record[k] is None for k in _TRAIN_FIELDS)
+        else:
+            assert record["train_objective_calls"] > record["train_iterations"] > 0
+    assert all(set(r) == _PAYLOAD_FIELDS for r in report.scientific_payload())
+
+
+def test_failed_minimax_fit_leaves_the_training_summary_empty(monkeypatch):
+    from privfilter import harness
+
+    def broken(*args, **kwargs):
+        raise FloatingPointError("no fit")
+
+    monkeypatch.setattr(harness, "train_minimax", broken)
+    report = run_experiment(_fast_config(filters=("minimax-linear",),
+                                         trials=1), _small_data())
+    (record,) = report.records
+    assert record["error"] == "FloatingPointError: no fit"
+    assert all(record[k] is None for k in _TRAIN_FIELDS)
+
+
+def _degenerate_config(task):
+    from privfilter.minimax_opt import (TradeoffConfig, least_squares_tradeoff,
+                                        reconstruction_task, softmax_task)
+    tradeoff = {
+        "softmax": classification_tradeoff(2.0, 1e-4, max_iter=10),
+        "least_squares": least_squares_tradeoff(2.0, 1e-3, max_iter=10),
+        "reconstruction": TradeoffConfig(
+            1.0, ((reconstruction_task(1e-3), 1.0),),
+            ((softmax_task("z", 1e-4), 1.0),), max_iter=10),
+    }[task]
+    return _fast_config(tradeoff=tradeoff, mlp_hidden=(5, 4),
+                        pretrain_epochs=3)
+
+
+def _kinds_for(task):
+    # the closed-form filters do not depend on the tradeoff's heads
+    if task == "softmax":
+        return [k for k in FILTER_CHOICES if k != "raw"]
+    return ["minimax-linear", "minimax-mlp"]
+
+
+def _check_fitted(kind, filt, report, data, d):
+    G = apply_filter(filt, data.X)
+    assert G.shape == (data.n_samples, d) and np.isfinite(G).all()
+    if report is not None:
+        objectives = [r.objective for r in report.records]
+        assert all(b < a for a, b in zip(objectives, objectives[1:]))
+        assert report.inner_unconverged == 0
+    if kind in ("pca", "ppls"):
+        U = filt.as_matrix()
+        np.testing.assert_allclose(U.T @ U, np.eye(d), atol=1e-10)
+
+
+@pytest.mark.parametrize("task", ["softmax", "least_squares", "reconstruction"])
+def test_filters_fit_with_a_class_missing_from_the_training_split(task):
+    data = _small_data(per_subject=20)
+    train, _ = split_per_subject(data, 0.8, seed=0)
+    # class 2 of 3 lost every row, so its one-hot column and head are empty
+    y = train.y.copy()
+    y[y == 2] = 3
+    train = Dataset(train.X, y, train.subject_ids, train.z)
+    cfg = _degenerate_config(task)
+    for kind in _kinds_for(task):
+        filt, report = fit_filter(kind, train, 2, cfg, derive_rng(0, 1, 0))
+        _check_fitted(kind, filt, report, train, 2)
+
+
+@pytest.mark.parametrize("task", ["softmax", "least_squares", "reconstruction"])
+def test_filters_fit_with_a_constant_feature(task):
+    base = _small_data(per_subject=20)
+    X = base.X.copy()
+    X[:, 3] = 4.0
+    data = Dataset(X, base.y, base.subject_ids, base.z)
+    cfg = _degenerate_config(task)
+    for kind in _kinds_for(task):
+        filt, report = fit_filter(kind, data, 2, cfg, derive_rng(0, 1, 0))
+        _check_fitted(kind, filt, report, data, 2)
+        if kind == "pca":
+            # a feature without variance gets no weight in any component
+            assert np.abs(filt.as_matrix()[3]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("task", ["softmax", "least_squares", "reconstruction"])
+def test_filters_fit_at_full_dimension(task):
+    data = _small_data(per_subject=20)
+    cfg = _degenerate_config(task)
+    for kind in _kinds_for(task):
+        filt, report = fit_filter(kind, data, data.dim, cfg, derive_rng(0, 1, 0))
+        _check_fitted(kind, filt, report, data, data.dim)
+        if filt.kind == FilterKind.LINEAR:
+            assert np.linalg.matrix_rank(filt.as_matrix()) == data.dim
+
+
+@pytest.mark.parametrize("task", ["softmax", "least_squares", "reconstruction"])
+def test_filters_with_more_outputs_than_samples(task):
+    # N = 4 rows, d = 5 outputs of D = 6 features: filters that need no
+    # exact least-squares head still fit; those that do name the counts
+    rng = np.random.default_rng(40)
+    y = np.array([1, 2, 3, 1])
+    data = Dataset(rng.standard_normal((4, 6)), y, y, np.array([1, 2, 1, 2]))
+    cfg = _degenerate_config(task)
+    for kind in _kinds_for(task):
+        if kind.startswith("minimax") and task != "softmax":
+            with pytest.raises(ShapeError, match=r"samples \(4\) as features \(5\)"):
+                fit_filter(kind, data, 5, cfg, derive_rng(0, 1, 0))
+            continue
+        filt, report = fit_filter(kind, data, 5, cfg, derive_rng(0, 1, 0))
+        _check_fitted(kind, filt, report, data, 5)

@@ -250,6 +250,77 @@ def test_fit_reconstruction_needs_enough_samples():
         fit_reconstruction(np.zeros((2, 5)), np.zeros((2, 1)))
 
 
+def _is_stationary(head, G, T, fit_intercept):
+    """The ridge reconstruction risk's gradient in the free parameters (the
+    bias only with an intercept) vanishes at ``head``."""
+    _, (grad_w, grad_b), _ = reconstruction_risk(head, G, T)
+    free = np.concatenate([grad_w.ravel(), grad_b if fit_intercept else []])
+    return np.abs(free).max() <= 1e-10
+
+
+@pytest.mark.parametrize("fit_intercept", [True, False])
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+def test_fit_reconstruction_with_a_class_missing_from_the_split(fit_intercept, lam):
+    # one-hot targets of a split that lost class 2 have an all-zero column
+    rng = np.random.default_rng(30)
+    G = rng.standard_normal((40, 4))
+    labels = rng.integers(1, 4, size=40)
+    labels[labels == 2] = 3
+    T = one_hot(labels, 3)
+    head = fit_reconstruction(G, T, lam, fit_intercept)
+    assert not head.weights[:, 1].any() and head.bias[1] == 0.0
+    kept = fit_reconstruction(G, T[:, [0, 2]], lam, fit_intercept)
+    np.testing.assert_allclose(head.weights[:, [0, 2]], kept.weights, atol=1e-12)
+    np.testing.assert_allclose(head.bias[[0, 2]], kept.bias, atol=1e-12)
+    assert _is_stationary(head, G, T, fit_intercept)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+def test_fit_reconstruction_with_constant_features(lam):
+    rng = np.random.default_rng(31)
+    G = rng.standard_normal((40, 4))
+    G[:, 2] = 1.5
+    T = rng.standard_normal((40, 3))
+    for fit_intercept in (True, False):
+        head = fit_reconstruction(G, T, lam, fit_intercept)
+        assert _is_stationary(head, G, T, fit_intercept)
+    if lam == 0.0:
+        # with an intercept the constant column adds nothing, and without
+        # one it plays the intercept: all three fits reach the same risk
+        plain = fit_reconstruction(np.delete(G, 2, axis=1), T, 0.0, True)
+        best = reconstruction_risk(plain, np.delete(G, 2, axis=1), T)[0]
+        for fit_intercept in (True, False):
+            head = fit_reconstruction(G, T, 0.0, fit_intercept)
+            assert reconstruction_risk(head, G, T)[0] == pytest.approx(best, rel=1e-12)
+    # features that are all constant leave the target means as the answer
+    flat = np.full((40, 4), -2.0)
+    head = fit_reconstruction(flat, T, lam, True)
+    assert not head.weights.any()
+    np.testing.assert_allclose(head.bias, T.mean(axis=0), rtol=1e-12)
+
+
+def test_fit_reconstruction_of_full_dimension_features():
+    # d = D: a decoder of the filter's own full-rank outputs is the identity
+    rng = np.random.default_rng(32)
+    G = rng.standard_normal((30, 6))
+    head = fit_reconstruction(G, G, 0.0, True)
+    np.testing.assert_allclose(head.weights, np.eye(6), atol=1e-12)
+    np.testing.assert_allclose(head.bias, 0.0, atol=1e-12)
+    assert reconstruction_risk(head, G, G)[0] <= 1e-25
+
+
+def test_fit_reconstruction_sample_count_boundary():
+    # N < d is refused with the counts; N = d interpolates exactly
+    rng = np.random.default_rng(33)
+    G = rng.standard_normal((5, 5))
+    T = rng.standard_normal((5, 2))
+    for lam in (0.0, 0.1):
+        with pytest.raises(ShapeError, match=r"samples \(4\) as features \(5\)"):
+            fit_reconstruction(G[:4], T[:4], lam)
+    head = fit_reconstruction(G, T, 0.0, False)
+    assert reconstruction_risk(head, G, T)[0] <= 1e-20
+
+
 def test_predict_tie_break_lowest_index():
     head = SoftmaxHead(np.zeros((2, 3)))
     G = np.ones((4, 3))

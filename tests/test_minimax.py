@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import central_diff, rel_error
+from oracles import (bfgs_inverse_hessian_reference, central_diff, rel_error,
+                     steepest_descent_reference)
 from privfilter import filters, heads, minimax_opt
 from privfilter.closed_form import compute_moments, least_squares_minimax
 from privfilter.data import Dataset
@@ -137,19 +138,30 @@ def test_least_squares_objective_agrees_with_trace_form():
                                       - 2.5 * (t_z - mean_z), rel=1e-9)
 
 
-def test_training_descends_and_records_are_consistent():
+def test_training_descends_and_records_are_consistent(monkeypatch):
     rng = np.random.default_rng(6)
     data = _toy_dataset(rng)
     cfg = _tight_tradeoff(max_iter=25)
+    slopes = []  # -grad Phi . direction of every search that accepted a step
+    search = minimax_opt._line_search
+
+    def recorded(state, direction, slope, *args):
+        result = search(state, direction, slope, *args)
+        if result[0] is not None:
+            slopes.append(slope)
+        return result
+
+    monkeypatch.setattr(minimax_opt, "_line_search", recorded)
     report = train_minimax(init_filter(FilterKind.LINEAR, 6, 2, seed=7), data, cfg)
     records = report.records
     assert records[0].iteration == 0 and records[0].step_size == 0.0
+    assert len(slopes) == len(records) - 1
     ls = cfg.line_search
-    for prev, cur in zip(records, records[1:]):
+    for prev, cur, slope in zip(records, records[1:], slopes):
         assert cur.iteration == prev.iteration + 1
-        assert cur.step_size > 0
+        assert cur.step_size > 0 and slope > 0
         # accepted steps satisfy the sufficient-decrease test
-        margin = ls.sufficient_decrease * cur.step_size * prev.grad_norm ** 2
+        margin = ls.sufficient_decrease * cur.step_size * slope
         assert cur.objective < prev.objective - margin + 1e-12
     assert report.final_objective == records[-1].objective
     assert report.iterations == records[-1].iteration
@@ -178,7 +190,9 @@ def test_training_from_exact_optimum_stops_immediately():
 
 def test_stalled_search_is_accounted_for(monkeypatch):
     data, U = _at_least_squares_optimum()
-    cfg = least_squares_tradeoff(3.0, 0.0, max_iter=50,
+    # three rounding-level decreases come before the stall, so more than
+    # three slow iterations are needed to reach it
+    cfg = least_squares_tradeoff(3.0, 0.0, max_iter=50, slow_iterations=5,
                                  line_search=LineSearchConfig(max_backtracks=3))
     calls = []
     original = minimax_opt.joint_objective
@@ -191,10 +205,12 @@ def test_stalled_search_is_accounted_for(monkeypatch):
     monkeypatch.setattr(minimax_opt, "joint_objective", counted)
     report = train_minimax(linear_filter(U), data, cfg)
     assert report.stop_reason == "stalled" and not report.converged
-    assert len(calls) == 6
-    # the stalled search tried each of the max_backtracks + 1 grid steps once
-    assert report.stall_probes == 4
+    assert len(calls) == 18
+    # the stalled iteration tried each of the max_backtracks + 1 grid steps
+    # once along the L-BFGS direction and once along the negated gradient
+    assert report.stall_probes == 8
     assert sum(r.probes for r in report.records) + report.stall_probes == len(calls)
+    assert report.objective_calls == len(calls)
     assert (sum(r.inner_iterations for r in report.records)
             + report.stall_inner_iterations) == sum(calls)
 
@@ -389,38 +405,58 @@ def test_exact_inner_solves_record_no_failures():
 def _top_down_reference(init, data, cfg):
     """Plain backtracking: every search starts at initial_step.
 
-    Returns the accepted steps, the objectives after them, the final
-    parameters and the number of joint_objective calls spent.
+    Takes the directions ``train_minimax`` takes: the L-BFGS direction from
+    the curvature pairs of the accepted steps (the negated gradient while
+    there are none), and after a failed L-BFGS search a retry along the
+    negated gradient with the pairs cleared.  Returns the accepted steps,
+    the objectives after them, the final parameters, the number of
+    joint_objective calls spent and the number of retries.
     """
     ls = cfg.line_search
     state = init
     objective, _, _, fitted = joint_objective(state, data, cfg)
-    direction = descent_direction(state, fitted, data, cfg)
-    steps, objectives, probes, slow_count = [], [], 1, 0
-    for _ in range(cfg.max_iter):
-        grad_norm_sq = float(direction @ direction)
+    neg_grad = descent_direction(state, fitted, data, cfg)
+    pairs = []
+    steps, objectives, probes, retries, slow_count = [], [], 1, 0, 0
+
+    def search(direction):
+        nonlocal probes
+        slope = float(neg_grad @ direction)
         step = ls.initial_step
-        accepted = None
         for _ in range(ls.max_backtracks + 1):
             trial = state.with_params(state.params + step * direction)
             values = joint_objective(trial, data, cfg, warm=fitted)
             probes += 1
-            if values[0] < objective - ls.sufficient_decrease * step * grad_norm_sq:
-                accepted = trial, values
-                break
+            if values[0] < objective - ls.sufficient_decrease * step * slope:
+                return step, trial, values
             step *= ls.shrink
+        return None
+
+    for _ in range(cfg.max_iter):
+        direction = minimax_opt._lbfgs_direction(
+            neg_grad, pairs[-minimax_opt._LBFGS_MEMORY:])
+        assert float(neg_grad @ direction) > 0
+        accepted = search(direction)
+        if accepted is None and pairs:
+            pairs, retries = [], retries + 1
+            accepted = search(neg_grad)
         if accepted is None:
             break
-        state, (trial_objective, _, _, fitted) = accepted
+        step, trial, (trial_objective, _, _, fitted) = accepted
+        trial_neg_grad = descent_direction(trial, fitted, data, cfg)
+        s = trial.params - state.params
+        sy = float(s @ (neg_grad - trial_neg_grad))
+        if sy > 0:
+            pairs.append((s, neg_grad - trial_neg_grad, sy))
+        state, neg_grad = trial, trial_neg_grad
         decrease = objective - trial_objective
         objective = trial_objective
-        direction = descent_direction(state, fitted, data, cfg)
         steps.append(step)
         objectives.append(objective)
         slow_count = slow_count + 1 if decrease < cfg.convergence_tol else 0
         if slow_count >= cfg.slow_iterations:
             break
-    return steps, objectives, state.params, probes
+    return steps, objectives, state.params, probes, retries
 
 
 def _scheduled_probes(ks):
@@ -450,9 +486,11 @@ def test_warm_started_search_matches_top_down_backtracking(seed, initial_step):
     cfg = least_squares_tradeoff(3.0, 1e-3, max_iter=30, line_search=ls)
     init = init_filter(FilterKind.TWO_LAYER_SIGMOID, 5, 2, (6, 4), seed=seed)
     report = train_minimax(init, data, cfg)
-    steps, objectives, params, probes = _top_down_reference(init, data, cfg)
+    steps, objectives, params, probes, retries = _top_down_reference(
+        init, data, cfg)
     accepted = report.records[1:]
     assert len(set(steps)) >= 3
+    assert retries == 0  # the probe schedule below counts one search per step
     assert [r.step_size for r in accepted] == steps
     assert [r.objective for r in accepted] == objectives
     assert np.array_equal(report.final_state.params, params)
@@ -466,14 +504,15 @@ def test_warm_started_search_matches_top_down_backtracking(seed, initial_step):
     assert probes == 1 + sum(k + 1 for k in ks)
 
 
-@pytest.mark.parametrize("max_iter, max_backtracks", [(12, 30), (200, 1)])
+@pytest.mark.parametrize("max_iter, max_backtracks", [(12, 30), (1000, 30)])
 def test_training_runs_one_forward_pass_per_objective_call(
         monkeypatch, max_iter, max_backtracks):
     # the accepted probe's hidden activations feed the vector-Jacobian
-    # product, so filter_param_grad runs no forward pass of its own
+    # product, so filter_param_grad runs no forward pass of its own; with
+    # a vanishing convergence_tol the long run ends in a stall
     data = _toy_dataset(np.random.default_rng(6), n=40, dim=5)
     cfg = least_squares_tradeoff(
-        3.0, 1e-3, max_iter=max_iter,
+        3.0, 1e-3, max_iter=max_iter, convergence_tol=1e-16,
         line_search=LineSearchConfig(max_backtracks=max_backtracks))
     init = init_filter(FilterKind.TWO_LAYER_SIGMOID, 5, 2, (6, 4), seed=6)
     forwards, objectives = [], []
@@ -544,3 +583,163 @@ def test_training_builds_least_squares_targets_once(monkeypatch):
     assert len(built) == 2 + 2 * calls
     assert rebuilt.records == report.records
     assert np.array_equal(rebuilt.final_state.params, report.final_state.params)
+
+
+def test_lbfgs_direction_matches_dense_bfgs_update():
+    rng = np.random.default_rng(20)
+    n = 7
+    A = rng.standard_normal((n, n))
+    A = A @ A.T + 0.5 * np.eye(n)  # curvature s.y = s'As > 0
+    pairs = []
+    for _ in range(4):
+        s = rng.standard_normal(n)
+        y = A @ s + 0.01 * rng.standard_normal(n)
+        pairs.append((s, y, float(s @ y)))
+    neg_grad = rng.standard_normal(n)
+    for m in range(1, len(pairs) + 1):
+        d = minimax_opt._lbfgs_direction(neg_grad, pairs[:m])
+        H = bfgs_inverse_hessian_reference(pairs[:m])
+        assert rel_error(d, H @ neg_grad) <= 1e-12
+        assert float(neg_grad @ d) > 0
+    assert minimax_opt._lbfgs_direction(neg_grad, []) is neg_grad
+
+
+@pytest.mark.parametrize("problem", ["least_squares", "softmax"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lbfgs_beats_steepest_descent(problem, seed):
+    data = _toy_dataset(np.random.default_rng(seed))
+    init = init_filter(FilterKind.LINEAR, 6, 2, seed=seed)
+    if problem == "least_squares":
+        cfg = least_squares_tradeoff(3.0, 1e-3, max_iter=200)
+    else:
+        cfg = _tight_tradeoff(max_iter=200)
+    report = train_minimax(init, data, cfg)
+    objectives, _, _, calls, _ = steepest_descent_reference(init, data, cfg)
+    assert report.stop_reason == "converged"
+    assert report.final_objective <= objectives[-1]
+    # objective calls until Phi first reaches the oracle's final value
+    spent = np.cumsum([r.probes for r in report.records])
+    reached = [r.objective <= objectives[-1] for r in report.records]
+    assert spent[reached.index(True)] < calls
+
+
+@pytest.mark.parametrize("bad", ["ascent", "nan"])
+def test_non_descent_direction_falls_back_to_negated_gradient(monkeypatch, bad):
+    # with every L-BFGS direction replaced by one that does not descend,
+    # the run is the steepest-descent oracle's, step for step
+    data = _toy_dataset(np.random.default_rng(21))
+    init = init_filter(FilterKind.LINEAR, 6, 2, seed=21)
+    cfg = least_squares_tradeoff(3.0, 1e-3, max_iter=40)
+    broken = []
+
+    def not_descent(neg_grad, pairs):
+        if not pairs:
+            return neg_grad
+        broken.append(len(pairs))
+        return -neg_grad if bad == "ascent" else np.full_like(neg_grad, np.nan)
+
+    monkeypatch.setattr(minimax_opt, "_lbfgs_direction", not_descent)
+    report = train_minimax(init, data, cfg)
+    objectives, steps, params, calls, stop = steepest_descent_reference(
+        init, data, cfg)
+    assert len(broken) >= 10
+    assert [r.objective for r in report.records[1:]] == objectives
+    assert [r.step_size for r in report.records[1:]] == steps
+    assert np.array_equal(report.final_state.params, params)
+    assert sum(r.probes for r in report.records) + report.stall_probes == calls
+    assert report.stop_reason == stop
+
+
+def _watched_training(monkeypatch, data, cfg, init, fail=(), unconverged=()):
+    """Train while recording the memory size behind every direction and
+    every line search (whether it ran along the negated gradient, at which
+    start, with how many probes).  Searches whose 0-based index is in
+    ``fail`` report no accepted step; ``joint_objective`` calls whose
+    0-based index is in ``unconverged`` report one unconverged inner fit.
+    """
+    memory, searches, objective_calls = [], [], []
+    direction_fn = minimax_opt._lbfgs_direction
+    search_fn = minimax_opt._line_search
+    objective_fn = minimax_opt.joint_objective
+
+    def direction(neg_grad, pairs):
+        memory.append(len(pairs))
+        return direction_fn(neg_grad, pairs)
+
+    def search(state, direction, slope, objective, fitted, *args):
+        neg_grad = descent_direction(state, fitted, data, cfg)
+        start = args[-2]
+        result = search_fn(state, direction, slope, objective, fitted, *args)
+        searches.append({"along_gradient": np.array_equal(direction, neg_grad),
+                         "params": state.params, "start": start,
+                         "probes": result[1]})
+        return (None, *result[1:]) if len(searches) - 1 in fail else result
+
+    def objective(*args, **kwargs):
+        values = objective_fn(*args, **kwargs)
+        objective_calls.append(1)
+        if len(objective_calls) - 1 in unconverged:
+            values = (*values[:3], replace(values[3], inner_unconverged=1))
+        return values
+
+    monkeypatch.setattr(minimax_opt, "_lbfgs_direction", direction)
+    monkeypatch.setattr(minimax_opt, "_line_search", search)
+    monkeypatch.setattr(minimax_opt, "joint_objective", objective)
+    return train_minimax(init, data, cfg), memory, searches
+
+
+def _watched_setup():
+    data = _toy_dataset(np.random.default_rng(22))
+    init = init_filter(FilterKind.LINEAR, 6, 2, seed=22)
+    return data, init, least_squares_tradeoff(3.0, 1e-3, max_iter=12)
+
+
+def test_memory_resets_after_an_unconverged_inner_fit(monkeypatch):
+    data, init, cfg = _watched_setup()
+    clean, clean_memory, _ = _watched_training(monkeypatch, data, cfg, init)
+    assert clean.inner_unconverged == 0
+    assert clean_memory == [min(i, minimax_opt._LBFGS_MEMORY)
+                            for i in range(len(clean_memory))]
+    # mark one probe of iteration 6 as an unconverged fit
+    first = sum(r.probes for r in clean.records[:6])
+    report, memory, _ = _watched_training(monkeypatch, data, cfg, init,
+                                          unconverged=(first,))
+    assert report.inner_unconverged == 1
+    assert report.records[:6] == clean.records[:6]
+    assert memory[:6] == clean_memory[:6] and memory[5] == 5
+    # that step adds no pair and clears the five it had; the memory then
+    # builds up again from the next step on
+    assert memory[6:] == list(range(len(memory) - 6))
+
+
+def test_failed_lbfgs_search_is_retried_along_the_negated_gradient(monkeypatch):
+    data, init, cfg = _watched_setup()
+    report, memory, searches = _watched_training(monkeypatch, data, cfg, init,
+                                                 fail=(3,))
+    assert report.stop_reason != "stalled" and report.iterations == cfg.max_iter
+    # iteration 4: the L-BFGS search fails, and the same iteration
+    # searches again from the same iterate and start along -grad Phi
+    failed, retry = searches[3], searches[4]
+    assert not failed["along_gradient"] and retry["along_gradient"]
+    assert np.array_equal(failed["params"], retry["params"])
+    assert failed["start"] == retry["start"]
+    assert report.records[4].probes == failed["probes"] + retry["probes"]
+    assert len(searches) == cfg.max_iter + 1
+    # the retry cleared the memory; its accepted step is the first new pair
+    assert memory[3] == 3 and memory[4] == 1
+
+
+def test_stall_is_reported_only_after_the_retry_fails(monkeypatch):
+    data, init, cfg = _watched_setup()
+    report, _, searches = _watched_training(monkeypatch, data, cfg, init,
+                                            fail=(3, 4))
+    assert report.stop_reason == "stalled" and report.iterations == 3
+    assert [s["along_gradient"] for s in searches] == [True, False, False,
+                                                        False, True]
+    assert report.stall_probes == searches[3]["probes"] + searches[4]["probes"]
+    # along -grad Phi from the start there is nothing to retry
+    report, _, searches = _watched_training(monkeypatch, data, cfg, init,
+                                            fail=(0,))
+    assert report.stop_reason == "stalled" and report.iterations == 0
+    assert len(searches) == 1 and searches[0]["along_gradient"]
+    assert report.stall_probes == searches[0]["probes"]
