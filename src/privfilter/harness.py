@@ -27,7 +27,8 @@ indices, so any cell is reproducible in isolation and the whole report is
 deterministic; recorded wall times are the only non-deterministic field.
 Each record also keeps the risk-gradient norm of both evaluation heads
 (``target_head_grad``, ``private_head_grad``): above ``eval_tol``, the
-head stopped at ``eval_max_iter`` short of the best-response attack.  A
+head stopped at ``eval_max_iter`` Newton steps, or where its line search
+made no progress, short of the best-response attack.  A
 minimax cell records how the fit behind its filter ended
 (``train_stop_reason``, ``train_iterations``, ``train_objective_calls``
 and ``train_inner_unconverged``, all None for other filters).  These
@@ -108,7 +109,7 @@ class ExperimentConfig:
     ppls_lambda: float = 1.0
     eval_reg_lambda: float = 1e-6
     eval_tol: float = 1e-6
-    eval_max_iter: int = 300
+    eval_max_iter: int = 300  # Newton steps per evaluation head
 
     def __post_init__(self):
         object.__setattr__(self, "filters", tuple(self.filters))

@@ -10,11 +10,10 @@ Two head families cover the tasks used throughout:
 
   which is convex in the weights, so the fitted head is the unique
   best-response classifier for fixed features.  No intercept column is
-  used; heads act on raw filter outputs.  Two solvers minimize it: a
-  warm-started fit with few weights (the minimax inner heads, refit from
-  the last iterate's head thousands of times per training run) takes
-  damped Newton steps, and every other fit (cold starts such as the
-  evaluation heads, and heads with many weights) runs scipy's L-BFGS-B;
+  used; heads act on raw filter outputs.  One solver minimizes it, damped
+  Newton from zero weights or a warm start (the minimax inner heads,
+  refit from the last iterate's head).  Heads with few weights solve each
+  Newton step densely, and larger ones by truncated conjugate gradients;
   ``fit_softmax_with_info`` says why.
 
 * ReconstructionHead, an affine least-squares decoder G -> X with ridge
@@ -28,10 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dposv
-from scipy.optimize import minimize
 
 from .errors import DataError, NumericError, ShapeError
-from .records import read_record, write_record
 
 
 @dataclass(frozen=True)
@@ -207,15 +204,13 @@ def softmax_risk(head: SoftmaxHead, G, labels):
     return risk, grad_head, grad_features
 
 
-# Warm-started fits with at most this many weights (num_classes * dim) take
-# damped Newton steps; all other fits run L-BFGS-B.  Timed on one warm fit
-# (features moved by 1% since the start was fit; one BLAS thread, 2-core
-# Xeon VM), Newton took 2-3 steps and 0.15-0.3x the time of L-BFGS-B at
-# K*d = 10 to 200 with n = 256, 0.3-0.9x with n = 6,400, but 1.2-2.9x at
-# K*d = 200 to 1,020 with n = 6,400.  A step's Hessian costs about
-# n*(K*d)^2 flops against about 4n*K*d per L-BFGS-B iteration, so Newton's
-# lead shrinks as n grows; the bound sits well below the crossover.
-_NEWTON_MAX_WEIGHTS = 64
+# Fits with at most this many weights (num_classes * dim) solve each Newton
+# step densely; larger fits solve it by truncated conjugate gradients.
+# Timed on the cold evaluation heads of a 6,400-row training split (one
+# BLAS thread, 2-core Xeon VM): sixteen K*d = 120 heads took 0.40 s dense
+# and 0.56 s by CG, four K*d = 204 heads 0.37 s dense and 0.13 s by CG,
+# and four K*d = 1,020 heads 1.2 s by CG.
+_NEWTON_MAX_WEIGHTS = 128
 _ARMIJO = 1e-4        # sufficient-decrease constant of the Newton line search
 _MAX_HALVINGS = 40    # step halvings before a Newton line search gives up
 _EPS = np.finfo(np.float64).eps
@@ -223,20 +218,21 @@ _EPS = np.finfo(np.float64).eps
 
 def fit_softmax_with_info(G, labels, num_classes, reg_lambda=1e-6, tol=1e-8,
                           max_iter=500, init=None):
-    """Fit a softmax head; also report the solver iteration count.
+    """Fit a softmax head; also report the number of Newton steps taken.
 
-    Deterministic minimization of the convex risk, started from zero
-    weights (or ``init`` for warm starts).  Stops when the risk gradient
-    norm is at most ``tol`` or after ``max_iter`` iterations.
+    Deterministic minimization of the convex risk by damped Newton
+    (``_newton_fit``), started from zero weights (or ``init`` for warm
+    starts).  Stops when the risk gradient norm is at most ``tol``, after
+    ``max_iter`` Newton steps, or when the line search accepts no step.
 
-    A warm start with at most ``_NEWTON_MAX_WEIGHTS`` weights is solved by
-    damped Newton (``_newton_fit``), and the iteration count is its Newton
-    steps.  Such a start sits close to the optimum, where Newton needs one
-    or two steps and the small Hessian costs less than the per-iteration
-    overhead of scipy.  Every other fit runs L-BFGS-B and counts its
-    iterations: from zero weights Newton needs more steps, and a Newton
-    step costs n * (K*d)^2 flops, which grows past L-BFGS-B's cheap
-    iterations on heads with many weights.
+    With at most ``_NEWTON_MAX_WEIGHTS`` weights each step solves the dense
+    K*d x K*d Newton system, which costs n * (K*d)^2 flops to build.  Above
+    that bound a step is a truncated conjugate-gradient solve from
+    Hessian-vector products at about 4n*K*d flops each, stopped at the
+    forcing term min(0.5, sqrt(||grad||)) of Nocedal & Wright (Sec. 7.1),
+    so steps far from the optimum are cheap and steps near it are exact
+    enough for superlinear convergence.  The 24 evaluation heads of the
+    criterion-7 sweep (K*d = 12 and 48, n = 256) take 0.02 s in all.
     """
     if num_classes < 2:
         raise DataError("softmax heads need at least two classes")
@@ -256,50 +252,38 @@ def fit_softmax_with_info(G, labels, num_classes, reg_lambda=1e-6, tol=1e-8,
         risk = nll + 0.5 * lam * float((weights ** 2).sum())
         return risk, residual @ G / n + lam * weights, residual
 
-    if init is not None and num_classes * d <= _NEWTON_MAX_WEIGHTS:
-        weights, risk, nit = _newton_fit(value_and_grad, init.weights, G, G_t,
-                                         label_index, lam, tol, max_iter)
-    else:
-        if init is None:
-            x0 = np.zeros(num_classes * d)
-        else:
-            x0 = init.weights.ravel().copy()
-
-        def flat_value_and_grad(flat):
-            risk, grad, _ = value_and_grad(flat.reshape(num_classes, d))
-            return risk, grad.ravel()
-
-        # L-BFGS-B's gtol bounds the max gradient component; scale it so
-        # the Euclidean norm of the full gradient lands at or below tol.
-        gtol = tol / np.sqrt(num_classes * d)
-        result = minimize(flat_value_and_grad, x0, jac=True, method="L-BFGS-B",
-                          options={"maxiter": max_iter, "gtol": gtol,
-                                   "ftol": 0.0})
-        weights = result.x.reshape(num_classes, d)
-        risk, nit = result.fun, result.nit
+    start = np.zeros((num_classes, d)) if init is None else init.weights
+    weights, risk, steps = _newton_fit(value_and_grad, start, G, G_t,
+                                       label_index, lam, tol, max_iter)
     if not np.isfinite(risk):
         raise NumericError("softmax fit diverged to a non-finite risk")
     head = SoftmaxHead(weights, reg_lambda=lam)
-    return head, int(nit)
+    return head, steps
 
 
 def _newton_fit(value_and_grad, weights, G, G_t, label_index, lam, tol,
                 max_iter):
     """Damped Newton minimization of the softmax risk from ``weights``.
 
-    Each step solves H s = -grad and backtracks from t = 1, halving t until
+    Each step solves H s = -grad, densely (``_newton_step``) for at most
+    ``_NEWTON_MAX_WEIGHTS`` weights and by truncated conjugate gradients
+    (``_newton_cg_step``) above, and backtracks from t = 1, halving t until
     the Armijo condition holds or, where the predicted decrease is below
     rounding level, until the gradient norm falls.  Stops at
     ||grad|| <= tol, after ``max_iter`` steps, or when no halving is
     accepted.  Returns (weights, risk, steps).
     """
+    dense = weights.size <= _NEWTON_MAX_WEIGHTS
     risk, grad, residual = value_and_grad(weights)
     grad_norm = np.linalg.norm(grad)
     steps = 0
     while steps < max_iter and grad_norm > tol:
         probs = residual  # P - Y, turned into P in place
         probs.reshape(-1)[label_index] += 1.0
-        step = -_newton_step(_softmax_hessian(probs, G, G_t, lam), grad, lam)
+        if dense:
+            step = -_newton_step(_softmax_hessian(probs, G, G_t, lam), grad, lam)
+        else:
+            step = _newton_cg_step(probs, G, G_t, lam, grad, grad_norm, tol)
         slope = float((grad * step).sum())
         # Once the predicted decrease is below the risk's rounding error,
         # Armijo cannot tell progress from noise; accept a step that
@@ -362,6 +346,61 @@ def _newton_step(hessian, grad, lam):
     return np.linalg.lstsq(hessian, rhs, rcond=None)[0].reshape(grad.shape)
 
 
+def _softmax_hvp(probs, G, G_t, lam, v, work):
+    """Hessian of the softmax risk times the (num_classes, feature_dim) ``v``.
+
+    Hv = (1/n) sum_i (diag(p_i) - p_i p_i') (V g_i) g_i' + lam V, built
+    class-major from the (K, n) probabilities ``probs`` without forming H.
+    ``work`` is a (2, K, n) scratch array that a conjugate-gradient solve
+    reuses for all its products: fresh (K, n) temporaries on every call
+    cost a third of the product's time in page faults at K = 20,
+    n = 6,400.
+    """
+    a, scaled = work
+    np.matmul(v, G_t, out=a)
+    a *= probs
+    np.multiply(probs, a.sum(axis=0), out=scaled)
+    a -= scaled
+    hv = a @ G
+    hv /= probs.shape[1]
+    hv += lam * v
+    return hv
+
+
+def _newton_cg_step(probs, G, G_t, lam, grad, grad_norm, tol):
+    """Truncated conjugate-gradient solve of H s = -grad (Nocedal & Wright,
+    Algorithm 7.1).
+
+    Iterates from s = 0 until the residual ||H s + grad|| falls to
+    min(0.5, sqrt(||grad||)) ||grad||, or to tol / 2, below which the fit
+    has no use for a more exact step, or after one pass per weight.  Every
+    iterate is a descent direction.  On a direction of non-positive
+    curvature (rounding at lam = 0, where H is singular along the class
+    shift) it returns the iterate so far, or -grad if there is none yet.
+    """
+    forcing = max(min(0.5, np.sqrt(grad_norm)) * grad_norm, 0.5 * tol)
+    work = np.empty((2,) + probs.shape)
+    step = np.zeros_like(grad)
+    residual = grad.copy()
+    direction = -grad
+    rr = grad_norm * grad_norm
+    for _ in range(grad.size):
+        hd = _softmax_hvp(probs, G, G_t, lam, direction, work)
+        curvature = float((direction * hd).sum())
+        if curvature <= 0.0:
+            return step if step.any() else -grad
+        alpha = rr / curvature
+        step += alpha * direction
+        residual += alpha * hd
+        rr_next = float((residual * residual).sum())
+        if rr_next <= forcing * forcing:
+            break
+        direction *= rr_next / rr
+        direction -= residual
+        rr = rr_next
+    return step
+
+
 def fit_softmax(G, labels, num_classes, reg_lambda=1e-6, tol=1e-8,
                 max_iter=500, init=None) -> SoftmaxHead:
     head, _ = fit_softmax_with_info(G, labels, num_classes, reg_lambda, tol,
@@ -406,10 +445,12 @@ def fit_reconstruction(G, target, reg_lambda=0.0, fit_intercept=True
                        ) -> ReconstructionHead:
     """Exact minimizer of the ridge reconstruction risk.
 
-    Solved in closed form from the normal equations.  With
-    ``fit_intercept`` the bias absorbs the target means and the weights
-    are fit on centered data, which is the joint optimum; without it the
-    bias is pinned at zero.
+    Solved in closed form from the normal equations, which a ridge
+    (``reg_lambda`` > 0) makes nonsingular for any sample count; without
+    one, fewer samples than features is refused.  With ``fit_intercept``
+    the bias absorbs the target means and the weights are fit on centered
+    data, which is the joint optimum; without it the bias is pinned at
+    zero.
     """
     G = _check_feature_matrix(G)
     target = np.asarray(target, dtype=np.float64)
@@ -418,10 +459,11 @@ def fit_reconstruction(G, target, reg_lambda=0.0, fit_intercept=True
     if not np.all(np.isfinite(target)):
         raise NumericError("target contains non-finite values")
     n, d = G.shape
-    if n < d:
-        raise ShapeError(f"need at least as many samples ({n}) as features ({d})")
     if reg_lambda < 0:
         raise DataError("reg_lambda must be non-negative")
+    if n < d and reg_lambda == 0:
+        raise ShapeError(f"need at least as many samples ({n}) as features ({d})"
+                         " without a ridge")
     if fit_intercept:
         g_mean = G.mean(axis=0)
         t_mean = target.mean(axis=0)
@@ -455,41 +497,3 @@ def accuracy(head: SoftmaxHead, G, labels) -> float:
     if labels.size != predictions.size:
         raise ShapeError("labels and features disagree on the sample count")
     return float(np.mean(predictions == labels))
-
-
-def save_softmax_head(head: SoftmaxHead, path) -> None:
-    header = {
-        "record": "softmax_head",
-        "num_classes": head.num_classes,
-        "feature_dim": head.feature_dim,
-        "reg_lambda": head.reg_lambda,
-    }
-    write_record(path, header, head.weights)
-
-
-def load_softmax_head(path) -> SoftmaxHead:
-    header, values = read_record(path)
-    if header.get("record") != "softmax_head":
-        raise DataError(f"{path}: not a softmax head record")
-    shape = (int(header["num_classes"]), int(header["feature_dim"]))
-    return SoftmaxHead(values.reshape(shape), reg_lambda=float(header["reg_lambda"]))
-
-
-def save_reconstruction_head(head: ReconstructionHead, path) -> None:
-    header = {
-        "record": "reconstruction_head",
-        "feature_dim": head.weights.shape[0],
-        "target_dim": head.weights.shape[1],
-        "reg_lambda": head.reg_lambda,
-    }
-    write_record(path, header, np.concatenate([head.weights.ravel(), head.bias]))
-
-
-def load_reconstruction_head(path) -> ReconstructionHead:
-    header, values = read_record(path)
-    if header.get("record") != "reconstruction_head":
-        raise DataError(f"{path}: not a reconstruction head record")
-    d = int(header["feature_dim"])
-    t = int(header["target_dim"])
-    return ReconstructionHead(values[:d * t].reshape(d, t), values[d * t:],
-                              reg_lambda=float(header["reg_lambda"]))

@@ -124,7 +124,7 @@ class TradeoffConfig:
     convergence_tol: float = 1e-6
     slow_iterations: int = 3  # consecutive small decreases that count as converged
     inner_tol: float = 1e-8
-    inner_max_iter: int = 500
+    inner_max_iter: int = 500  # Newton steps per softmax inner head
 
     def __post_init__(self):
         if self.utility_weight <= 0:
@@ -340,13 +340,12 @@ class IterationRecord:
     that outer step's direction, the L-BFGS direction or the negated
     gradient (0 for the initial record), and ``inner_iterations`` counts
     head-solver iterations spent during that outer step, line-search
-    probes included.  A softmax head counts damped Newton steps when it
-    is warm-started (every probe after the initial record) and has few
-    weights (see ``heads.fit_softmax_with_info``), and L-BFGS-B
-    iterations otherwise; an exact least-squares or reconstruction solve
-    counts 1.  ``probes`` is the number of ``joint_objective`` calls in
-    that outer step (1 for the initial record), a failed L-BFGS search
-    before its retry along the negated gradient included.
+    probes included.  A softmax head counts its damped Newton steps (see
+    ``heads.fit_softmax_with_info``); an exact least-squares or
+    reconstruction solve counts 1.  ``probes`` is the number of
+    ``joint_objective`` calls in that outer step (1 for the initial
+    record), a failed L-BFGS search before its retry along the negated
+    gradient included.
     ``worst_inner_grad`` is the largest risk-gradient norm of a softmax
     head fit over the same probes: above ``inner_tol``, some head was not
     a best response and the step's gradient is inexact.  Reports saved

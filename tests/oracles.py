@@ -4,8 +4,8 @@ Central finite differences and a scale-aware relative error, used to
 check every analytic gradient against an independent computation, plus
 the straightforward forms of optimized code that the library must
 reproduce: the dense diameter scan, the allocating softmax core and
-reconstruction risk, the L-BFGS-B softmax fit that cold and large heads
-still run, the allocating MLP forward pass, MLP vector-Jacobian product
+reconstruction risk, an L-BFGS-B softmax fit whose risk the Newton fits
+must match, the allocating MLP forward pass, MLP vector-Jacobian product
 and denoising-autoencoder layer, the dense BFGS inverse-Hessian update
 behind the minimax L-BFGS direction, and the minimax loop along the
 negated gradient alone (steepest descent).
@@ -103,10 +103,10 @@ def reconstruction_risk_reference(head, G, target):
 
 def lbfgs_softmax_reference(G, labels, num_classes, reg_lambda, tol, max_iter,
                             init=None):
-    """The softmax head fit by L-BFGS-B alone: (weights, iterations).
+    """The softmax head fit by scipy's L-BFGS-B: (weights, iterations).
 
-    Cold fits, and warm fits with more weights than the Newton bound, must
-    reproduce it bit for bit.
+    An independent solver for the Newton fits to be checked against: run to
+    a tight ``tol``, its risk bounds the optimum from above.
     """
     from privfilter.heads import _label_index, _softmax_core
 
