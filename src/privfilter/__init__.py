@@ -27,19 +27,18 @@ from .harness import (EvalReport, ExperimentConfig, derive_rng,
 from .heads import (ReconstructionHead, SoftmaxHead, accuracy,
                     fit_reconstruction, fit_softmax, one_hot, predict_labels,
                     reconstruction_risk, softmax_risk)
-from .minimax_opt import (LineSearchConfig, TaskSpec, TradeoffConfig,
-                          TrainReport, classification_tradeoff,
-                          descent_direction, evaluate_objective,
-                          joint_objective, least_squares_tradeoff,
-                          least_squares_task, reconstruction_task,
-                          softmax_task, train_minimax)
+from .minimax_opt import (TaskSpec, TradeoffConfig, TrainReport,
+                          classification_tradeoff, descent_direction,
+                          evaluate_objective, joint_objective,
+                          least_squares_tradeoff, least_squares_task,
+                          reconstruction_task, softmax_task, train_minimax)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundKind", "CsvSchema", "DataError", "Dataset", "DiameterReport",
     "EvalReport", "ExperimentConfig", "FilterKind", "FilterState",
-    "LineSearchConfig", "MomentSet", "NoiseConfig", "NumericError",
+    "MomentSet", "NoiseConfig", "NumericError",
     "ReconstructionHead", "ScatterSet", "ShapeError", "SoftmaxHead",
     "TaskSpec", "TradeoffConfig", "TrainReport", "accuracy", "apply_filter",
     "bound", "bound_scale_from_norms", "build_scatters",

@@ -145,7 +145,7 @@ def sample_noise(cfg: NoiseConfig, dim: int, rng=None, size=None) -> np.ndarray:
     directions = rng.standard_normal((n, dim))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     # A zero draw from a continuous density has probability zero but would
-    # divide by zero; redraw deterministically via the fallback axis.
+    # divide by zero; its norm is set to 1, so that row's noise is zero.
     norms[norms == 0] = 1.0
     directions /= norms
     radii = rng.gamma(shape=dim, scale=1.0 / cfg.rate, size=n)

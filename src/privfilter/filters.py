@@ -382,6 +382,11 @@ def load_filter(path) -> FilterState:
     header, params = read_record(path)
     if header.get("record") != "filter":
         raise DataError(f"{path}: not a filter record")
-    return FilterState(FilterKind(header["kind"]), params,
-                       int(header["input_dim"]), int(header["output_dim"]),
-                       tuple(header["hidden_dims"]))
+    try:
+        return FilterState(FilterKind(header["kind"]), params,
+                           int(header["input_dim"]), int(header["output_dim"]),
+                           tuple(header["hidden_dims"]))
+    except KeyError as exc:
+        raise DataError(f"{path}: filter record has no {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise DataError(f"{path}: malformed filter record ({exc})") from exc

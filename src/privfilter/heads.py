@@ -126,35 +126,6 @@ def _label_index(labels, num_classes) -> np.ndarray:
     return (labels - 1) * labels.size + np.arange(labels.size)
 
 
-def _class_sum(rows):
-    """Sum of the K rows of a (K, n) array, added as numpy adds a length-K axis.
-
-    Bit for bit ``np.ascontiguousarray(rows.T).sum(axis=1)``: numpy's
-    pairwise summation adds fewer than 8 terms in sequence, up to 128 in
-    8 interleaved accumulators combined as a tree and then the remainder,
-    and halves longer runs at a multiple of 8.
-    """
-    k = rows.shape[0]
-    if k < 8:
-        total = rows[0].copy()
-        for i in range(1, k):
-            total += rows[i]
-        return total
-    if k <= 128:
-        blocked = k - k % 8
-        acc = rows[:8].copy()
-        for i in range(8, blocked, 8):
-            acc += rows[i:i + 8]
-        pairs = acc[0::2] + acc[1::2]
-        total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
-        for i in range(blocked, k):
-            total += rows[i]
-        return total
-    half = k // 2
-    half -= half % 8
-    return _class_sum(rows[:half]) + _class_sum(rows[half:])
-
-
 def _softmax_core(weights, G_t, label_index):
     """Mean negative log-likelihood and the class-major residual (P - Y)'.
 
@@ -162,8 +133,9 @@ def _softmax_core(weights, G_t, label_index):
     and ``label_index`` comes from ``_label_index``.  The (num_classes, n)
     logits buffer is shifted, exponentiated and normalized in place to
     become the residual, so every per-sample step runs over a contiguous
-    row of n values.  The arithmetic is that of the row-major form
-    (``tests/oracles.py::softmax_core_reference``), bit for bit.
+    row of n values.  The result equals the row-major form
+    (``tests/oracles.py::softmax_core_reference``) up to the rounding of
+    the class sums, which run in another order.
     """
     logits = weights @ G_t
     flat = logits.reshape(-1)
@@ -173,7 +145,7 @@ def _softmax_core(weights, G_t, label_index):
         np.maximum(shift, row, out=shift)
     logits -= shift
     np.exp(logits, out=logits)
-    norms = _class_sum(logits)
+    norms = logits.sum(axis=0)
     log_norm = shift + np.log(norms)
     nll = float(np.mean(log_norm - picked))
     logits /= norms

@@ -25,19 +25,17 @@ scaled by s.y / y.y of the newest pair.  Pairs with s.y <= 0 are
 skipped.  The memory is cleared whenever a probe of a step counts an
 unconverged inner fit, since the gradient is then inexact; a direction
 that is not a descent direction falls back to the negated gradient, and
-so does a search in which no grid step passes, which is retried along
-the negated gradient in the same iteration before the run counts as
+so does a search in which no step passes, which is retried along the
+negated gradient in the same iteration before the run counts as
 stalled.
 
-The search runs over the fixed step grid initial_step * shrink**k.  The
-first search starts at initial_step and backtracks; each later search
-starts one grid point above the last accepted step, backtracks if that
-probe is rejected, and otherwise expands toward initial_step while the
-larger step is still accepted.  Every probe refits all heads,
-warm-started from the current iterate's heads, so recorded objective
-values are true Phi evaluations and the accepted sequence decreases
-monotonically.  The accepted probe's forward pass also yields the next
-gradient's feature gradient and, for an MLP filter, the hidden
+Every search is plain backtracking: it probes the unit step, the natural
+scale of a quasi-Newton direction, then halves the step until the Armijo
+test passes, at most ``_MAX_BACKTRACKS`` times.  Every probe refits all
+heads, warm-started from the current iterate's heads, so recorded
+objective values are true Phi evaluations and the accepted sequence
+decreases monotonically.  The accepted probe's forward pass also yields
+the next gradient's feature gradient and, for an MLP filter, the hidden
 activations, so each accepted step costs one backward pass through the
 filter and no extra forward pass or head work.
 """
@@ -55,6 +53,10 @@ from .errors import DataError, ShapeError
 from .filters import FilterState, apply_filter, filter_param_grad
 
 _LBFGS_MEMORY = 10  # curvature pairs (s, y) behind each outer direction
+_UNIT_STEP = 1.0     # first step of every line search
+_SHRINK = 0.5        # step factor of each backtrack
+_MAX_BACKTRACKS = 30  # backtracks before a line search gives up
+_ARMIJO = 1e-4       # sufficient-decrease constant c of the line search
 
 TASK_SOFTMAX = "softmax"
 TASK_LEAST_SQUARES = "least_squares"
@@ -94,25 +96,6 @@ def reconstruction_task(reg_lambda=0.0, fit_intercept=True) -> TaskSpec:
 
 
 @dataclass(frozen=True)
-class LineSearchConfig:
-    """Armijo search over the steps initial_step * shrink**k, k <= max_backtracks.
-
-    ``initial_step`` is the largest step any search tries.
-    """
-
-    initial_step: float = 1.0
-    shrink: float = 0.5
-    max_backtracks: int = 30
-    sufficient_decrease: float = 1e-4
-
-    def __post_init__(self):
-        if self.initial_step <= 0 or not 0 < self.shrink < 1:
-            raise DataError("line search needs initial_step > 0 and 0 < shrink < 1")
-        if self.max_backtracks < 0 or self.sufficient_decrease <= 0:
-            raise DataError("line search constants must be positive")
-
-
-@dataclass(frozen=True)
 class TradeoffConfig:
     """Weights, task lists, and optimizer settings for minimax training."""
 
@@ -120,7 +103,6 @@ class TradeoffConfig:
     private_tasks: tuple = ((TaskSpec(TASK_SOFTMAX, "y"), 1.0),)
     utility_tasks: tuple = ((TaskSpec(TASK_SOFTMAX, "z"), 1.0),)
     max_iter: int = 200
-    line_search: LineSearchConfig = LineSearchConfig()
     convergence_tol: float = 1e-6
     slow_iterations: int = 3  # consecutive small decreases that count as converged
     inner_tol: float = 1e-8
@@ -336,7 +318,7 @@ class IterationRecord:
     """State after ``iteration`` accepted steps.
 
     ``objective`` and ``grad_norm`` (the norm of grad Phi) are measured at
-    the recorded iterate; ``step_size`` is the accepted grid step along
+    the recorded iterate; ``step_size`` is the accepted step along
     that outer step's direction, the L-BFGS direction or the negated
     gradient (0 for the initial record), and ``inner_iterations`` counts
     head-solver iterations spent during that outer step, line-search
@@ -368,7 +350,7 @@ class TrainReport:
     """Records of one training run and why it stopped.
 
     ``stop_reason`` is ``"converged"`` (slow progress), ``"stalled"`` (no
-    grid step passed the Armijo test along the negated gradient) or
+    step passed the Armijo test along the negated gradient) or
     ``"max_iter"``; None in reports made before the field existed.  A
     stalled search's ``joint_objective``
     calls and head-solver iterations belong to no record, so they are
@@ -417,14 +399,6 @@ def load_report_records(path):
     return tuple(records)
 
 
-def _step_grid(ls: LineSearchConfig):
-    """The candidate steps initial_step * shrink**k for k = 0..max_backtracks."""
-    grid = [ls.initial_step]
-    for _ in range(ls.max_backtracks):
-        grid.append(grid[-1] * ls.shrink)
-    return grid
-
-
 def _lbfgs_direction(neg_grad, pairs):
     """The L-BFGS direction -H grad Phi, given ``neg_grad`` = -grad Phi.
 
@@ -448,53 +422,36 @@ def _lbfgs_direction(neg_grad, pairs):
     return q
 
 
-def _line_search(state, direction, slope, objective, fitted, data, cfg, grid,
-                 start, targets):
-    """Armijo search along ``direction`` over the decreasing step ``grid``.
+def _line_search(state, direction, slope, objective, fitted, data, cfg,
+                 targets):
+    """Armijo backtracking along ``direction`` from the unit step.
 
     ``slope`` is -grad Phi . direction (positive for a descent direction);
     a step t passes when it lowers the objective by more than
-    ``sufficient_decrease * t * slope``.  Probes ``grid[start]`` first.
-    If it is rejected, backtracks down the grid, and only when every
-    smaller step fails too tries the larger ones top-down, so a failed
-    search means that no grid step passes.  If the first probe is
-    accepted, expands up the grid while the larger step is accepted as
-    well.  Every probe warm-starts from the heads ``fitted`` at ``state``,
-    so an accepted probe does not depend on the probes before it.
+    ``_ARMIJO * t * slope``.  Probes t = 1, 1/2, 1/4, ... and takes the
+    first step that passes, after at most ``_MAX_BACKTRACKS`` halvings.
+    Every probe warm-starts from the heads ``fitted`` at ``state``.
     Returns (accepted, probes, inner_iterations, worst_inner_grad,
-    inner_unconverged) where accepted is (k, trial_state, trial_values),
-    or None when no step is accepted; the last four sum (or maximize) over
+    inner_unconverged) where accepted is (step, trial_state, trial_values),
+    or None when no step passes; the last four sum (or maximize) over
     every probe.
     """
     probes = 0
     inner_used = 0
     worst_grad = 0.0
     unconverged = 0
-
-    def probe(k):
-        nonlocal probes, inner_used, worst_grad, unconverged
-        step = grid[k]
+    step = _UNIT_STEP
+    for _ in range(_MAX_BACKTRACKS + 1):
         trial = state.with_params(state.params + step * direction)
         values = joint_objective(trial, data, cfg, warm=fitted, targets=targets)
         probes += 1
         inner_used += values[3].inner_iterations
         worst_grad = max(worst_grad, values[3].worst_inner_grad)
         unconverged += values[3].inner_unconverged
-        margin = cfg.line_search.sufficient_decrease * step * slope
-        return (k, trial, values) if values[0] < objective - margin else None
-
-    accepted = None
-    for k in [*range(start, len(grid)), *range(start)]:
-        accepted = probe(k)
-        if accepted is not None:
-            break
-    if accepted is not None and accepted[0] == start:
-        for k in range(start - 1, -1, -1):
-            larger = probe(k)
-            if larger is None:
-                break
-            accepted = larger
-    return accepted, probes, inner_used, worst_grad, unconverged
+        if values[0] < objective - _ARMIJO * step * slope:
+            return (step, trial, values), probes, inner_used, worst_grad, unconverged
+        step *= _SHRINK
+    return None, probes, inner_used, worst_grad, unconverged
 
 
 def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
@@ -503,25 +460,20 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
     Deterministic given the initial state.  Each iteration fits all heads,
     takes the L-BFGS direction from the last ``_LBFGS_MEMORY`` curvature
     pairs (the negated gradient while the memory is empty, or when the
-    L-BFGS direction is not a descent direction), and line-searches the
-    step grid ``initial_step * shrink**k`` (k <= ``max_backtracks``) for a
-    step that decreases the objective by the Armijo margin.  The first
-    search probes ``initial_step`` and backtracks from there; each later
-    search starts one grid point above the last accepted step (capped at
-    ``initial_step``), backtracks if that probe is rejected and otherwise
-    expands up the grid while the larger step is still accepted.  If no
-    grid step passes along an L-BFGS direction, the memory is cleared and
-    the same iteration searches again along the negated gradient.  The
-    memory is also cleared after any step with an unconverged inner fit.
-    The run stops after ``cfg.slow_iterations`` consecutive decreases
-    below ``cfg.convergence_tol`` (converged), when no grid step is
-    accepted along the negated gradient (stalled), or at ``cfg.max_iter``;
+    L-BFGS direction is not a descent direction), and backtracks from the
+    unit step, halving it until the objective decreases by the Armijo
+    margin (see ``_line_search``).  If no step passes along an L-BFGS
+    direction, the memory is cleared and the same iteration searches
+    again along the negated gradient.  The memory is also cleared after
+    any step with an unconverged inner fit.  The run stops after
+    ``cfg.slow_iterations`` consecutive decreases below
+    ``cfg.convergence_tol`` (converged), when no step is accepted along
+    the negated gradient (stalled), or at ``cfg.max_iter``;
     the report's ``stop_reason`` says which.
     """
     X = np.asarray(data.X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != init.input_dim:
         raise ShapeError("initial filter does not match the data dimension")
-    grid = _step_grid(cfg.line_search)
     targets = _task_targets(cfg, data)
     state = init
     objective, privacy_value, utility_value, fitted = joint_objective(
@@ -536,7 +488,6 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
     stop_reason = "max_iter"
     stall_probes = stall_inner = 0
     slow_count = 0
-    start = 0
     pairs = deque(maxlen=_LBFGS_MEMORY)
     for iteration in range(1, cfg.max_iter + 1):
         direction = _lbfgs_direction(neg_grad, pairs)
@@ -544,13 +495,12 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
         if direction is not neg_grad and not slope > 0:
             direction, slope = neg_grad, float(neg_grad @ neg_grad)
         search = _line_search(state, direction, slope, objective, fitted, data,
-                              cfg, grid, start, targets)
+                              cfg, targets)
         accepted, probes, inner_used, worst_grad, step_unconverged = search
         if accepted is None and direction is not neg_grad:
             pairs.clear()
             retry = _line_search(state, neg_grad, float(neg_grad @ neg_grad),
-                                 objective, fitted, data, cfg, grid, start,
-                                 targets)
+                                 objective, fitted, data, cfg, targets)
             accepted = retry[0]
             probes += retry[1]
             inner_used += retry[2]
@@ -563,8 +513,7 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
             stop_reason = "stalled"
             stall_probes, stall_inner = probes, inner_used
             break
-        k, trial, (trial_objective, privacy_value, utility_value, fitted) = accepted
-        start = max(k - 1, 0)
+        step, trial, (trial_objective, privacy_value, utility_value, fitted) = accepted
         decrease = objective - trial_objective
         objective = trial_objective
         trial_neg_grad = filter_param_grad(trial, data.X, fitted.feature_grad,
@@ -579,7 +528,7 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
                 pairs.append((s, y, sy))
         state, neg_grad = trial, trial_neg_grad
         records.append(IterationRecord(iteration, objective, privacy_value,
-                                       utility_value, grid[k], inner_used,
+                                       utility_value, step, inner_used,
                                        float(np.linalg.norm(neg_grad)),
                                        probes, worst_grad))
         if decrease < cfg.convergence_tol:

@@ -35,5 +35,8 @@ def read_record(path):
             raise DataError(
                 f"{path}: unsupported record version {header.get('record_version')!r}"
             )
-        values = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    return header, values
+        payload = fh.read()
+    if len(payload) % 8:
+        raise DataError(f"{path}: payload of {len(payload)} bytes is not a "
+                        "whole number of 64-bit floats")
+    return header, np.frombuffer(payload, dtype="<f8").astype(np.float64)

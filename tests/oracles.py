@@ -145,19 +145,21 @@ def bfgs_inverse_hessian_reference(pairs):
 def steepest_descent_reference(init, data, cfg):
     """The minimax loop with every step along the negated gradient.
 
-    The same warm-started Armijo search over the step grid as
-    ``minimax_opt.train_minimax`` (start one grid point above the last
-    accepted step, backtrack on rejection, otherwise expand toward
-    ``initial_step``) and the same stopping rule, without curvature memory.
+    Searches the step grid 0.5**k (k <= ``minimax_opt._MAX_BACKTRACKS``)
+    with a warm-started schedule suited to steepest descent: start one grid
+    point above the last accepted step, backtrack on rejection (wrapping
+    round to the larger steps), otherwise expand toward the unit step.
+    Same Armijo test and stopping rule as ``minimax_opt.train_minimax``,
+    without curvature memory.
     Returns (objectives, step sizes, final parameters, joint_objective
     calls, stop reason), the objectives and steps of the accepted
     iterates only.
     """
+    from privfilter import minimax_opt
     from privfilter.minimax_opt import descent_direction, joint_objective
 
-    ls = cfg.line_search
-    grid = [ls.initial_step * ls.shrink ** k
-            for k in range(ls.max_backtracks + 1)]
+    grid = [minimax_opt._UNIT_STEP * minimax_opt._SHRINK ** k
+            for k in range(minimax_opt._MAX_BACKTRACKS + 1)]
     state = init
     objective, _, _, fitted = joint_objective(state, data, cfg)
     direction = descent_direction(state, fitted, data, cfg)
@@ -167,7 +169,7 @@ def steepest_descent_reference(init, data, cfg):
     def probe(k):
         trial = state.with_params(state.params + grid[k] * direction)
         values = joint_objective(trial, data, cfg, warm=fitted)
-        margin = ls.sufficient_decrease * grid[k] * float(direction @ direction)
+        margin = minimax_opt._ARMIJO * grid[k] * float(direction @ direction)
         return (k, trial, values) if values[0] < objective - margin else None
 
     for _ in range(cfg.max_iter):

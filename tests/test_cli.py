@@ -195,6 +195,24 @@ def test_error_paths_exit_nonzero(tmp_path):
     assert code == 1 and "cannot read" in err
 
 
+def test_eval_of_a_malformed_filter_exits_with_an_error(tmp_path):
+    from privfilter.records import write_record
+    path = _make_dataset(tmp_path)
+    no_kind = tmp_path / "no-kind.filter"
+    write_record(no_kind, {"record": "filter", "input_dim": 6, "output_dim": 2,
+                           "hidden_dims": []}, np.zeros(12))
+    truncated = tmp_path / "truncated.filter"
+    write_record(truncated, {"record": "filter", "kind": "linear",
+                             "input_dim": 6, "output_dim": 2,
+                             "hidden_dims": []}, np.zeros(12))
+    truncated.write_bytes(truncated.read_bytes()[:-1])
+    for filter_path, fragment in ((no_kind, "'kind'"), (truncated, "bytes")):
+        code, _, err = _run(["eval", "--data", str(path), "--filter-path",
+                             str(filter_path)])
+        assert code == 1 and err.startswith("error:")
+        assert filter_path.name in err and fragment in err
+
+
 def test_sweep_rejects_a_noise_grid_without_a_release_chain(tmp_path):
     path = _make_dataset(tmp_path)
     code, out, err = _run(["sweep", "--data", str(path), "--filter", "pca",

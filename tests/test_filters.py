@@ -318,3 +318,23 @@ def test_load_rejects_wrong_record(tmp_path):
     write_record(path, {"record": "something_else"}, np.zeros(3))
     with pytest.raises(DataError):
         load_filter(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kind", None), ("input_dim", None), ("output_dim", None),
+    ("hidden_dims", None), ("hidden_dims", 5), ("input_dim", [6])])
+def test_load_rejects_a_missing_or_mistyped_shape_key(tmp_path, key, value):
+    # value None drops the key from the header; any other value replaces it
+    from privfilter.records import write_record
+    state = init_filter(FilterKind.LINEAR, 6, 2, seed=0)
+    header = {"record": "filter", "kind": state.kind.value, "input_dim": 6,
+              "output_dim": 2, "hidden_dims": []}
+    if value is None:
+        del header[key]
+    else:
+        header[key] = value
+    path = tmp_path / "bad.filter"
+    write_record(path, header, state.params)
+    expected = f"has no '{key}'" if value is None else "malformed"
+    with pytest.raises(DataError, match=f"bad.filter.*{expected}"):
+        load_filter(path)

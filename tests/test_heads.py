@@ -4,7 +4,7 @@ import pytest
 from oracles import (central_diff, lbfgs_softmax_reference, rel_error,
                      reconstruction_risk_reference, softmax_core_reference)
 from privfilter.errors import DataError, NumericError, ShapeError
-from privfilter.heads import (_NEWTON_MAX_WEIGHTS, _class_sum, _label_index,
+from privfilter.heads import (_NEWTON_MAX_WEIGHTS, _label_index,
                               _softmax_core, _softmax_hessian, _softmax_hvp,
                               ReconstructionHead, SoftmaxHead, accuracy,
                               fit_reconstruction, fit_softmax,
@@ -331,8 +331,9 @@ def test_predict_tie_break_lowest_index():
 
 
 @pytest.mark.parametrize("num_classes", [2, 4, 8, 20])
-def test_softmax_core_matches_reference_bit_for_bit(num_classes):
+def test_softmax_core_matches_reference_to_rounding(num_classes):
     rng = np.random.default_rng(30 + num_classes)
+    eps = np.finfo(np.float64).eps
     for n, d in ((1, 3), (37, 5), (640, 51)):
         G = rng.standard_normal((n, d)) * 3.0
         weights = rng.standard_normal((num_classes, d)) * 2.0
@@ -340,32 +341,24 @@ def test_softmax_core_matches_reference_bit_for_bit(num_classes):
         nll, residual = _softmax_core(weights, np.ascontiguousarray(G.T),
                                       _label_index(labels, num_classes))
         ref_nll, ref_residual = softmax_core_reference(weights, G, labels)
-        assert nll == ref_nll
-        assert np.array_equal(residual.T, ref_residual)
+        # the core adds each sample's num_classes shifted exponentials (each
+        # in [0, 1], the largest 1) in another order than the reference, so
+        # the sums differ by at most num_classes ulps of themselves; that
+        # moves each probability by as many ulps of 1 and each log-norm
+        # shift + log(sum) by as many ulps of its size
+        log_scale = 1.0 + float(np.abs(G @ weights.T).max())
+        assert abs(nll - ref_nll) <= num_classes * eps * log_scale
+        assert np.abs(residual.T - ref_residual).max() <= num_classes * eps
 
         head = SoftmaxHead(weights, reg_lambda=1e-3)
         risk, grad_head, grad_features = softmax_risk(head, G, labels)
         lam = head.reg_lambda
-        assert risk == ref_nll + 0.5 * lam * float((head.weights ** 2).sum())
+        assert risk == nll + 0.5 * lam * float((head.weights ** 2).sum())
         # BLAS rounds a product according to its operands' memory layout,
-        # so the gradients are checked against the reference residual laid
-        # out class-major, as the core stores it
-        class_major = np.ascontiguousarray(ref_residual.T)
-        assert np.array_equal(grad_head, class_major @ G / n + lam * head.weights)
-        assert np.array_equal(grad_features, class_major.T @ head.weights / n)
-
-
-@pytest.mark.parametrize("num_classes",
-                         [2, 3, 7, 8, 9, 16, 17, 20, 64, 128, 129, 200])
-def test_class_sum_matches_numpy_row_sum_bit_for_bit(num_classes):
-    rng = np.random.default_rng(50 + num_classes)
-    for n in (1, 37, 640):
-        # magnitudes spread over twelve decades make every change of
-        # summation order visible in the last bits
-        rows = (rng.standard_normal((num_classes, n))
-                * 10.0 ** rng.integers(-6, 7, size=(num_classes, 1)))
-        expected = np.ascontiguousarray(rows.T).sum(axis=1)
-        assert np.array_equal(_class_sum(rows), expected)
+        # so the gradients are checked against the core's class-major
+        # residual, from which softmax_risk builds them
+        assert np.array_equal(grad_head, residual @ G / n + lam * head.weights)
+        assert np.array_equal(grad_features, residual.T @ head.weights / n)
 
 
 def _fit_grad_norm(G, labels, num_classes, tol):

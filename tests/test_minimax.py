@@ -11,8 +11,8 @@ from privfilter.data import Dataset
 from privfilter.errors import DataError, ShapeError
 from privfilter.filters import FilterKind, init_filter, linear_filter
 from privfilter.heads import one_hot
-from privfilter.minimax_opt import (IterationRecord, LineSearchConfig,
-                                    TradeoffConfig, classification_tradeoff,
+from privfilter.minimax_opt import (IterationRecord, TradeoffConfig,
+                                    classification_tradeoff,
                                     descent_direction, evaluate_objective,
                                     joint_objective, least_squares_task,
                                     least_squares_tradeoff,
@@ -156,12 +156,11 @@ def test_training_descends_and_records_are_consistent(monkeypatch):
     records = report.records
     assert records[0].iteration == 0 and records[0].step_size == 0.0
     assert len(slopes) == len(records) - 1
-    ls = cfg.line_search
     for prev, cur, slope in zip(records, records[1:], slopes):
         assert cur.iteration == prev.iteration + 1
         assert cur.step_size > 0 and slope > 0
         # accepted steps satisfy the sufficient-decrease test
-        margin = ls.sufficient_decrease * cur.step_size * slope
+        margin = minimax_opt._ARMIJO * cur.step_size * slope
         assert cur.objective < prev.objective - margin + 1e-12
     assert report.final_objective == records[-1].objective
     assert report.iterations == records[-1].iteration
@@ -192,8 +191,8 @@ def test_stalled_search_is_accounted_for(monkeypatch):
     data, U = _at_least_squares_optimum()
     # three rounding-level decreases come before the stall, so more than
     # three slow iterations are needed to reach it
-    cfg = least_squares_tradeoff(3.0, 0.0, max_iter=50, slow_iterations=5,
-                                 line_search=LineSearchConfig(max_backtracks=3))
+    cfg = least_squares_tradeoff(3.0, 0.0, max_iter=50, slow_iterations=5)
+    monkeypatch.setattr(minimax_opt, "_MAX_BACKTRACKS", 3)
     calls = []
     original = minimax_opt.joint_objective
 
@@ -206,7 +205,7 @@ def test_stalled_search_is_accounted_for(monkeypatch):
     report = train_minimax(linear_filter(U), data, cfg)
     assert report.stop_reason == "stalled" and not report.converged
     assert len(calls) == 18
-    # the stalled iteration tried each of the max_backtracks + 1 grid steps
+    # the stalled iteration tried each of the _MAX_BACKTRACKS + 1 steps
     # once along the L-BFGS direction and once along the negated gradient
     assert report.stall_probes == 8
     assert sum(r.probes for r in report.records) + report.stall_probes == len(calls)
@@ -312,8 +311,6 @@ def test_config_validation():
     with pytest.raises(DataError):
         classification_tradeoff(convergence_tol=0.0)
     with pytest.raises(DataError):
-        LineSearchConfig(shrink=1.0)
-    with pytest.raises(DataError):
         least_squares_task(label_field="w")
     with pytest.raises(ShapeError):
         train_minimax(init_filter(FilterKind.LINEAR, 4, 2, seed=0),
@@ -403,7 +400,7 @@ def test_exact_inner_solves_record_no_failures():
 
 
 def _top_down_reference(init, data, cfg):
-    """Plain backtracking: every search starts at initial_step.
+    """Plain backtracking from the unit step, written out independently.
 
     Takes the directions ``train_minimax`` takes: the L-BFGS direction from
     the curvature pairs of the accepted steps (the negated gradient while
@@ -412,7 +409,6 @@ def _top_down_reference(init, data, cfg):
     the objectives after them, the final parameters, the number of
     joint_objective calls spent and the number of retries.
     """
-    ls = cfg.line_search
     state = init
     objective, _, _, fitted = joint_objective(state, data, cfg)
     neg_grad = descent_direction(state, fitted, data, cfg)
@@ -422,14 +418,13 @@ def _top_down_reference(init, data, cfg):
     def search(direction):
         nonlocal probes
         slope = float(neg_grad @ direction)
-        step = ls.initial_step
-        for _ in range(ls.max_backtracks + 1):
+        for k in range(minimax_opt._MAX_BACKTRACKS + 1):
+            step = 0.5 ** k
             trial = state.with_params(state.params + step * direction)
             values = joint_objective(trial, data, cfg, warm=fitted)
             probes += 1
-            if values[0] < objective - ls.sufficient_decrease * step * slope:
+            if values[0] < objective - minimax_opt._ARMIJO * step * slope:
                 return step, trial, values
-            step *= ls.shrink
         return None
 
     for _ in range(cfg.max_iter):
@@ -459,49 +454,28 @@ def _top_down_reference(init, data, cfg):
     return steps, objectives, state.params, probes, retries
 
 
-def _scheduled_probes(ks):
-    """Probes per outer step when the searches accept grid indices ``ks``.
-
-    Each search starts one grid point above the last accepted index; it
-    backtracks through the rejected points below its start, or, when its
-    first probe is accepted, expands until a larger step is rejected or
-    the grid's top is reached.
-    """
-    counts, start = [], 0
-    for k in ks:
-        if k >= start:
-            counts.append(k - start + 1 + (k == start > 0))
-        else:
-            counts.append(start - k + 1 + (k > 0))
-        start = max(k - 1, 0)
-    return counts
-
-
-@pytest.mark.parametrize("seed, initial_step", [(0, 1.0), (2, 1.0), (2, 4.0)])
-def test_warm_started_search_matches_top_down_backtracking(seed, initial_step):
+@pytest.mark.parametrize("seed", [0, 2])
+def test_warm_started_search_matches_top_down_backtracking(seed):
     # least-squares heads through an MLP filter: the accepted step moves
-    # around the grid, so the search both expands and backtracks
+    # between 1 and several halvings, so the searches backtrack by
+    # different amounts
     data = _toy_dataset(np.random.default_rng(seed), n=40, dim=5)
-    ls = LineSearchConfig(initial_step)
-    cfg = least_squares_tradeoff(3.0, 1e-3, max_iter=30, line_search=ls)
+    cfg = least_squares_tradeoff(3.0, 1e-3, max_iter=30)
     init = init_filter(FilterKind.TWO_LAYER_SIGMOID, 5, 2, (6, 4), seed=seed)
     report = train_minimax(init, data, cfg)
     steps, objectives, params, probes, retries = _top_down_reference(
         init, data, cfg)
     accepted = report.records[1:]
     assert len(set(steps)) >= 3
-    assert retries == 0  # the probe schedule below counts one search per step
+    assert retries == 0  # one search per step, so each record is one search
     assert [r.step_size for r in accepted] == steps
     assert [r.objective for r in accepted] == objectives
     assert np.array_equal(report.final_state.params, params)
-    assert all(r.step_size <= initial_step for r in accepted)
-    grid = [initial_step]
-    for _ in range(ls.max_backtracks):
-        grid.append(grid[-1] * ls.shrink)
-    ks = [grid.index(r.step_size) for r in accepted]
-    assert [r.probes for r in accepted] == _scheduled_probes(ks)
-    # the top-down search spends k + 1 probes on a step at grid index k
-    assert probes == 1 + sum(k + 1 for k in ks)
+    # a step of 0.5**k is accepted after the k rejected probes above it
+    ks = [int(np.log2(1.0 / r.step_size)) for r in accepted]
+    assert [0.5 ** k for k in ks] == steps
+    assert [r.probes for r in accepted] == [k + 1 for k in ks]
+    assert report.objective_calls == probes == 1 + sum(k + 1 for k in ks)
 
 
 @pytest.mark.parametrize("max_iter, max_backtracks", [(12, 30), (1000, 30)])
@@ -511,9 +485,9 @@ def test_training_runs_one_forward_pass_per_objective_call(
     # product, so filter_param_grad runs no forward pass of its own; with
     # a vanishing convergence_tol the long run ends in a stall
     data = _toy_dataset(np.random.default_rng(6), n=40, dim=5)
-    cfg = least_squares_tradeoff(
-        3.0, 1e-3, max_iter=max_iter, convergence_tol=1e-16,
-        line_search=LineSearchConfig(max_backtracks=max_backtracks))
+    cfg = least_squares_tradeoff(3.0, 1e-3, max_iter=max_iter,
+                                 convergence_tol=1e-16)
+    monkeypatch.setattr(minimax_opt, "_MAX_BACKTRACKS", max_backtracks)
     init = init_filter(FilterKind.TWO_LAYER_SIGMOID, 5, 2, (6, 4), seed=6)
     forwards, objectives = [], []
     forward = filters._mlp_forward
@@ -652,8 +626,8 @@ def test_non_descent_direction_falls_back_to_negated_gradient(monkeypatch, bad):
 
 def _watched_training(monkeypatch, data, cfg, init, fail=(), unconverged=()):
     """Train while recording the memory size behind every direction and
-    every line search (whether it ran along the negated gradient, at which
-    start, with how many probes).  Searches whose 0-based index is in
+    every line search (whether it ran along the negated gradient, from
+    which iterate, with how many probes).  Searches whose 0-based index is in
     ``fail`` report no accepted step; ``joint_objective`` calls whose
     0-based index is in ``unconverged`` report one unconverged inner fit.
     """
@@ -668,11 +642,9 @@ def _watched_training(monkeypatch, data, cfg, init, fail=(), unconverged=()):
 
     def search(state, direction, slope, objective, fitted, *args):
         neg_grad = descent_direction(state, fitted, data, cfg)
-        start = args[-2]
         result = search_fn(state, direction, slope, objective, fitted, *args)
         searches.append({"along_gradient": np.array_equal(direction, neg_grad),
-                         "params": state.params, "start": start,
-                         "probes": result[1]})
+                         "params": state.params, "probes": result[1]})
         return (None, *result[1:]) if len(searches) - 1 in fail else result
 
     def objective(*args, **kwargs):
@@ -718,11 +690,10 @@ def test_failed_lbfgs_search_is_retried_along_the_negated_gradient(monkeypatch):
                                                  fail=(3,))
     assert report.stop_reason != "stalled" and report.iterations == cfg.max_iter
     # iteration 4: the L-BFGS search fails, and the same iteration
-    # searches again from the same iterate and start along -grad Phi
+    # searches again from the same iterate along -grad Phi
     failed, retry = searches[3], searches[4]
     assert not failed["along_gradient"] and retry["along_gradient"]
     assert np.array_equal(failed["params"], retry["params"])
-    assert failed["start"] == retry["start"]
     assert report.records[4].probes == failed["probes"] + retry["probes"]
     assert len(searches) == cfg.max_iter + 1
     # the retry cleared the memory; its accepted step is the first new pair

@@ -29,3 +29,11 @@ def test_rejects_unknown_version(tmp_path):
     path.write_bytes(b'{"record_version": 99}\n')
     with pytest.raises(DataError):
         read_record(path)
+
+
+def test_rejects_a_truncated_payload(tmp_path):
+    path = tmp_path / "cut.rec"
+    write_record(path, {"record": "demo"}, np.arange(3.0))
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(DataError, match="cut.rec.*21 bytes"):
+        read_record(path)
