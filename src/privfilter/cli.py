@@ -109,8 +109,9 @@ def _cmd_eval(args) -> int:
     data = _load(args)
     if data.z is None:
         raise DataError("evaluation needs a z column")
-    noisy = args.epsilon_inverse > 0 or args.bound is not None
-    cfg = ExperimentConfig(chain="pre" if noisy else "none",
+    released = (args.epsilon_inverse > 0 or args.bound is not None
+                or args.bound_scale is not None)
+    cfg = ExperimentConfig(chain="pre" if released else "none",
                            bound_kind=args.bound or "clip",
                            bound_scale=args.bound_scale,
                            train_fraction=args.train_fraction,

@@ -241,6 +241,20 @@ def privacy_lds(s: ScatterSet, d: int) -> np.ndarray:
     (C_target + ridge I) u = nu (C_private + ridge I) u and returns the d
     eigenvectors of largest nu, each normalized to unit Euclidean norm,
     largest quotient first.
+
+    Only the leading directions are fixed by the data.  A between-class
+    scatter of K classes has rank at most K - 1, so on the subspace
+    orthogonal to both scatters' ranges the pencil is ridge I against
+    ridge I and nu is exactly 1, repeated.  The columns past the quotients
+    above 1 are then whatever basis of that eigenspace LAPACK returns.
+    On the training half of the benchmark's ``linear-sweep`` data the
+    quotients are 662.27, 1, 1, ... (12 of 20 equal to 1); on
+    ``release-sweep``'s they are 1234.0, 2.71, 1.95, 1, ... (28 of 50).
+    scipy's ``gv``, ``gvd`` and ``gvx`` drivers return the same columns to
+    within 6e-16, but numpy formulations of the same problem (a Cholesky
+    or an inverse-square-root whitening, ``eig`` of the solved pencil)
+    return other bases of the unit eigenspace, which moves a minimax fit
+    that starts from them.
     """
     if not 1 <= d <= s.dim:
         raise ShapeError(f"d must lie in 1..{s.dim}, got {d}")

@@ -286,26 +286,18 @@ def gen_synthetic(dim, n_subjects, n_target_classes, per_subject,
     target_dir[1] = math.sin(angle)
 
     n = n_subjects * per_subject
-    X = np.empty((n, dim))
-    y = np.empty(n, dtype=np.int64)
-    z = np.empty(n, dtype=np.int64)
-    subjects = np.empty(n, dtype=np.int64)
-    row = 0
-    for s in range(1, n_subjects + 1):
-        mean = np.zeros(dim)
-        mean[0] = (s - 0.5 * (n_subjects + 1)) * subject_sep
-        for j in range(per_subject):
-            cls = j % n_target_classes + 1
-            offset = (cls - 0.5 * (n_target_classes + 1)) * target_sep
-            point = mean + offset * target_dir
-            if noise > 0:
-                point = point + noise * rng.standard_normal(dim)
-            X[row] = point
-            y[row] = s
-            z[row] = cls
-            subjects[row] = s
-            row += 1
-    return Dataset(X, y, subjects, z, name=name)
+    subjects = np.repeat(np.arange(1, n_subjects + 1, dtype=np.int64),
+                         per_subject)
+    z = np.tile(np.arange(per_subject, dtype=np.int64) % n_target_classes + 1,
+                n_subjects)
+    X = np.zeros((n, dim))
+    X[:, 0] = (subjects - 0.5 * (n_subjects + 1)) * subject_sep
+    X += ((z - 0.5 * (n_target_classes + 1)) * target_sep)[:, None] * target_dir
+    if noise > 0:
+        draws = rng.standard_normal((n, dim))
+        draws *= noise
+        X += draws
+    return Dataset(X, subjects, subjects, z, name=name)
 
 
 def split_per_subject(data: Dataset, fraction: float, seed=None):

@@ -149,8 +149,8 @@ def sample_noise(cfg: NoiseConfig, dim: int, rng=None, size=None) -> np.ndarray:
     norms[norms == 0] = 1.0
     directions /= norms
     radii = rng.gamma(shape=dim, scale=1.0 / cfg.rate, size=n)
-    out = directions * radii[:, None]
-    return out[0] if size is None else out
+    directions *= radii[:, None]
+    return directions[0] if size is None else directions
 
 
 def log_density(xi, cfg: NoiseConfig) -> float | np.ndarray:

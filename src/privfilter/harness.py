@@ -15,11 +15,20 @@ orders: the "pre" chain bounds and perturbs the filter outputs (noise
 dimension d); the "post" chain bounds and perturbs the raw features and
 fits and applies the filter afterwards (noise dimension D).  Chain
 "none" releases the filter outputs as they are, so its configs accept
-only epsilon_inverse = 0.
+only epsilon_inverse = 0 and no ``bound_scale``.
 
 Evaluation heads are fit with an appended constant feature, giving the
 attack model an intercept even though heads themselves are bias-free;
 filters never see that column.
+
+Each cell runs in its own call (``_run_cell``), so none of its arrays
+outlives it, and each array dies as soon as the next stage has been
+built from it: the release adds its noise in place into the bounded
+rows, the post chain's released raw rows die once the fitted filter has
+been applied to them, and the bare filter outputs die once the
+intercept column is appended.  The largest head solve of a cell thus
+runs next to the split and the cell's two evaluation matrices only.
+The split is shared by all cells of a trial.
 
 Per-cell failures are recorded in the cell's record and the run
 continues.  All randomness is derived from the master seed and the cell
@@ -134,6 +143,9 @@ class ExperimentConfig:
         BoundKind(self.bound_kind)
         if self.bound_scale is not None and self.bound_scale <= 0:
             raise DataError("bound_scale must be positive (or None for automatic)")
+        if self.chain == "none" and self.bound_scale is not None:
+            raise DataError("chain 'none' bounds no rows; a bound_scale "
+                            "needs chain 'pre' or 'post'")
         if self.trials < 1:
             raise DataError("trials must be at least 1")
         if not 0.0 < self.train_fraction < 1.0:
@@ -192,7 +204,8 @@ def release_features(train_rows, test_rows, cfg, einv, noise_rng):
     The pre chain passes filter outputs, the post chain raw features;
     with chain "none" the rows come back unchanged.  The training rows
     draw their noise first.  Without a configured ``bound_scale`` the
-    scale is fit on the training rows.
+    scale is fit on the training rows.  The noise is added in place into
+    the new arrays ``bound`` returns; the inputs are left as they are.
     """
     if cfg.chain == "none":
         return train_rows, test_rows
@@ -200,12 +213,22 @@ def release_features(train_rows, test_rows, cfg, einv, noise_rng):
     if scale is None:
         scale = bound_scale_from_norms(np.linalg.norm(train_rows, axis=1))
     noise = NoiseConfig.from_epsilon_inverse(einv, sensitivity=cfg.sensitivity)
-    return tuple(bound(cfg.bound_kind, scale, rows) + sample_noise(
-        noise, rows.shape[1], rng=noise_rng, size=rows.shape[0])
-        for rows in (train_rows, test_rows))
+    released = []
+    for rows in (train_rows, test_rows):
+        out = bound(cfg.bound_kind, scale, rows)
+        out += sample_noise(noise, rows.shape[1], rng=noise_rng,
+                            size=rows.shape[0])
+        released.append(out)
+    return tuple(released)
 
 
 def _with_intercept(G):
+    """``G`` with a constant column appended.
+
+    Heads have no intercept of their own; the evaluation heads get one
+    from this column, so the attack model is a full logistic regression
+    (filters never see it).
+    """
     return np.hstack([G, np.ones((G.shape[0], 1))])
 
 
@@ -218,29 +241,31 @@ def evaluate_heads(g_train, g_test, train, test, data, cfg):
     difference (``tradeoff``), chance levels and both heads' risk-gradient
     norms.
     """
-    # Heads have no intercept of their own; give the evaluation heads one
-    # by appending a constant feature so the attack model is a full
-    # logistic regression (filters never see this column).
-    g_train = _with_intercept(g_train)
-    g_test = _with_intercept(g_test)
+    return _score_heads(_with_intercept(g_train), _with_intercept(g_test),
+                        train, test, data, cfg)
+
+
+def _score_heads(G_train, G_test, train, test, data, cfg):
+    """``evaluate_heads`` on features that already carry the intercept
+    column."""
     num_target = data.num_target_classes
     num_private = data.num_private_classes
-    target_head = fit_softmax(g_train, train.z, num_target,
+    target_head = fit_softmax(G_train, train.z, num_target,
                               cfg.eval_reg_lambda, tol=cfg.eval_tol,
                               max_iter=cfg.eval_max_iter)
-    private_head = fit_softmax(g_train, train.y, num_private,
+    private_head = fit_softmax(G_train, train.y, num_private,
                                cfg.eval_reg_lambda, tol=cfg.eval_tol,
                                max_iter=cfg.eval_max_iter)
-    target_acc = accuracy(target_head, g_test, test.z)
-    private_acc = accuracy(private_head, g_test, test.y)
+    target_acc = accuracy(target_head, G_test, test.z)
+    private_acc = accuracy(private_head, G_test, test.y)
     return {
         "target_accuracy": target_acc,
         "private_accuracy": private_acc,
         "tradeoff": target_acc - private_acc,
         "chance_target": 1.0 / num_target,
         "chance_private": 1.0 / num_private,
-        "target_head_grad": _head_grad(target_head, g_train, train.z),
-        "private_head_grad": _head_grad(private_head, g_train, train.y),
+        "target_head_grad": _head_grad(target_head, G_train, train.z),
+        "private_head_grad": _head_grad(private_head, G_train, train.y),
     }
 
 
@@ -316,6 +341,43 @@ class EvalReport:
         return float(np.mean(values))
 
 
+def _run_cell(kind, d, einv, key, cached, train, test, data, cfg,
+              training_log):
+    """Release, filter and score one grid cell; returns (TrainReport or
+    None, ``evaluate_heads`` scores).
+
+    ``key`` is the cell's (filter, dim, noise, trial) index.  A post
+    chain fits its filter here, on the released rows; the other chains
+    pass the ``cached`` (filter, TrainReport or None) of their
+    (filter, dim).  Each array dies as soon as the next stage has been
+    built from it, and none outlives the cell.
+    """
+    fi, di, ei, trial = key
+    noise_rng = derive_rng(cfg.master_seed, _ROLE_NOISE, fi, di, ei, trial)
+    if cfg.chain == "post":
+        X_train, X_test = release_features(train.X, test.X, cfg, einv,
+                                           noise_rng)
+        filt, report = fit_filter(
+            kind, replace(train, X=X_train), d, cfg,
+            derive_rng(cfg.master_seed, _ROLE_FILTER, fi, di, ei, trial))
+        if training_log is not None and report is not None:
+            training_log.append(report)
+        g_train = apply_filter(filt, X_train)
+        del X_train
+        g_test = apply_filter(filt, X_test)
+        del X_test
+    else:
+        filt, report = cached
+        g_train, g_test = release_features(apply_filter(filt, train.X),
+                                           apply_filter(filt, test.X),
+                                           cfg, einv, noise_rng)
+    G_train = _with_intercept(g_train)
+    del g_train
+    G_test = _with_intercept(g_test)
+    del g_test
+    return report, _score_heads(G_train, G_test, train, test, data, cfg)
+
+
 def run_experiment(cfg: ExperimentConfig, data: Dataset,
                    training_log=None) -> EvalReport:
     """Run the full grid.  ``training_log`` (a list, optional) collects the
@@ -356,40 +418,22 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
                         **dict.fromkeys(_TRAIN_FIELDS),
                     }
                     try:
-                        noise_rng = derive_rng(cfg.master_seed, _ROLE_NOISE,
-                                               fi, di, ei, trial)
-                        if cfg.chain == "post":
-                            X_train, X_test = release_features(
-                                train.X, test.X, cfg, einv, noise_rng)
-                            train_rel = replace(train, X=X_train)
-                            filt, report = fit_filter(
-                                kind, train_rel, d, cfg,
+                        if cfg.chain != "post" and cached is None:
+                            cached = fit_filter(
+                                kind, train, d, cfg,
                                 derive_rng(cfg.master_seed, _ROLE_FILTER,
-                                           fi, di, ei, trial))
-                            if training_log is not None and report is not None:
-                                training_log.append(report)
-                            g_train = apply_filter(filt, X_train)
-                            g_test = apply_filter(filt, X_test)
-                        else:
-                            if cached is None:
-                                cached = fit_filter(
-                                    kind, train, d, cfg,
-                                    derive_rng(cfg.master_seed, _ROLE_FILTER,
-                                               fi, di, trial))
-                                if training_log is not None and cached[1] is not None:
-                                    training_log.append(cached[1])
-                            filt, report = cached
-                            g_train, g_test = release_features(
-                                apply_filter(filt, train.X),
-                                apply_filter(filt, test.X),
-                                cfg, einv, noise_rng)
+                                           fi, di, trial))
+                            if training_log is not None and cached[1] is not None:
+                                training_log.append(cached[1])
+                        report, scores = _run_cell(
+                            kind, d, einv, (fi, di, ei, trial), cached,
+                            train, test, data, cfg, training_log)
                         if report is not None:
                             record.update(zip(_TRAIN_FIELDS, (
                                 report.stop_reason, report.iterations,
                                 report.objective_calls,
                                 report.inner_unconverged)))
-                        record.update(evaluate_heads(g_train, g_test, train,
-                                                     test, data, cfg))
+                        record.update(scores)
                     except Exception as exc:  # recorded, run continues
                         record["error"] = f"{type(exc).__name__}: {exc}"
                     record["wall_time_s"] = time.perf_counter() - start

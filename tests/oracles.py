@@ -8,8 +8,11 @@ reconstruction risk, an L-BFGS-B softmax fit whose risk the Newton fits
 must match, the allocating MLP forward pass, MLP vector-Jacobian product
 and denoising-autoencoder layer, the dense BFGS inverse-Hessian update
 behind the minimax L-BFGS direction, and the minimax loop along the
-negated gradient alone (steepest descent).
+negated gradient alone (steepest descent), and the row-by-row synthetic
+data generator.
 """
+
+import math
 
 import numpy as np
 from scipy.optimize import minimize
@@ -279,3 +282,36 @@ def train_dae_layer_reference(H, w, b, rng, noise_level, epochs, step,
             losses.append(_dae_eval_loss_reference(H, w, b, w_dec, c,
                                                    sigmoid_out))
     return w, b, np.array(losses) if track_losses else None
+
+
+def gen_synthetic_reference(dim, n_subjects, n_target_classes, per_subject,
+                            angle_deg=90.0, subject_sep=3.0, target_sep=3.0,
+                            noise=0.5, seed=None):
+    """(X, y, z, subjects) of ``data.gen_synthetic``, built one row at a
+    time with one noise draw per row."""
+    rng = np.random.default_rng(seed)
+    angle = math.radians(angle_deg)
+    target_dir = np.zeros(dim)
+    target_dir[0] = math.cos(angle)
+    target_dir[1] = math.sin(angle)
+    n = n_subjects * per_subject
+    X = np.empty((n, dim))
+    y = np.empty(n, dtype=np.int64)
+    z = np.empty(n, dtype=np.int64)
+    subjects = np.empty(n, dtype=np.int64)
+    row = 0
+    for s in range(1, n_subjects + 1):
+        mean = np.zeros(dim)
+        mean[0] = (s - 0.5 * (n_subjects + 1)) * subject_sep
+        for j in range(per_subject):
+            cls = j % n_target_classes + 1
+            offset = (cls - 0.5 * (n_target_classes + 1)) * target_sep
+            point = mean + offset * target_dir
+            if noise > 0:
+                point = point + noise * rng.standard_normal(dim)
+            X[row] = point
+            y[row] = s
+            z[row] = cls
+            subjects[row] = s
+            row += 1
+    return X, y, z, subjects

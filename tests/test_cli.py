@@ -135,6 +135,28 @@ def test_eval_with_noise_flags(tmp_path):
     assert noisy["private_accuracy"] <= clean["private_accuracy"] + 0.1
 
 
+def test_eval_bound_scale_alone_bounds_through_the_pre_chain(tmp_path):
+    path = _make_dataset(tmp_path)
+    prefix = tmp_path / "m"
+    assert _run(["train", "--data", str(path), "--filter", "pca",
+                 "--dim", "2", "--seed", "3", "--out", str(prefix)])[0] == 0
+    outputs = []
+    for flags in ([], ["--bound-scale", "0.001"],
+                  ["--bound", "clip", "--bound-scale", "0.001"]):
+        code, out, err = _run(["eval", "--data", str(path), "--filter-path",
+                               str(prefix) + ".filter", "--seed", "3", *flags])
+        assert code == 0, err
+        outputs.append(json.loads(out))
+    plain, scaled, clipped = outputs
+    assert scaled == clipped
+    assert scaled != plain
+    cfg = ExperimentConfig(filters=("pca",), dims=(2,), trials=1,
+                           master_seed=3, chain="pre", bound_scale=0.001)
+    record = run_experiment(cfg, load_csv(path)).records[0]
+    assert scaled["private_accuracy"] == record["private_accuracy"]
+    assert scaled["target_accuracy"] == record["target_accuracy"]
+
+
 def test_sweep_with_config_and_overrides(tmp_path):
     path = _make_dataset(tmp_path)
     config = tmp_path / "sweep.ini"
@@ -222,6 +244,11 @@ def test_sweep_rejects_a_noise_grid_without_a_release_chain(tmp_path):
     assert code != 0 and "error:" in err
     assert "chain 'none'" in err
     assert not (tmp_path / "x.csv").exists()
+    code, _, err = _run(["sweep", "--data", str(path), "--filter", "pca",
+                         "--dim", "2", "--trials", "1", "--bound-scale", "0.5",
+                         "--out", str(tmp_path / "s")])
+    assert code != 0 and "chain 'none'" in err
+    assert not (tmp_path / "s.csv").exists()
     code, _, err = _run(["sweep", "--data", str(path), "--filter", "pca",
                          "--dim", "2", "--trials", "1",
                          "--epsilon-inverse", "0,1", "--chain", "pre",

@@ -5,6 +5,7 @@ from oracles import random_orthonormal, rel_error
 from privfilter.closed_form import (build_scatters, compute_moments,
                                     contrast_matrix, least_squares_minimax,
                                     privacy_lds, trace_objective)
+from privfilter.data import gen_synthetic
 from privfilter.errors import NumericError, ShapeError
 from privfilter.heads import one_hot
 
@@ -157,6 +158,21 @@ def test_lds_solves_generalized_eigenproblem():
             assert np.linalg.norm(residual) <= 1e-6 * np.linalg.norm(numer @ v)
         assert all(quotients[i] >= quotients[i + 1] - 1e-9
                    for i in range(d - 1))
+
+
+def test_lds_quotient_is_one_past_the_leading_directions():
+    # 2 target classes and 3 subjects give scatters of rank 1 and 2, so on
+    # the 5 directions orthogonal to both ranges the pencil is ridge I
+    # against ridge I: those columns are any basis of a unit eigenspace
+    data = gen_synthetic(8, 3, 2, 30, noise=0.5, seed=0)
+    s = build_scatters(data.X, data.y, data.z)
+    eye = np.eye(8)
+    V = privacy_lds(s, 8)
+    quotients = (np.einsum("ij,ij->j", V, (s.between_target + s.ridge * eye) @ V)
+                 / np.einsum("ij,ij->j", V, (s.between_private + s.ridge * eye) @ V))
+    assert quotients[0] > 2.0
+    np.testing.assert_allclose(quotients[1:6], 1.0, rtol=0.0, atol=1e-9)
+    assert np.all(quotients[6:] < 0.5)
 
 
 def test_lds_beats_random_directions_on_the_quotient():

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import gen_synthetic_reference
 
 from privfilter import data as data_mod
 from privfilter.data import (CsvSchema, Dataset, gen_synthetic, load_csv,
@@ -66,6 +67,23 @@ def test_generator_angle_controls_conflict():
     spread = oblique.X[:, 1]
     np.testing.assert_allclose(np.unique(np.round(spread, 12)),
                                [-math.sqrt(2) / 2, math.sqrt(2) / 2])
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((20, 8, 2, 500), {}),
+    ((50, 20, 4, 400), dict(noise=1.0)),
+    ((6, 3, 3, 7), dict(angle_deg=37.0, subject_sep=1.5, target_sep=0.7)),
+    ((5, 4, 3, 6), dict(angle_deg=37.0, noise=0.0)),
+    ((2, 1, 1, 1), dict(angle_deg=180.0, noise=2.0)),
+])
+def test_generator_matches_the_row_by_row_reference_bit_for_bit(args, kwargs):
+    data = gen_synthetic(*args, **kwargs, seed=11)
+    X, y, z, subjects = gen_synthetic_reference(*args, **kwargs, seed=11)
+    # byte equality also tells 0.0 from -0.0
+    assert data.X.tobytes() == X.tobytes()
+    np.testing.assert_array_equal(data.y, y)
+    np.testing.assert_array_equal(data.z, z)
+    np.testing.assert_array_equal(data.subject_ids, subjects)
 
 
 def test_generator_seeded_and_validated():

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 import warnings
@@ -137,6 +138,20 @@ def test_noise_directions_are_uniform():
         assert p > 0.01
 
 
+def test_noise_scales_unit_directions_by_gamma_radii_bit_for_bit():
+    cfg = NoiseConfig(epsilon=0.8, sensitivity=2.0)
+    rng = np.random.default_rng(17)
+    check = copy.deepcopy(rng)
+    draws = sample_noise(cfg, 6, rng=rng, size=50)
+    directions = check.standard_normal((50, 6))
+    directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = check.gamma(shape=6, scale=1.0 / cfg.rate, size=50)
+    assert draws.tobytes() == (directions * radii[:, None]).tobytes()
+    single = sample_noise(cfg, 6, rng=np.random.default_rng(17))
+    row = sample_noise(cfg, 6, rng=np.random.default_rng(17), size=1)
+    assert single.shape == (6,) and single.tobytes() == row[0].tobytes()
+
+
 def test_log_density_integrates_to_one():
     for dim in (1, 2, 3):
         cfg = NoiseConfig(epsilon=1.5, sensitivity=2.0)
@@ -226,6 +241,30 @@ def test_release_post_filters_after_perturbing():
             noise, 4, rng=check, size=rows.shape[0])
         assert np.array_equal(out, expected)
         np.testing.assert_allclose(apply_filter(filt, out), expected @ U)
+
+
+@pytest.mark.parametrize("chain", ["pre", "post"])
+@pytest.mark.parametrize("einv", [0.0, 0.5])
+def test_release_matches_the_out_of_place_sum(chain, einv):
+    # the release adds its noise in place into the bounded rows; the bits
+    # are those of bound(...) + sample_noise(...) from the same stream
+    rng = np.random.default_rng(21)
+    train_rows = 3.0 * rng.standard_normal((40, 7))
+    test_rows = 3.0 * rng.standard_normal((9, 7))
+    train_copy, test_copy = train_rows.copy(), test_rows.copy()
+    cfg = ExperimentConfig(chain=chain, epsilon_inverses=(einv,))
+    noise_rng = np.random.default_rng(4)
+    check = copy.deepcopy(noise_rng)
+    released = release_features(train_rows, test_rows, cfg, einv, noise_rng)
+    scale = bound_scale_from_norms(np.linalg.norm(train_rows, axis=1))
+    noise = NoiseConfig.from_epsilon_inverse(einv)
+    for rows, out in zip((train_rows, test_rows), released):
+        expected = bound(cfg.bound_kind, scale, rows) + sample_noise(
+            noise, 7, rng=check, size=rows.shape[0])
+        assert out.tobytes() == expected.tobytes()
+    # the inputs are left as they were
+    assert train_rows.tobytes() == train_copy.tobytes()
+    assert test_rows.tobytes() == test_copy.tobytes()
 
 
 def test_diameters_by_enumeration():

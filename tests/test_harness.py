@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -78,6 +79,14 @@ def test_noise_grid_needs_a_release_chain():
             assert ExperimentConfig(epsilon_inverses=grid,
                                     chain=chain).epsilon_inverses == grid
     assert ExperimentConfig(epsilon_inverses=(0.0, 0.0)).chain == "none"
+
+
+def test_bound_scale_needs_a_release_chain():
+    # chain "none" bounds nothing, so the scale would be silently ignored
+    with pytest.raises(DataError, match="chain 'none'"):
+        ExperimentConfig(bound_scale=0.5)
+    for chain in ("pre", "post"):
+        assert ExperimentConfig(bound_scale=0.5, chain=chain).bound_scale == 0.5
 
 
 def test_fit_filter_every_kind():
@@ -214,6 +223,25 @@ def test_post_chain_filters_the_perturbed_features():
     # the epsilon sweep refits on differently perturbed data, so both cells
     # stand alone; nothing to cache across the sweep
     assert len(report.records) == 2
+
+
+def test_post_chain_cells_hold_only_their_own_arrays():
+    data = gen_synthetic(dim=60, n_subjects=6, n_target_classes=3,
+                         per_subject=100, noise=1.0, seed=0)
+    cfg = ExperimentConfig(filters=("raw",), epsilon_inverses=(0.0, 0.1),
+                           chain="post", trials=1)
+    run_experiment(cfg, data)  # first-call allocations are not the cells'
+    tracemalloc.start()
+    try:
+        report = run_experiment(cfg, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(record["error"] is None for record in report.records)
+    # The split, the evaluation features and the release's temporaries
+    # peak at about 4x the data.  Keeping the released raw rows and the
+    # bare filter outputs alive through the head fits peaked at 6x.
+    assert peak < 5 * data.X.nbytes
 
 
 def test_cell_errors_are_recorded_and_do_not_stop_the_run():
