@@ -112,7 +112,7 @@ def _cmd_eval(args) -> int:
     released = (args.epsilon_inverse > 0 or args.bound is not None
                 or args.bound_scale is not None)
     cfg = ExperimentConfig(chain="pre" if released else "none",
-                           bound_kind=args.bound or "clip",
+                           bound_kind=args.bound,
                            bound_scale=args.bound_scale,
                            train_fraction=args.train_fraction,
                            master_seed=args.seed)
@@ -134,17 +134,13 @@ _EXPERIMENT_PARSERS = {
     "chain": str,
     "bound_kind": str,
     "bound_scale": float,
-    "sensitivity": float,
     "trials": int,
     "train_fraction": float,
     "master_seed": int,
     "lds_init": lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
     "mlp_hidden": _parse_ints,
     "pretrain_epochs": int,
-    "pretrain_noise": float,
     "ppls_lambda": float,
-    "eval_reg_lambda": float,
-    "eval_tol": float,
     "eval_max_iter": int,
 }
 

@@ -163,13 +163,6 @@ class ScatterSet:
     between_target: np.ndarray   # scatter of target-class means
     between_private: np.ndarray  # scatter of private-class means
     ridge: float
-    mean: np.ndarray
-    target_classes: np.ndarray
-    target_counts: np.ndarray
-    target_means: np.ndarray
-    private_classes: np.ndarray
-    private_counts: np.ndarray
-    private_means: np.ndarray
 
     def __post_init__(self):
         bt = _check_square_symmetric(self.between_target, "between_target")
@@ -199,18 +192,13 @@ def default_lds_ridge(between_private) -> float:
 
 def _between_class_scatter(X, labels):
     labels = np.asarray(labels)
-    classes = np.unique(labels)
     overall = X.mean(axis=0)
-    counts = np.zeros(classes.size)
-    means = np.zeros((classes.size, X.shape[1]))
     scatter = np.zeros((X.shape[1], X.shape[1]))
-    for i, cls in enumerate(classes):
+    for cls in np.unique(labels):
         rows = X[labels == cls]
-        counts[i] = rows.shape[0]
-        means[i] = rows.mean(axis=0)
-        centered = means[i] - overall
-        scatter += counts[i] * np.outer(centered, centered)
-    return 0.5 * (scatter + scatter.T), classes, counts, means, overall
+        centered = rows.mean(axis=0) - overall
+        scatter += rows.shape[0] * np.outer(centered, centered)
+    return 0.5 * (scatter + scatter.T)
 
 
 def build_scatters(X, y, z, ridge=None) -> ScatterSet:
@@ -222,16 +210,11 @@ def build_scatters(X, y, z, ridge=None) -> ScatterSet:
     z = np.asarray(z)
     if y.shape != (X.shape[0],) or z.shape != (X.shape[0],):
         raise ShapeError("labels must be 1-d with one entry per sample")
-    bp, p_classes, p_counts, p_means, overall = _between_class_scatter(X, y)
-    bt, t_classes, t_counts, t_means, _ = _between_class_scatter(X, z)
+    bp = _between_class_scatter(X, y)
+    bt = _between_class_scatter(X, z)
     if ridge is None:
         ridge = default_lds_ridge(bp)
-    return ScatterSet(between_target=bt, between_private=bp, ridge=float(ridge),
-                      mean=overall,
-                      target_classes=t_classes, target_counts=t_counts,
-                      target_means=t_means,
-                      private_classes=p_classes, private_counts=p_counts,
-                      private_means=p_means)
+    return ScatterSet(between_target=bt, between_private=bp, ridge=float(ridge))
 
 
 def privacy_lds(s: ScatterSet, d: int) -> np.ndarray:

@@ -309,7 +309,7 @@ def split_per_subject(data: Dataset, fraction: float, seed=None):
     """
     if not 0.0 < fraction < 1.0:
         raise DataError("fraction must lie strictly between 0 and 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     train_idx = []
     test_idx = []
     for subject in np.unique(data.subject_ids):

@@ -55,12 +55,12 @@ class NoiseConfig:
             raise DataError("sensitivity must be positive")
 
     @classmethod
-    def from_epsilon_inverse(cls, epsilon_inverse: float, **kwargs) -> "NoiseConfig":
+    def from_epsilon_inverse(cls, epsilon_inverse: float) -> "NoiseConfig":
         """Sweep-friendly constructor; epsilon_inverse = 0 disables noise."""
         if epsilon_inverse < 0:
             raise DataError("epsilon_inverse must be non-negative")
         epsilon = None if epsilon_inverse == 0 else 1.0 / epsilon_inverse
-        return cls(epsilon=epsilon, **kwargs)
+        return cls(epsilon=epsilon)
 
     @property
     def noisy(self) -> bool:
@@ -117,12 +117,12 @@ def bound(kind, scale, h) -> np.ndarray:
     return out[0] if single else out
 
 
-def bound_scale_from_norms(norms, percentile=95.0) -> float:
+def bound_scale_from_norms(norms) -> float:
     """Default bounding scale, the reciprocal 95th percentile of ||g(x)||."""
     norms = np.asarray(norms, dtype=np.float64)
     if norms.size == 0:
         raise DataError("cannot derive a bound scale from no samples")
-    reference = float(np.percentile(norms, percentile))
+    reference = float(np.percentile(norms, 95.0))
     if reference <= 0:
         return 1.0
     return 1.0 / reference
@@ -180,16 +180,22 @@ class DiameterReport:
     ``cross_subject`` is the largest distance between samples with
     different private labels but the same target label; ``within_subject``
     the largest between samples sharing a private label but differing in
-    target label.  When no pair qualifies the diameter is reported as 0
-    with the matching flag cleared.
+    target label.  When no pair qualifies the diameter is reported as 0,
+    its pair as None and its ``*_attained`` flag as False.
     """
 
     cross_subject: float
     within_subject: float
     cross_pair: tuple | None
     within_pair: tuple | None
-    cross_attained: bool
-    within_attained: bool
+
+    @property
+    def cross_attained(self) -> bool:
+        return self.cross_pair is not None
+
+    @property
+    def within_attained(self) -> bool:
+        return self.within_pair is not None
 
 
 def compute_diameters(X, y, z) -> DiameterReport:
@@ -223,10 +229,9 @@ def compute_diameters(X, y, z) -> DiameterReport:
         if not np.all(np.isfinite(block)):
             raise DataError("features contain non-finite values")
         np.sum(block * block, axis=1, out=sq_norms[r:r + rows])
-    cross, cross_pair, cross_ok = _farthest_pair(X, sq_norms, z, y)
-    within, within_pair, within_ok = _farthest_pair(X, sq_norms, y, z)
-    return DiameterReport(cross, within, cross_pair, within_pair,
-                          cross_ok, within_ok)
+    cross, cross_pair = _farthest_pair(X, sq_norms, z, y)
+    within, within_pair = _farthest_pair(X, sq_norms, y, z)
+    return DiameterReport(cross, within, cross_pair, within_pair)
 
 
 def _centre_distances(X, members, rows):
@@ -242,9 +247,9 @@ def _centre_distances(X, members, rows):
 
 
 def _farthest_pair(X, sq_norms, group_labels, pair_labels):
-    """(distance, (i, j), True) for the farthest pair i < j sharing
-    ``group_labels`` and differing in ``pair_labels``, or (0.0, None, False)
-    if no pair qualifies.  Ties go to the smallest (i, j) in row-major order."""
+    """(distance, (i, j)) for the farthest pair i < j sharing
+    ``group_labels`` and differing in ``pair_labels``, or (0.0, None) if no
+    pair qualifies.  Ties go to the smallest (i, j) in row-major order."""
     best = None
     order = np.argsort(group_labels, kind="stable")
     sorted_labels = group_labels[order]
@@ -254,8 +259,8 @@ def _farthest_pair(X, sq_norms, group_labels, pair_labels):
         if members.size > 1 and np.any(labels != labels[0]):
             best = _scan_group(X, sq_norms, members, labels, best)
     if best is None:
-        return 0.0, None, False
-    return float(np.sqrt(best[0])), best[1], True
+        return 0.0, None
+    return float(np.sqrt(best[0])), best[1]
 
 
 def _scan_group(X, sq_norms, members, labels, best):

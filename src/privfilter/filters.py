@@ -88,10 +88,6 @@ class FilterState:
     def layer_dims(self) -> tuple:
         return (self.input_dim, *self.hidden_dims, self.output_dim)
 
-    @property
-    def n_params(self) -> int:
-        return self.params.size
-
     def as_matrix(self) -> np.ndarray:
         """The projection matrix U (linear filters only)."""
         if self.kind is not FilterKind.LINEAR:
@@ -234,17 +230,11 @@ def filter_param_grad(f: FilterState, X, upstream, hidden=None) -> np.ndarray:
     return _pack_mlp([(g_w1, g_b1), (g_w2, g_b2), (g_w3, g_b3)])
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def init_filter(kind, input_dim, output_dim, hidden_dims=DEFAULT_HIDDEN,
                 seed=None) -> FilterState:
     """Random initialization, uniform in +-1/sqrt(fan_in) per layer."""
     kind = FilterKind(kind)
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     if kind is FilterKind.LINEAR:
         bound = 1.0 / np.sqrt(input_dim)
         params = rng.uniform(-bound, bound, size=(input_dim, output_dim)).ravel()
@@ -345,7 +335,7 @@ def pretrain_autoencoder(X, output_dim, hidden_dims=DEFAULT_HIDDEN,
         raise DataError("noise_level must be non-negative")
     if epochs < 0:
         raise DataError("epochs must be non-negative")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     state = init_filter(FilterKind.TWO_LAYER_SIGMOID, X.shape[1], output_dim,
                         hidden_dims, seed=rng)
     layers = _unpack_mlp(state)

@@ -13,13 +13,17 @@ same two release and evaluation functions.
 The release bounds rows into the unit ball and adds noise in one of two
 orders: the "pre" chain bounds and perturbs the filter outputs (noise
 dimension d); the "post" chain bounds and perturbs the raw features and
-fits and applies the filter afterwards (noise dimension D).  Chain
-"none" releases the filter outputs as they are, so its configs accept
-only epsilon_inverse = 0 and no ``bound_scale``.
+fits and applies the filter afterwards (noise dimension D).  Bounded
+rows lie in the unit ball, so any two differ by at most 2 and the noise
+uses the mechanism's sensitivity S = 2 (``dp_mech.DEFAULT_SENSITIVITY``).
+Chain "none" releases the filter outputs as they are, so its configs
+accept only epsilon_inverse = 0 and no ``bound_kind`` or ``bound_scale``.
 
-Evaluation heads are fit with an appended constant feature, giving the
-attack model an intercept even though heads themselves are bias-free;
-filters never see that column.
+Evaluation heads are softmax heads with ridge ``EVAL_REG_LAMBDA``, fit
+to gradient norm ``EVAL_TOL`` in at most ``eval_max_iter`` Newton steps
+with an appended constant feature, giving the attack model an intercept
+even though heads themselves are bias-free; filters never see that
+column.
 
 Each cell runs in its own call (``_run_cell``), so none of its arrays
 outlives it, and each array dies as soon as the next stage has been
@@ -35,7 +39,7 @@ continues.  All randomness is derived from the master seed and the cell
 indices, so any cell is reproducible in isolation and the whole report is
 deterministic; recorded wall times are the only non-deterministic field.
 Each record also keeps the risk-gradient norm of both evaluation heads
-(``target_head_grad``, ``private_head_grad``): above ``eval_tol``, the
+(``target_head_grad``, ``private_head_grad``): above ``EVAL_TOL``, the
 head stopped at ``eval_max_iter`` Newton steps, or where its line search
 made no progress, short of the best-response attack.  A
 minimax cell records how the fit behind its filter ended
@@ -83,6 +87,9 @@ _TRAIN_FIELDS = ("train_stop_reason", "train_iterations",
 _RUN_FIELDS = ("target_head_grad", "private_head_grad", "wall_time_s",
                *_TRAIN_FIELDS)
 
+EVAL_REG_LAMBDA = 1e-6  # ridge of the evaluation heads
+EVAL_TOL = 1e-6  # gradient-norm tolerance of the evaluation heads
+
 _ROLE_SPLIT = 0
 _ROLE_FILTER = 1
 _ROLE_NOISE = 2
@@ -104,9 +111,8 @@ class ExperimentConfig:
     dims: tuple = (5,)
     epsilon_inverses: tuple = (0.0,)
     chain: str = "none"
-    bound_kind: str = "clip"
+    bound_kind: str | None = None  # None: "clip" under chain "pre"/"post"
     bound_scale: float | None = None  # None: reciprocal 95th-percentile rule
-    sensitivity: float = 2.0
     trials: int = 10
     train_fraction: float = 0.8
     master_seed: int = 0
@@ -114,10 +120,7 @@ class ExperimentConfig:
     lds_init: bool = False
     mlp_hidden: tuple = DEFAULT_HIDDEN
     pretrain_epochs: int = 0
-    pretrain_noise: float = 0.1
     ppls_lambda: float = 1.0
-    eval_reg_lambda: float = 1e-6
-    eval_tol: float = 1e-6
     eval_max_iter: int = 300  # Newton steps per evaluation head
 
     def __post_init__(self):
@@ -140,12 +143,16 @@ class ExperimentConfig:
         if self.chain == "none" and any(self.epsilon_inverses):
             raise DataError("chain 'none' releases no noise; a nonzero "
                             "epsilon_inverse needs chain 'pre' or 'post'")
-        BoundKind(self.bound_kind)
+        if self.bound_kind is not None:
+            BoundKind(self.bound_kind)
         if self.bound_scale is not None and self.bound_scale <= 0:
             raise DataError("bound_scale must be positive (or None for automatic)")
-        if self.chain == "none" and self.bound_scale is not None:
-            raise DataError("chain 'none' bounds no rows; a bound_scale "
-                            "needs chain 'pre' or 'post'")
+        for name in ("bound_kind", "bound_scale"):
+            if self.chain == "none" and getattr(self, name) is not None:
+                raise DataError(f"chain 'none' bounds no rows; a {name} "
+                                "needs chain 'pre' or 'post'")
+        if self.chain != "none" and self.bound_kind is None:
+            object.__setattr__(self, "bound_kind", BoundKind.CLIP.value)
         if self.trials < 1:
             raise DataError("trials must be at least 1")
         if not 0.0 < self.train_fraction < 1.0:
@@ -160,7 +167,7 @@ def fit_filter(kind: str, train: Dataset, d: int, cfg: ExperimentConfig, rng):
     """
     if kind not in FILTER_CHOICES:
         raise DataError(f"unknown filter {kind!r}")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     if kind == "raw":
         return identity_filter(train.dim), None
     if not 1 <= d <= train.dim:
@@ -189,8 +196,7 @@ def fit_filter(kind: str, train: Dataset, d: int, cfg: ExperimentConfig, rng):
     # minimax-mlp
     if cfg.pretrain_epochs > 0:
         init = pretrain_autoencoder(train.X, d, cfg.mlp_hidden,
-                                    cfg.pretrain_noise, cfg.pretrain_epochs,
-                                    seed=rng)
+                                    epochs=cfg.pretrain_epochs, seed=rng)
     else:
         init = init_filter(FilterKind.TWO_LAYER_SIGMOID, train.dim, d,
                            cfg.mlp_hidden, seed=rng)
@@ -212,7 +218,7 @@ def release_features(train_rows, test_rows, cfg, einv, noise_rng):
     scale = cfg.bound_scale
     if scale is None:
         scale = bound_scale_from_norms(np.linalg.norm(train_rows, axis=1))
-    noise = NoiseConfig.from_epsilon_inverse(einv, sensitivity=cfg.sensitivity)
+    noise = NoiseConfig.from_epsilon_inverse(einv)
     released = []
     for rows in (train_rows, test_rows):
         out = bound(cfg.bound_kind, scale, rows)
@@ -236,7 +242,7 @@ def evaluate_heads(g_train, g_test, train, test, data, cfg):
     """Score released features with fresh softmax attack heads.
 
     Fits target (z) and private (y) heads on the released training rows
-    at ``eval_reg_lambda``, ``eval_tol`` and ``eval_max_iter`` and scores
+    at ``EVAL_REG_LAMBDA``, ``EVAL_TOL`` and ``eval_max_iter`` and scores
     them on the released test rows.  Returns the accuracies, their
     difference (``tradeoff``), chance levels and both heads' risk-gradient
     norms.
@@ -250,12 +256,10 @@ def _score_heads(G_train, G_test, train, test, data, cfg):
     column."""
     num_target = data.num_target_classes
     num_private = data.num_private_classes
-    target_head = fit_softmax(G_train, train.z, num_target,
-                              cfg.eval_reg_lambda, tol=cfg.eval_tol,
-                              max_iter=cfg.eval_max_iter)
-    private_head = fit_softmax(G_train, train.y, num_private,
-                               cfg.eval_reg_lambda, tol=cfg.eval_tol,
-                               max_iter=cfg.eval_max_iter)
+    target_head = fit_softmax(G_train, train.z, num_target, EVAL_REG_LAMBDA,
+                              tol=EVAL_TOL, max_iter=cfg.eval_max_iter)
+    private_head = fit_softmax(G_train, train.y, num_private, EVAL_REG_LAMBDA,
+                               tol=EVAL_TOL, max_iter=cfg.eval_max_iter)
     target_acc = accuracy(target_head, G_test, test.z)
     private_acc = accuracy(private_head, G_test, test.y)
     return {

@@ -121,7 +121,7 @@ def _check_feature_matrix(G, dim=None) -> np.ndarray:
     return G
 
 
-def _label_index(labels, num_classes) -> np.ndarray:
+def _label_index(labels) -> np.ndarray:
     """Flat indices of the labelled entries of a (num_classes, n) array."""
     return (labels - 1) * labels.size + np.arange(labels.size)
 
@@ -169,7 +169,7 @@ def softmax_risk(head: SoftmaxHead, G, labels):
     n = G.shape[0]
     lam = head.reg_lambda
     nll, residual = _softmax_core(head.weights, np.ascontiguousarray(G.T),
-                                  _label_index(labels, head.num_classes))
+                                  _label_index(labels))
     risk = nll + 0.5 * lam * float((head.weights ** 2).sum())
     grad_head = residual @ G / n + lam * head.weights
     grad_features = residual.T @ head.weights / n
@@ -217,7 +217,7 @@ def fit_softmax_with_info(G, labels, num_classes, reg_lambda=1e-6, tol=1e-8,
         raise ShapeError("warm-start head has the wrong shape")
     lam = float(reg_lambda)
     G_t = np.ascontiguousarray(G.T)
-    label_index = _label_index(labels, num_classes)
+    label_index = _label_index(labels)
 
     def value_and_grad(weights):
         nll, residual = _softmax_core(weights, G_t, label_index)

@@ -351,21 +351,23 @@ class TrainReport:
 
     ``stop_reason`` is ``"converged"`` (slow progress), ``"stalled"`` (no
     step passed the Armijo test along the negated gradient) or
-    ``"max_iter"``; None in reports made before the field existed.  A
-    stalled search's ``joint_objective``
-    calls and head-solver iterations belong to no record, so they are
-    kept in ``stall_probes`` and ``stall_inner_iterations`` (0 otherwise).
+    ``"max_iter"``.  A stalled search's ``joint_objective`` calls and
+    head-solver iterations belong to no record, so they are kept in
+    ``stall_probes`` and ``stall_inner_iterations`` (0 otherwise).
     ``inner_unconverged`` counts the softmax head fits of the whole run,
     stalled search included, that ended above ``inner_tol``.
     """
 
     records: tuple
     final_state: FilterState
-    converged: bool
-    stop_reason: str | None = None
+    stop_reason: str
     stall_probes: int = 0
     stall_inner_iterations: int = 0
     inner_unconverged: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def iterations(self) -> int:
@@ -538,5 +540,5 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
                 break
         else:
             slow_count = 0
-    return TrainReport(tuple(records), state, stop_reason == "converged",
-                       stop_reason, stall_probes, stall_inner, unconverged)
+    return TrainReport(tuple(records), state, stop_reason, stall_probes,
+                       stall_inner, unconverged)

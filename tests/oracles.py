@@ -64,16 +64,15 @@ def dense_diameters(X, y, z):
     def best(mask):
         mask = mask & upper
         if not mask.any():
-            return 0.0, None, False
+            return 0.0, None
         masked = np.where(mask, sq_dist, -np.inf)
         flat = int(np.argmax(masked))
         i, j = divmod(flat, X.shape[0])
-        return float(np.sqrt(masked[i, j])), (i, j), True
+        return float(np.sqrt(masked[i, j])), (i, j)
 
-    cross, cross_pair, cross_ok = best(y_differs & ~z_differs)
-    within, within_pair, within_ok = best(~y_differs & z_differs)
-    return DiameterReport(cross, within, cross_pair, within_pair,
-                          cross_ok, within_ok)
+    cross, cross_pair = best(y_differs & ~z_differs)
+    within, within_pair = best(~y_differs & z_differs)
+    return DiameterReport(cross, within, cross_pair, within_pair)
 
 
 def softmax_core_reference(weights, G, labels):
@@ -117,7 +116,7 @@ def lbfgs_softmax_reference(G, labels, num_classes, reg_lambda, tol, max_iter,
     x0 = (np.zeros(num_classes * d) if init is None
           else init.weights.ravel().copy())
     G_t = np.ascontiguousarray(G.T)
-    label_index = _label_index(labels, num_classes)
+    label_index = _label_index(labels)
 
     def value_and_grad(flat):
         weights = flat.reshape(num_classes, d)

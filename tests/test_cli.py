@@ -2,10 +2,11 @@ import contextlib
 import io
 import json
 import logging
+from dataclasses import fields
 
 import numpy as np
 
-from privfilter.cli import main
+from privfilter.cli import _EXPERIMENT_PARSERS, main
 from privfilter.data import load_csv
 from privfilter.filters import load_filter
 from privfilter.harness import ExperimentConfig, load_results, run_experiment
@@ -217,6 +218,18 @@ def test_error_paths_exit_nonzero(tmp_path):
     assert code == 1 and "cannot read" in err
 
 
+def test_experiment_keys_mirror_the_config_fields(tmp_path):
+    # every ExperimentConfig field but the [tradeoff] section has one key
+    assert set(_EXPERIMENT_PARSERS) == (
+        {f.name for f in fields(ExperimentConfig)} - {"tradeoff"})
+    path = _make_dataset(tmp_path)
+    config = tmp_path / "old.ini"
+    config.write_text("[experiment]\nchain = pre\nsensitivity = 3.0\n")
+    code, _, err = _run(["sweep", "--data", str(path), "--config",
+                         str(config), "--out", str(tmp_path / "x")])
+    assert code == 1 and "unknown [experiment] key 'sensitivity'" in err
+
+
 def test_eval_of_a_malformed_filter_exits_with_an_error(tmp_path):
     from privfilter.records import write_record
     path = _make_dataset(tmp_path)
@@ -249,6 +262,11 @@ def test_sweep_rejects_a_noise_grid_without_a_release_chain(tmp_path):
                          "--out", str(tmp_path / "s")])
     assert code != 0 and "chain 'none'" in err
     assert not (tmp_path / "s.csv").exists()
+    code, _, err = _run(["sweep", "--data", str(path), "--filter", "pca",
+                         "--dim", "2", "--trials", "1", "--bound", "squash",
+                         "--out", str(tmp_path / "k")])
+    assert code == 1 and "a bound_kind needs chain 'pre' or 'post'" in err
+    assert not (tmp_path / "k.csv").exists()
     code, _, err = _run(["sweep", "--data", str(path), "--filter", "pca",
                          "--dim", "2", "--trials", "1",
                          "--epsilon-inverse", "0,1", "--chain", "pre",

@@ -8,7 +8,7 @@ import pytest
 from privfilter.data import Dataset, gen_synthetic, split_per_subject
 from privfilter.errors import DataError, ShapeError
 from privfilter.filters import FilterKind, apply_filter
-from privfilter.harness import (CHAIN_CHOICES, FILTER_CHOICES,
+from privfilter.harness import (CHAIN_CHOICES, EVAL_TOL, FILTER_CHOICES,
                                 ExperimentConfig, derive_rng, export_results,
                                 fit_filter, load_results, run_experiment)
 from privfilter.minimax_opt import classification_tradeoff
@@ -78,6 +78,18 @@ def test_noise_grid_needs_a_release_chain():
         for chain in ("pre", "post"):
             assert ExperimentConfig(epsilon_inverses=grid,
                                     chain=chain).epsilon_inverses == grid
+
+
+def test_bound_kind_needs_a_release_chain():
+    # chain "none" bounds no rows, so an explicit kind would be ignored
+    for kind in ("clip", "squash"):
+        with pytest.raises(DataError, match="a bound_kind needs chain"):
+            ExperimentConfig(bound_kind=kind)
+    assert ExperimentConfig().bound_kind is None
+    for chain in ("pre", "post"):
+        assert ExperimentConfig(chain=chain).bound_kind == "clip"
+        assert ExperimentConfig(chain=chain,
+                                bound_kind="squash").bound_kind == "squash"
     assert ExperimentConfig(epsilon_inverses=(0.0, 0.0)).chain == "none"
 
 
@@ -318,11 +330,11 @@ def test_evaluation_head_convergence_is_recorded_outside_the_payload():
     converged = run_experiment(replace(cfg, eval_max_iter=1000), data)
     for r in stopped.records:
         assert r["error"] is None
-        assert r["target_head_grad"] > cfg.eval_tol
-        assert r["private_head_grad"] > cfg.eval_tol
+        assert r["target_head_grad"] > EVAL_TOL
+        assert r["private_head_grad"] > EVAL_TOL
     for r in converged.records:
-        assert r["target_head_grad"] <= cfg.eval_tol
-        assert r["private_head_grad"] <= cfg.eval_tol
+        assert r["target_head_grad"] <= EVAL_TOL
+        assert r["private_head_grad"] <= EVAL_TOL
     for report in (stopped, converged):
         assert all(set(r) == _PAYLOAD_FIELDS
                    for r in report.scientific_payload())

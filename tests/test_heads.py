@@ -339,7 +339,7 @@ def test_softmax_core_matches_reference_to_rounding(num_classes):
         weights = rng.standard_normal((num_classes, d)) * 2.0
         labels = rng.integers(1, num_classes + 1, size=n)
         nll, residual = _softmax_core(weights, np.ascontiguousarray(G.T),
-                                      _label_index(labels, num_classes))
+                                      _label_index(labels))
         ref_nll, ref_residual = softmax_core_reference(weights, G, labels)
         # the core adds each sample's num_classes shifted exponentials (each
         # in [0, 1], the largest 1) in another order than the reference, so
@@ -491,7 +491,7 @@ def test_softmax_hessian_matches_finite_differences():
     weights = 0.5 * rng.standard_normal((3, 4))
     lam = 1e-3
     G_t = np.ascontiguousarray(G.T)
-    label_index = _label_index(labels, 3)
+    label_index = _label_index(labels)
     _, residual = _softmax_core(weights, G_t, label_index)
     residual.reshape(-1)[label_index] += 1.0
     hessian = _softmax_hessian(residual, G, G_t, lam)
@@ -536,7 +536,7 @@ def test_softmax_hvp_matches_the_dense_hessian():
         G, labels = _random_instance(rng, n=90, d=d, num_classes=num_classes)
         weights = 0.5 * rng.standard_normal((num_classes, d))
         G_t = np.ascontiguousarray(G.T)
-        label_index = _label_index(labels, num_classes)
+        label_index = _label_index(labels)
         _, probs = _softmax_core(weights, G_t, label_index)
         probs.reshape(-1)[label_index] += 1.0
         hessian = _softmax_hessian(probs, G, G_t, lam)
