@@ -15,7 +15,8 @@ turns the exponential into a Gamma).  In one dimension this reduces to
 the scalar Laplace distribution.
 
 The release itself, which bounds and perturbs rows in one of two orders,
-is ``harness.release_features``.
+is ``harness.release_features``.  This module needs numpy alone; in
+particular it does not load ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DataError, ShapeError
 
@@ -158,7 +158,8 @@ def log_density(xi, cfg: NoiseConfig) -> float | np.ndarray:
 
     The normalizer of exp(-rate ||xi||) over R^d is
     surface(S^{d-1}) * Gamma(d) / rate^d with
-    surface(S^{d-1}) = 2 pi^{d/2} / Gamma(d/2).
+    surface(S^{d-1}) = 2 pi^{d/2} / Gamma(d/2).  The log-Gammas come from
+    ``math.lgamma``, so the release layer needs no ``scipy.special``.
     """
     if not cfg.noisy:
         raise DataError("the no-noise sentinel has no density")
@@ -167,8 +168,9 @@ def log_density(xi, cfg: NoiseConfig) -> float | np.ndarray:
     rows = np.atleast_2d(xi)
     dim = rows.shape[1]
     rate = cfg.rate
-    log_norm = (math.log(2.0) + 0.5 * dim * math.log(math.pi) - gammaln(0.5 * dim)
-                + gammaln(dim) - dim * math.log(rate))
+    log_norm = (math.log(2.0) + 0.5 * dim * math.log(math.pi)
+                - math.lgamma(0.5 * dim) + math.lgamma(dim)
+                - dim * math.log(rate))
     values = -rate * np.linalg.norm(rows, axis=1) - log_norm
     return float(values[0]) if single else values
 

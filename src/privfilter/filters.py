@@ -18,6 +18,12 @@ forward pass, the backward pass and the denoising-autoencoder epochs work
 in the buffers their matrix products allocate, with the same operations
 in the same order as the plain expressions: the results match those bit
 for bit without the n-row temporaries each expression would allocate.
+
+The sigmoid is ``scipy.special.expit``, imported on the first MLP forward
+pass: a process that only uses linear filters never loads
+``scipy.special``.  A numpy sigmoid would be faster but rounds
+differently, and the MLP workloads' private accuracies move with those
+last bits.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DataError, ShapeError
 from .records import read_record, write_record
@@ -140,6 +145,7 @@ def _affine(X, w, b, sigmoid):
     h = X @ w
     h += b
     if sigmoid:
+        from scipy.special import expit  # loaded by the first MLP pass only
         expit(h, out=h)
     return h
 

@@ -18,6 +18,13 @@ rows lie in the unit ball, so any two differ by at most 2 and the noise
 uses the mechanism's sensitivity S = 2 (``dp_mech.DEFAULT_SENSITIVITY``).
 Chain "none" releases the filter outputs as they are, so its configs
 accept only epsilon_inverse = 0 and no ``bound_kind`` or ``bound_scale``.
+A sweep bounds each set of rows once: the post chain bounds the split
+once per trial, and the bounded rows replace the raw ones, which that
+chain never reads again; the pre chain bounds each filter's outputs once
+per (filter, dim, trial).  The bounded rows are read-only and shared by
+the cells that release them, and each cell only draws and adds its
+noise (none at epsilon_inverse = 0, where the bounded rows pass through
+as they are).
 
 Evaluation heads are softmax heads with ridge ``EVAL_REG_LAMBDA``, fit
 to gradient norm ``EVAL_TOL`` in at most ``eval_max_iter`` Newton steps
@@ -27,12 +34,14 @@ column.
 
 Each cell runs in its own call (``_run_cell``), so none of its arrays
 outlives it, and each array dies as soon as the next stage has been
-built from it: the release adds its noise in place into the bounded
-rows, the post chain's released raw rows die once the fitted filter has
-been applied to them, and the bare filter outputs die once the
-intercept column is appended.  The largest head solve of a cell thus
-runs next to the split and the cell's two evaluation matrices only.
-The split is shared by all cells of a trial.
+built from it: the release adds the bounded rows in place into its
+noise, the post chain's released raw rows die once the fitted filter
+has been applied to them, and the bare filter outputs die once the
+intercept column is appended.  The evaluation features are stored
+transposed, one (d + 1, n) buffer per half that both heads, the solver
+and the gradient diagnostics read without a transposed copy.  The
+largest head solve of a cell thus runs next to the split, the bounded
+rows it shares with other cells and its own two evaluation matrices.
 
 Per-cell failures are recorded in the cell's record and the run
 continues.  All randomness is derived from the master seed and the cell
@@ -44,8 +53,15 @@ head stopped at ``eval_max_iter`` Newton steps, or where its line search
 made no progress, short of the best-response attack.  A
 minimax cell records how the fit behind its filter ended
 (``train_stop_reason``, ``train_iterations``, ``train_objective_calls``
-and ``train_inner_unconverged``, all None for other filters).  These
-solver diagnostics and the wall time stay out of the scientific payload.
+and ``train_inner_unconverged``, all None for other filters), and every
+cell the ``bound_scale`` its release used and its ``clip_frac``, the
+share of the bounded rows of both halves that lay beyond the clip scale
+(both None on chain "none"; ``clip_frac`` None for other bounds).  These
+diagnostics and the wall time stay out of the scientific payload.
+
+Nothing here loads ``scipy.special``: sweeps over linear filters and
+baselines never import it, and an MLP filter loads it on its first
+forward pass (``filters._affine``).
 
 Random streams (roles): 0 splits, keyed (trial); 1 filter fitting, keyed
 (filter, dim, trial) plus the noise index for post chains since those
@@ -72,7 +88,8 @@ from .errors import DataError, ShapeError
 from .filters import (DEFAULT_HIDDEN, FilterKind, apply_filter,
                       identity_filter, init_filter, linear_filter,
                       pretrain_autoencoder)
-from .heads import accuracy, fit_softmax, one_hot, softmax_risk
+from .heads import (_label_index, _softmax_core, accuracy, fit_softmax,
+                    one_hot)
 from .minimax_opt import TradeoffConfig, train_minimax
 
 SCHEMA_VERSION = 1
@@ -83,9 +100,12 @@ CHAIN_CHOICES = ("none", "pre", "post")
 # How a cell's minimax fit ended (None for filters without one)
 _TRAIN_FIELDS = ("train_stop_reason", "train_iterations",
                  "train_objective_calls", "train_inner_unconverged")
+# The bound scale a cell's release used and the share of its rows clipped
+# (``_bound_halves``; None on chain "none")
+_BOUND_FIELDS = ("bound_scale", "clip_frac")
 # Record fields left out of EvalReport.scientific_payload()
 _RUN_FIELDS = ("target_head_grad", "private_head_grad", "wall_time_s",
-               *_TRAIN_FIELDS)
+               *_TRAIN_FIELDS, *_BOUND_FIELDS)
 
 EVAL_REG_LAMBDA = 1e-6  # ridge of the evaluation heads
 EVAL_TOL = 1e-6  # gradient-norm tolerance of the evaluation heads
@@ -210,20 +230,61 @@ def release_features(train_rows, test_rows, cfg, einv, noise_rng):
     The pre chain passes filter outputs, the post chain raw features;
     with chain "none" the rows come back unchanged.  The training rows
     draw their noise first.  Without a configured ``bound_scale`` the
-    scale is fit on the training rows.  The noise is added in place into
-    the new arrays ``bound`` returns; the inputs are left as they are.
+    scale is fit on the training rows.  The inputs are left as they are;
+    at ``einv = 0`` the bounded rows come back read-only, otherwise the
+    noise arrays with the bounded rows added in place.  A sweep runs the
+    same two steps, ``_bound_halves`` and ``_add_noise``, but bounds once
+    per trial (post chain) or per filter (pre chain).
     """
     if cfg.chain == "none":
         return train_rows, test_rows
+    bounded, _ = _bound_halves(train_rows, test_rows, cfg)
+    return _add_noise(bounded, einv, noise_rng)
+
+
+def _bound_halves(train_rows, test_rows, cfg):
+    """Both halves bounded into the unit ball, plus their bound fields.
+
+    Returns the read-only bounded (train, test) rows, shared by every
+    cell that releases them, and a dict with the ``bound_scale`` used and
+    the ``clip_frac``: the share of rows of both halves beyond the clip
+    scale, which ``clip`` maps to the unit sphere instead of scaling by
+    1/scale (None for ``squash`` and ``normalize``, which have no linear
+    region).
+    """
+    norms = np.linalg.norm(train_rows, axis=1)
     scale = cfg.bound_scale
     if scale is None:
-        scale = bound_scale_from_norms(np.linalg.norm(train_rows, axis=1))
-    noise = NoiseConfig.from_epsilon_inverse(einv)
-    released = []
+        scale = bound_scale_from_norms(norms)
+    bounded = []
     for rows in (train_rows, test_rows):
         out = bound(cfg.bound_kind, scale, rows)
-        out += sample_noise(noise, rows.shape[1], rng=noise_rng,
-                            size=rows.shape[0])
+        out.flags.writeable = False
+        bounded.append(out)
+    clip_frac = None
+    if BoundKind(cfg.bound_kind) is BoundKind.CLIP:
+        clipped = int(np.count_nonzero(norms > scale)) + int(np.count_nonzero(
+            np.linalg.norm(test_rows, axis=1) > scale))
+        clip_frac = clipped / (len(train_rows) + len(test_rows))
+    return tuple(bounded), {"bound_scale": float(scale),
+                            "clip_frac": clip_frac}
+
+
+def _add_noise(rows, einv, noise_rng):
+    """The (train, test) ``rows`` plus fresh noise at ``epsilon_inverse =
+    einv``, the training rows drawing first.
+
+    Each half's noise array gets its rows added in place; at ``einv = 0``
+    no noise is drawn and ``rows`` come back as they are.
+    """
+    noise = NoiseConfig.from_epsilon_inverse(einv)
+    if not noise.noisy:
+        return rows
+    released = []
+    for half in rows:
+        out = sample_noise(noise, half.shape[1], rng=noise_rng,
+                           size=half.shape[0])
+        out += half
         released.append(out)
     return tuple(released)
 
@@ -233,9 +294,15 @@ def _with_intercept(G):
 
     Heads have no intercept of their own; the evaluation heads get one
     from this column, so the attack model is a full logistic regression
-    (filters never see it).
+    (filters never see it).  The result is the (n, d + 1) transpose of a
+    C-contiguous (d + 1, n) buffer, the layout the softmax solver and
+    ``_head_grad`` read, so no fit makes a transposed copy.
     """
-    return np.hstack([G, np.ones((G.shape[0], 1))])
+    n, d = G.shape
+    out = np.empty((d + 1, n))
+    out[:d] = G.T
+    out[d] = 1.0
+    return out.T
 
 
 def evaluate_heads(g_train, g_test, train, test, data, cfg):
@@ -274,8 +341,15 @@ def _score_heads(G_train, G_test, train, test, data, cfg):
 
 
 def _head_grad(head, G, labels):
-    """Norm of the head's risk gradient on the features it was fit on."""
-    return float(np.linalg.norm(softmax_risk(head, G, labels)[1]))
+    """Norm of the head's risk gradient on the features it was fit on.
+
+    The gradient is ``softmax_risk``'s, from the same residual and the
+    same expression, without the per-sample feature gradient it also
+    builds.  ``G`` is the transposed buffer of ``_with_intercept``.
+    """
+    _, residual = _softmax_core(head.weights, G.T, _label_index(labels))
+    grad = residual @ G / G.shape[0] + head.reg_lambda * head.weights
+    return float(np.linalg.norm(grad))
 
 
 @dataclass(frozen=True)
@@ -345,36 +419,49 @@ class EvalReport:
         return float(np.mean(values))
 
 
-def _run_cell(kind, d, einv, key, cached, train, test, data, cfg,
+def _bound_split(train, test, cfg):
+    """A post chain's split with its rows bounded in place of the raw rows,
+    which that chain never reads again, and the bound fields."""
+    (X_train, X_test), fields = _bound_halves(train.X, test.X, cfg)
+    return replace(train, X=X_train), replace(test, X=X_test), fields
+
+
+def _filter_outputs(filt, train, test, cfg):
+    """A pre or none chain's rows to release: the filter outputs of both
+    halves, bounded on a pre chain, and their bound fields (none on chain
+    "none")."""
+    rows = (apply_filter(filt, train.X), apply_filter(filt, test.X))
+    if cfg.chain == "none":
+        return rows, {}
+    return _bound_halves(*rows, cfg)
+
+
+def _run_cell(kind, d, einv, key, fitted, rows, train, test, data, cfg,
               training_log):
     """Release, filter and score one grid cell; returns (TrainReport or
     None, ``evaluate_heads`` scores).
 
-    ``key`` is the cell's (filter, dim, noise, trial) index.  A post
-    chain fits its filter here, on the released rows; the other chains
-    pass the ``cached`` (filter, TrainReport or None) of their
-    (filter, dim).  Each array dies as soon as the next stage has been
-    built from it, and none outlives the cell.
+    ``key`` is the cell's (filter, dim, noise, trial) index and ``rows``
+    the bounded (train, test) rows that the cell perturbs: the split's
+    features on a post chain, which fits its filter here, on the released
+    rows; the filter outputs of the (filter, dim) otherwise, whose
+    ``fitted`` (filter, TrainReport or None) is passed in.  Each array
+    dies as soon as the next stage has been built from it, and none
+    outlives the cell.
     """
     fi, di, ei, trial = key
-    noise_rng = derive_rng(cfg.master_seed, _ROLE_NOISE, fi, di, ei, trial)
+    g_train, g_test = _add_noise(rows, einv, derive_rng(
+        cfg.master_seed, _ROLE_NOISE, fi, di, ei, trial))
     if cfg.chain == "post":
-        X_train, X_test = release_features(train.X, test.X, cfg, einv,
-                                           noise_rng)
         filt, report = fit_filter(
-            kind, replace(train, X=X_train), d, cfg,
+            kind, replace(train, X=g_train), d, cfg,
             derive_rng(cfg.master_seed, _ROLE_FILTER, fi, di, ei, trial))
         if training_log is not None and report is not None:
             training_log.append(report)
-        g_train = apply_filter(filt, X_train)
-        del X_train
-        g_test = apply_filter(filt, X_test)
-        del X_test
+        g_train = apply_filter(filt, g_train)
+        g_test = apply_filter(filt, g_test)
     else:
-        filt, report = cached
-        g_train, g_test = release_features(apply_filter(filt, train.X),
-                                           apply_filter(filt, test.X),
-                                           cfg, einv, noise_rng)
+        report = fitted[1]
     G_train = _with_intercept(g_train)
     del g_train
     G_test = _with_intercept(g_test)
@@ -388,7 +475,13 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
     TrainReport of every minimax fit for convergence inspection.  Each
     finished cell logs one INFO record on this module's logger with its
     position in the grid, filter, dim, epsilon_inverse, trial, wall time,
-    the ``_TRAIN_FIELDS`` of its minimax fit and error."""
+    the ``_TRAIN_FIELDS`` of its minimax fit and error.
+
+    Each release step runs once: a post chain bounds the split once per
+    trial, a pre chain fits, applies and bounds each filter once per
+    (filter, dim, trial), and each cell only draws and adds its noise.
+    A step that fails is retried by the next cell that needs it, and each
+    of those cells records the error."""
     if data.z is None:
         raise DataError("the experiment protocol needs target labels z")
     if any(d > data.dim for d in cfg.dims):
@@ -399,10 +492,12 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
     for trial in range(cfg.trials):
         split_rng = derive_rng(cfg.master_seed, _ROLE_SPLIT, trial)
         train, test = split_per_subject(data, cfg.train_fraction, split_rng)
+        split_fields = None  # bound fields of a post chain's bounded split
         for fi, kind in enumerate(cfg.filters):
             dims = (data.dim,) if kind == "raw" else cfg.dims
             for di, d in enumerate(dims):
-                cached = None  # (filter, TrainReport or None) of a pre/none chain
+                fitted = None  # (filter, TrainReport or None) of a pre/none chain
+                outputs = None  # (its rows to release, bound fields)
                 for ei, einv in enumerate(cfg.epsilon_inverses):
                     start = time.perf_counter()
                     record = {
@@ -420,18 +515,31 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
                         "target_head_grad": None,
                         "private_head_grad": None,
                         **dict.fromkeys(_TRAIN_FIELDS),
+                        **dict.fromkeys(_BOUND_FIELDS),
                     }
                     try:
-                        if cfg.chain != "post" and cached is None:
-                            cached = fit_filter(
-                                kind, train, d, cfg,
-                                derive_rng(cfg.master_seed, _ROLE_FILTER,
-                                           fi, di, trial))
-                            if training_log is not None and cached[1] is not None:
-                                training_log.append(cached[1])
+                        if cfg.chain == "post":
+                            if split_fields is None:
+                                train, test, split_fields = _bound_split(
+                                    train, test, cfg)
+                            record.update(split_fields)
+                        else:
+                            if fitted is None:
+                                fitted = fit_filter(
+                                    kind, train, d, cfg,
+                                    derive_rng(cfg.master_seed, _ROLE_FILTER,
+                                               fi, di, trial))
+                                if training_log is not None and fitted[1] is not None:
+                                    training_log.append(fitted[1])
+                            if outputs is None:
+                                outputs = _filter_outputs(fitted[0], train,
+                                                          test, cfg)
+                            record.update(outputs[1])
                         report, scores = _run_cell(
-                            kind, d, einv, (fi, di, ei, trial), cached,
-                            train, test, data, cfg, training_log)
+                            kind, d, einv, (fi, di, ei, trial), fitted,
+                            (train.X, test.X) if cfg.chain == "post"
+                            else outputs[0], train, test, data, cfg,
+                            training_log)
                         if report is not None:
                             record.update(zip(_TRAIN_FIELDS, (
                                 report.stop_reason, report.iterations,

@@ -323,16 +323,18 @@ def _softmax_hvp(probs, G, G_t, lam, v, work):
 
     Hv = (1/n) sum_i (diag(p_i) - p_i p_i') (V g_i) g_i' + lam V, built
     class-major from the (K, n) probabilities ``probs`` without forming H.
-    ``work`` is a (2, K, n) scratch array that a conjugate-gradient solve
+    ``work`` is a (K, n) scratch array that a conjugate-gradient solve
     reuses for all its products: fresh (K, n) temporaries on every call
     cost a third of the product's time in page faults at K = 20,
-    n = 6,400.
+    n = 6,400.  The term p_k * sum_j a_j is subtracted one class row at a
+    time, so no second (K, n) array is needed.
     """
-    a, scaled = work
+    a = work
     np.matmul(v, G_t, out=a)
     a *= probs
-    np.multiply(probs, a.sum(axis=0), out=scaled)
-    a -= scaled
+    s = a.sum(axis=0)
+    for a_k, p_k in zip(a, probs):
+        a_k -= p_k * s
     hv = a @ G
     hv /= probs.shape[1]
     hv += lam * v
@@ -351,7 +353,7 @@ def _newton_cg_step(probs, G, G_t, lam, grad, grad_norm, tol):
     shift) it returns the iterate so far, or -grad if there is none yet.
     """
     forcing = max(min(0.5, np.sqrt(grad_norm)) * grad_norm, 0.5 * tol)
-    work = np.empty((2,) + probs.shape)
+    work = np.empty(probs.shape)
     step = np.zeros_like(grad)
     residual = grad.copy()
     direction = -grad

@@ -167,6 +167,21 @@ def test_log_density_integrates_to_one():
         assert total == pytest.approx(1.0, abs=max(1e-8, 10 * err))
 
 
+def test_log_density_matches_the_scipy_log_gamma_normalizer():
+    # math.lgamma stands in for scipy.special.gammaln, so the release layer
+    # loads no scipy.special; the two agree to rounding for every dimension
+    rng = np.random.default_rng(2)
+    for dim in range(1, 200):
+        cfg = NoiseConfig(epsilon=0.7)
+        xi = rng.standard_normal((3, dim))
+        log_norm = (math.log(2.0) + 0.5 * dim * math.log(math.pi)
+                    - gammaln(0.5 * dim) + gammaln(dim)
+                    - dim * math.log(cfg.rate))
+        expected = -cfg.rate * np.linalg.norm(xi, axis=1) - log_norm
+        np.testing.assert_allclose(log_density(xi, cfg), expected,
+                                   rtol=1e-14, atol=1e-12)
+
+
 def test_privacy_ratio_bound_holds_exactly():
     # for bounded inputs u, v and any output point w:
     # |log p(w - b(u)) - log p(w - b(v))| <= rate * ||b(u) - b(v)|| <= epsilon

@@ -5,12 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from privfilter import harness
 from privfilter.data import Dataset, gen_synthetic, split_per_subject
+from privfilter.dp_mech import bound_scale_from_norms
 from privfilter.errors import DataError, ShapeError
 from privfilter.filters import FilterKind, apply_filter
 from privfilter.harness import (CHAIN_CHOICES, EVAL_TOL, FILTER_CHOICES,
                                 ExperimentConfig, derive_rng, export_results,
                                 fit_filter, load_results, run_experiment)
+from privfilter.heads import fit_softmax, softmax_risk
 from privfilter.minimax_opt import classification_tradeoff
 
 
@@ -254,6 +257,97 @@ def test_post_chain_cells_hold_only_their_own_arrays():
     # peak at about 4x the data.  Keeping the released raw rows and the
     # bare filter outputs alive through the head fits peaked at 6x.
     assert peak < 5 * data.X.nbytes
+
+
+def _watch_bound(monkeypatch):
+    """Every array ``harness.bound`` returns, in call order."""
+    outputs = []
+    original = harness.bound
+
+    def watched(*args, **kwargs):
+        outputs.append(original(*args, **kwargs))
+        return outputs[-1]
+    monkeypatch.setattr(harness, "bound", watched)
+    return outputs
+
+
+@pytest.mark.parametrize("chain", ["pre", "post"])
+def test_each_release_bounds_its_rows_once(monkeypatch, chain):
+    bounded = _watch_bound(monkeypatch)
+    cfg = _fast_config(filters=("pca", "rand"), dims=(2, 3), trials=2,
+                       epsilon_inverses=(0.0, 0.5, 1.0), chain=chain)
+    report = run_experiment(cfg, _small_data())
+    assert len(report.records) == 24
+    assert all(r["error"] is None for r in report.records)
+    # a post chain bounds its split (two halves) once per trial, a pre
+    # chain the two halves' filter outputs once per (filter, dim, trial)
+    assert len(bounded) == (2 * 2 if chain == "post" else 2 * 2 * 2 * 2)
+
+
+def test_cells_share_read_only_bounded_rows(monkeypatch):
+    bounded = _watch_bound(monkeypatch)
+    applied = []
+    original = harness.apply_filter
+
+    def watched(filt, X, *args, **kwargs):
+        applied.append(X)
+        return original(filt, X, *args, **kwargs)
+    monkeypatch.setattr(harness, "apply_filter", watched)
+    cfg = _fast_config(filters=("pca",), trials=1, chain="post",
+                       epsilon_inverses=(0.0, 1.0))
+    report = run_experiment(cfg, _small_data())
+    assert all(r["error"] is None for r in report.records)
+    assert len(bounded) == 2
+    for rows in bounded:
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.0
+    # at epsilon_inverse = 0 the filter sees the shared rows themselves;
+    # at 1.0 it sees fresh arrays with noise
+    assert applied[0] is bounded[0] and applied[1] is bounded[1]
+    assert all(X is not rows for X in applied[2:] for rows in bounded)
+
+
+@pytest.mark.parametrize("chain, kind, scale", [
+    ("pre", "clip", None), ("pre", "clip", 2.3), ("post", "clip", 2.3),
+    ("post", "squash", None)])
+def test_cells_record_their_bound_outside_the_payload(chain, kind, scale):
+    data = _small_data()
+    cfg = _fast_config(filters=("raw",), trials=2, chain=chain,
+                       bound_kind=kind, bound_scale=scale,
+                       epsilon_inverses=(0.0, 1.0))
+    report = run_experiment(cfg, data)
+    for r in report.records:
+        # the raw filter releases the split's rows on either chain
+        train, test = split_per_subject(
+            data, cfg.train_fraction, derive_rng(cfg.master_seed, 0, r["trial"]))
+        norms = np.linalg.norm(train.X, axis=1)
+        used = bound_scale_from_norms(norms) if scale is None else scale
+        assert r["bound_scale"] == used
+        if kind == "clip":
+            all_norms = np.concatenate([norms, np.linalg.norm(test.X, axis=1)])
+            assert r["clip_frac"] == np.mean(all_norms > used)
+            # the default reciprocal-percentile scale clips every row
+            assert (r["clip_frac"] == 1.0) == (scale is None)
+        else:
+            assert r["clip_frac"] is None
+    assert all(set(r) == _PAYLOAD_FIELDS for r in report.scientific_payload())
+    plain = run_experiment(_fast_config(filters=("raw",), trials=1), data)
+    assert all(r["bound_scale"] is None and r["clip_frac"] is None
+               for r in plain.records)
+
+
+def test_head_gradient_reads_the_transposed_features_bit_for_bit():
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((70, 4))
+    labels = rng.integers(1, 4, size=70)
+    G = harness._with_intercept(g)
+    # the (n, d + 1) features are a view of one C-contiguous (d + 1, n)
+    # buffer, so neither the solver nor the gradient copies them
+    assert np.array_equal(G, np.hstack([g, np.ones((70, 1))]))
+    assert G.T.flags.c_contiguous
+    head = fit_softmax(G, labels, 3, harness.EVAL_REG_LAMBDA, max_iter=3)
+    expected = np.linalg.norm(softmax_risk(head, G, labels)[1])
+    assert harness._head_grad(head, G, labels) == expected
 
 
 def test_cell_errors_are_recorded_and_do_not_stop_the_run():

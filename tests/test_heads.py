@@ -541,7 +541,7 @@ def test_softmax_hvp_matches_the_dense_hessian():
         probs.reshape(-1)[label_index] += 1.0
         hessian = _softmax_hessian(probs, G, G_t, lam)
         v = rng.standard_normal((num_classes, d))
-        hv = _softmax_hvp(probs, G, G_t, lam, v, np.empty((2,) + probs.shape))
+        hv = _softmax_hvp(probs, G, G_t, lam, v, np.empty(probs.shape))
         np.testing.assert_allclose(hv.ravel(), hessian @ v.ravel(),
                                    rtol=1e-12, atol=1e-14)
 

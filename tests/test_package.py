@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import privfilter
 
 
@@ -12,12 +14,41 @@ def test_public_names_resolve_once():
     assert not missing
 
 
-def test_import_loads_no_scipy_optimize():
-    # scipy.optimize adds about 0.13 s and 17 MB to every process that
-    # imports the package, and no solver in it is used
+def _loaded_in_fresh_interpreter(module, code):
     src = os.path.dirname(os.path.dirname(privfilter.__file__))
-    probe = "import sys, privfilter; print('scipy.optimize' in sys.modules)"
+    probe = f"import sys\n{code}\nprint({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], check=True,
                             capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src})
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip().splitlines()[-1] == "True"
+
+
+# scipy.optimize adds about 0.13 s and 17 MB to every process that imports
+# the package, and no solver in it is used; scipy.special about 3.5 MB, and
+# only the MLP sigmoid uses it
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.special"])
+def test_import_does_not_load(module):
+    assert not _loaded_in_fresh_interpreter(module, "import privfilter")
+
+
+_SWEEP = """
+from privfilter import ExperimentConfig, gen_synthetic, run_experiment
+from privfilter.minimax_opt import classification_tradeoff
+data = gen_synthetic(dim=6, n_subjects=3, n_target_classes=2, per_subject=12,
+                     seed=0)
+cfg = ExperimentConfig(filters=({filters}), dims=(2,), trials=1,
+                       epsilon_inverses=(0.0, 1.0), chain="{chain}",
+                       tradeoff=classification_tradeoff(2.0, 1e-4, max_iter=3))
+report = run_experiment(cfg, data)
+assert all(r["error"] is None for r in report.records)
+"""
+
+
+@pytest.mark.parametrize("chain", ["pre", "post"])
+def test_linear_sweep_leaves_scipy_special_unloaded(chain):
+    linear = _SWEEP.format(filters='"minimax-linear", "raw", "rand", "pca", '
+                                   '"ppls", "lds-init"', chain=chain)
+    assert not _loaded_in_fresh_interpreter("scipy.special", linear)
+    # the check can see the module: an MLP filter loads it
+    mlp = _SWEEP.format(filters='"minimax-mlp",', chain=chain)
+    assert _loaded_in_fresh_interpreter("scipy.special", mlp)
