@@ -10,6 +10,11 @@ whitened contrast matrix.  This module computes that exact solution (an
 oracle for iterative training) and a discriminant-style spectral filter
 that maximizes target-class scatter relative to private-class scatter,
 usable directly or as an initializer.
+
+Only ``privacy_lds`` uses scipy: it imports ``scipy.linalg`` on its first
+call for the generalized symmetric eigensolver, whose basis of a repeated
+eigenvalue numpy does not reproduce (see its docstring).  Importing this
+module and calling its other functions need numpy only.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DataError, NumericError, ShapeError
 
@@ -244,6 +248,7 @@ def privacy_lds(s: ScatterSet, d: int) -> np.ndarray:
     eye = np.eye(s.dim)
     numer = s.between_target + s.ridge * eye
     denom = s.between_private + s.ridge * eye
+    import scipy.linalg  # loaded by the first LDS solve only
     try:
         eigvals, eigvecs = scipy.linalg.eigh(numer, denom)
     except np.linalg.LinAlgError as exc:

@@ -59,9 +59,11 @@ share of the bounded rows of both halves that lay beyond the clip scale
 (both None on chain "none"; ``clip_frac`` None for other bounds).  These
 diagnostics and the wall time stay out of the scientific payload.
 
-Nothing here loads ``scipy.special``: sweeps over linear filters and
-baselines never import it, and an MLP filter loads it on its first
-forward pass (``filters._affine``).
+Importing the harness loads no scipy module.  An MLP filter loads
+``scipy.special`` on its first forward pass (``filters._affine``), and
+an LDS filter or ``lds_init`` loads ``scipy.linalg`` on its first
+``closed_form.privacy_lds`` call; sweeps over the other linear filters
+and the baselines load neither.
 
 Random streams (roles): 0 splits, keyed (trial); 1 filter fitting, keyed
 (filter, dim, trial) plus the noise index for post chains since those

@@ -13,8 +13,9 @@ Two head families cover the tasks used throughout:
   used; heads act on raw filter outputs.  One solver minimizes it, damped
   Newton from zero weights or a warm start (the minimax inner heads,
   refit from the last iterate's head).  Heads with few weights solve each
-  Newton step densely, and larger ones by truncated conjugate gradients;
-  ``fit_softmax_with_info`` says why.
+  Newton step densely with numpy's LU solve, and larger ones by truncated
+  conjugate gradients; ``fit_softmax_with_info`` says why.  The module
+  needs numpy only.
 
 * ReconstructionHead, an affine least-squares decoder G -> X with ridge
   penalty (lambda/2)||W||_F^2.  It doubles as a least-squares classifier
@@ -26,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dposv
 
 from .errors import DataError, NumericError, ShapeError
 
@@ -179,9 +179,9 @@ def softmax_risk(head: SoftmaxHead, G, labels):
 # Fits with at most this many weights (num_classes * dim) solve each Newton
 # step densely; larger fits solve it by truncated conjugate gradients.
 # Timed on the cold evaluation heads of a 6,400-row training split (one
-# BLAS thread, 2-core Xeon VM): sixteen K*d = 120 heads took 0.40 s dense
-# and 0.56 s by CG, four K*d = 204 heads 0.37 s dense and 0.13 s by CG,
-# and four K*d = 1,020 heads 1.2 s by CG.
+# BLAS thread, 2-core Xeon VM, best of three): sixteen K*d = 120 heads took
+# 0.49-0.56 s dense and 0.53 s by CG, four K*d = 204 heads 0.44-0.48 s
+# dense and 0.13-0.15 s by CG, and four K*d = 1,020 heads 1.2 s by CG.
 _NEWTON_MAX_WEIGHTS = 128
 _ARMIJO = 1e-4        # sufficient-decrease constant of the Newton line search
 _MAX_HALVINGS = 40    # step halvings before a Newton line search gives up
@@ -304,17 +304,23 @@ def _newton_step(hessian, grad, lam):
     """Solve hessian @ s = grad for s, shaped like ``grad``.
 
     With a ridge (lam > 0) the Hessian is positive definite and the solve
-    is a Cholesky factorization (LAPACK dposv).  At lam = 0 it is singular
+    is a dense LU solve (``np.linalg.solve``).  At lam = 0 it is singular
     along the shift shared by all class rows, which changes no
     probability; the gradient has no component there, so the step is the
-    minimum-norm least-squares solution.  A Cholesky that fails on a
-    numerically indefinite Hessian falls back to the same solve.
+    minimum-norm least-squares solution.  A singular matrix, or a solution
+    s with s'grad <= 0, which only a numerically indefinite Hessian gives
+    and which would make -s an ascent direction, falls back to the same
+    solve.
     """
     rhs = grad.reshape(-1)
     if lam > 0:
-        _, solution, info = dposv(hessian, rhs)
-        if info == 0:
-            return solution.reshape(grad.shape)
+        try:
+            solution = np.linalg.solve(hessian, rhs)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if solution @ rhs > 0:
+                return solution.reshape(grad.shape)
     return np.linalg.lstsq(hessian, rhs, rcond=None)[0].reshape(grad.shape)
 
 

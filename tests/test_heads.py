@@ -5,7 +5,8 @@ from oracles import (central_diff, lbfgs_softmax_reference, rel_error,
                      reconstruction_risk_reference, softmax_core_reference)
 from privfilter.errors import DataError, NumericError, ShapeError
 from privfilter.heads import (_NEWTON_MAX_WEIGHTS, _label_index,
-                              _softmax_core, _softmax_hessian, _softmax_hvp,
+                              _newton_step, _softmax_core, _softmax_hessian,
+                              _softmax_hvp,
                               ReconstructionHead, SoftmaxHead, accuracy,
                               fit_reconstruction, fit_softmax,
                               fit_softmax_with_info, one_hot, predict_labels,
@@ -505,6 +506,66 @@ def test_softmax_hessian_matches_finite_differences():
     assert rel_error(hessian, np.array(columns)) <= 1e-6
     # symmetric up to the rounding of the diagonal blocks' product
     np.testing.assert_allclose(hessian, hessian.T, rtol=0.0, atol=1e-15)
+
+
+def _probabilities(rng, num_classes, d, n=200):
+    """Features and the class-major (K, n) probabilities of a random head."""
+    G, labels = _random_instance(rng, n=n, d=d, num_classes=num_classes)
+    weights = 0.5 * rng.standard_normal((num_classes, d))
+    G_t = np.ascontiguousarray(G.T)
+    label_index = _label_index(labels)
+    _, probs = _softmax_core(weights, G_t, label_index)
+    probs.reshape(-1)[label_index] += 1.0
+    return G, G_t, probs
+
+
+@pytest.mark.parametrize("num_classes,d", [(3, 4), (8, 6), (20, 6)])
+def test_newton_step_matches_a_cholesky_solve(num_classes, d):
+    # K*d = 12, 48 and 120: the dense steps of the sweeps' heads
+    import scipy.linalg
+    rng = np.random.default_rng(93 + num_classes * d)
+    G, G_t, probs = _probabilities(rng, num_classes, d)
+    hessian = _softmax_hessian(probs, G, G_t, 1e-3)
+    grad = rng.standard_normal((num_classes, d))
+    step = _newton_step(hessian, grad, 1e-3)
+    reference = scipy.linalg.cho_solve(scipy.linalg.cho_factor(hessian),
+                                       grad.ravel())
+    assert step.shape == grad.shape
+    assert rel_error(step.ravel(), reference) <= 1e-12
+
+
+def test_newton_step_falls_back_to_lstsq_on_an_ascent_solution(monkeypatch):
+    # symmetric and indefinite, with a negative eigenvalue far below the
+    # rounding level: the LU solution would be an ascent direction
+    hessian = np.diag([1.0, 2.0, -1e-18])
+    grad = np.ones((1, 3))
+    assert np.linalg.solve(hessian, grad.ravel()) @ grad.ravel() <= 0.0
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
+    step = _newton_step(hessian, grad, 1e-6)
+    assert calls == [1]
+    # lstsq drops the negligible eigenvalue, so the step is a descent one
+    np.testing.assert_allclose(step, [[1.0, 0.5, 0.0]], rtol=1e-15, atol=1e-15)
+    assert float((step * grad).sum()) > 0.0
+
+
+def test_newton_step_at_zero_ridge_is_the_minimum_norm_solution():
+    rng = np.random.default_rng(94)
+    G, G_t, probs = _probabilities(rng, 4, 3)
+    hessian = _softmax_hessian(probs, G, G_t, 0.0)
+    # a risk gradient has no component along the class shift (the same
+    # vector added to every class row), along which the Hessian is singular
+    grad = rng.standard_normal((4, 3))
+    grad -= grad.mean(axis=0)
+    step = _newton_step(hessian, grad, 0.0)
+    np.testing.assert_allclose(step.ravel(),
+                               np.linalg.pinv(hessian) @ grad.ravel(),
+                               rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(step.sum(axis=0), 0.0, atol=1e-12)
+    np.testing.assert_allclose(hessian @ step.ravel(), grad.ravel(),
+                               rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("num_classes,d,warm", [

@@ -25,10 +25,18 @@ def _loaded_in_fresh_interpreter(module, code):
 
 # scipy.optimize adds about 0.13 s and 17 MB to every process that imports
 # the package, and no solver in it is used; scipy.special about 3.5 MB, and
-# only the MLP sigmoid uses it
-@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.special"])
+# only the MLP sigmoid uses it; scipy.linalg about 0.3 s and 28 MB, and
+# only the LDS eigensolver uses it
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.special",
+                                    "scipy.linalg"])
 def test_import_does_not_load(module):
     assert not _loaded_in_fresh_interpreter(module, "import privfilter")
+
+
+@pytest.mark.parametrize("package", ["privfilter", "privfilter.cli"])
+def test_import_loads_no_scipy_module(package):
+    # importing any scipy submodule first imports the scipy package itself
+    assert not _loaded_in_fresh_interpreter("scipy", f"import {package}")
 
 
 _SWEEP = """
@@ -52,3 +60,15 @@ def test_linear_sweep_leaves_scipy_special_unloaded(chain):
     # the check can see the module: an MLP filter loads it
     mlp = _SWEEP.format(filters='"minimax-mlp",', chain=chain)
     assert _loaded_in_fresh_interpreter("scipy.special", mlp)
+
+
+@pytest.mark.parametrize("chain", ["pre", "post"])
+def test_sweep_without_lds_leaves_scipy_linalg_unloaded(chain):
+    linear = _SWEEP.format(filters='"minimax-linear", "raw", "rand", "pca", '
+                                   '"ppls"', chain=chain)
+    assert not _loaded_in_fresh_interpreter("scipy.linalg", linear)
+    mlp = _SWEEP.format(filters='"minimax-mlp",', chain=chain)
+    assert not _loaded_in_fresh_interpreter("scipy.linalg", mlp)
+    # the check can see the module: an LDS filter loads it
+    lds = _SWEEP.format(filters='"lds-init",', chain=chain)
+    assert _loaded_in_fresh_interpreter("scipy.linalg", lds)
