@@ -7,10 +7,8 @@ required, and compare against standard baselines under a repeatable
 evaluation protocol.
 """
 
-from .baselines import fit_pca, fit_ppls, fit_rand
-from .closed_form import (MomentSet, ScatterSet, build_scatters,
-                          compute_moments, least_squares_minimax,
-                          privacy_lds, trace_objective)
+from .baselines import (ScatterSet, build_scatters, fit_pca, fit_ppls,
+                        fit_rand, privacy_lds)
 from .data import (CsvSchema, Dataset, gen_synthetic, load_csv, save_csv,
                    split_per_subject)
 from .dp_mech import (BoundKind, DiameterReport, NoiseConfig, bound,
@@ -38,20 +36,18 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundKind", "CsvSchema", "DataError", "Dataset", "DiameterReport",
     "EvalReport", "ExperimentConfig", "FilterKind", "FilterState",
-    "MomentSet", "NoiseConfig", "NumericError",
-    "ReconstructionHead", "ScatterSet", "ShapeError", "SoftmaxHead",
-    "TaskSpec", "TradeoffConfig", "TrainReport", "accuracy", "apply_filter",
-    "bound", "bound_scale_from_norms", "build_scatters",
-    "classification_tradeoff", "compute_diameters", "compute_moments",
+    "NoiseConfig", "NumericError", "ReconstructionHead", "ScatterSet",
+    "ShapeError", "SoftmaxHead", "TaskSpec", "TradeoffConfig", "TrainReport",
+    "accuracy", "apply_filter", "bound", "bound_scale_from_norms",
+    "build_scatters", "classification_tradeoff", "compute_diameters",
     "derive_rng", "descent_direction", "evaluate_heads", "evaluate_objective",
     "export_results", "filter_param_grad", "fit_filter", "fit_pca",
     "fit_ppls", "fit_rand", "fit_reconstruction", "fit_softmax",
     "gen_synthetic", "identity_filter", "init_filter", "joint_objective",
-    "least_squares_minimax", "least_squares_task", "least_squares_tradeoff",
-    "linear_filter", "load_csv", "load_filter", "load_results", "log_density",
-    "one_hot", "predict_labels", "pretrain_autoencoder", "privacy_lds",
+    "least_squares_task", "least_squares_tradeoff", "linear_filter",
+    "load_csv", "load_filter", "load_results", "log_density", "one_hot",
+    "predict_labels", "pretrain_autoencoder", "privacy_lds",
     "reconstruction_risk", "reconstruction_task", "release_features",
     "run_experiment", "sample_noise", "save_csv", "save_filter",
-    "softmax_risk", "softmax_task", "split_per_subject", "trace_objective",
-    "train_minimax",
+    "softmax_risk", "softmax_task", "split_per_subject", "train_minimax",
 ]

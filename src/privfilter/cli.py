@@ -111,7 +111,8 @@ def _cmd_eval(args) -> int:
         raise DataError("evaluation needs a z column")
     released = (args.epsilon_inverse > 0 or args.bound is not None
                 or args.bound_scale is not None)
-    cfg = ExperimentConfig(chain="pre" if released else "none",
+    cfg = ExperimentConfig(epsilon_inverses=(args.epsilon_inverse,),
+                           chain="pre" if released else "none",
                            bound_kind=args.bound,
                            bound_scale=args.bound_scale,
                            train_fraction=args.train_fraction,
@@ -122,7 +123,7 @@ def _cmd_eval(args) -> int:
     g_train, g_test = release_features(
         apply_filter(state, train.X), apply_filter(state, test.X), cfg,
         args.epsilon_inverse, derive_rng(args.seed, _ROLE_NOISE, 0, 0, 0, 0))
-    print(json.dumps(evaluate_heads(g_train, g_test, train, test, data, cfg),
+    print(json.dumps(evaluate_heads(g_train, g_test, train, test, data),
                      sort_keys=True))
     return 0
 
@@ -141,7 +142,6 @@ _EXPERIMENT_PARSERS = {
     "mlp_hidden": _parse_ints,
     "pretrain_epochs": int,
     "ppls_lambda": float,
-    "eval_max_iter": int,
 }
 
 _TRADEOFF_KEYS = ("utility_weight", "reg_lambda", "max_iter",

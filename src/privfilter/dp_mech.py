@@ -46,13 +46,10 @@ class NoiseConfig:
     """Noise parameters.  ``epsilon=None`` means release without noise."""
 
     epsilon: float | None
-    sensitivity: float = DEFAULT_SENSITIVITY
 
     def __post_init__(self):
         if self.epsilon is not None and not self.epsilon > 0:
             raise DataError("epsilon must be positive (or None for no noise)")
-        if self.sensitivity <= 0:
-            raise DataError("sensitivity must be positive")
 
     @classmethod
     def from_epsilon_inverse(cls, epsilon_inverse: float) -> "NoiseConfig":
@@ -71,7 +68,7 @@ class NoiseConfig:
         """epsilon / S, the exponential decay rate of the noise density."""
         if self.epsilon is None:
             raise DataError("the no-noise sentinel has no noise density")
-        return self.epsilon / self.sensitivity
+        return self.epsilon / DEFAULT_SENSITIVITY
 
 
 def bound(kind, scale, h) -> np.ndarray:

@@ -27,7 +27,7 @@ noise (none at epsilon_inverse = 0, where the bounded rows pass through
 as they are).
 
 Evaluation heads are softmax heads with ridge ``EVAL_REG_LAMBDA``, fit
-to gradient norm ``EVAL_TOL`` in at most ``eval_max_iter`` Newton steps
+to gradient norm ``EVAL_TOL`` in at most ``EVAL_MAX_ITER`` Newton steps
 with an appended constant feature, giving the attack model an intercept
 even though heads themselves are bias-free; filters never see that
 column.
@@ -49,7 +49,7 @@ indices, so any cell is reproducible in isolation and the whole report is
 deterministic; recorded wall times are the only non-deterministic field.
 Each record also keeps the risk-gradient norm of both evaluation heads
 (``target_head_grad``, ``private_head_grad``): above ``EVAL_TOL``, the
-head stopped at ``eval_max_iter`` Newton steps, or where its line search
+head stopped at ``EVAL_MAX_ITER`` Newton steps, or where its line search
 made no progress, short of the best-response attack.  A
 minimax cell records how the fit behind its filter ended
 (``train_stop_reason``, ``train_iterations``, ``train_objective_calls``
@@ -62,7 +62,7 @@ diagnostics and the wall time stay out of the scientific payload.
 Importing the harness loads no scipy module.  An MLP filter loads
 ``scipy.special`` on its first forward pass (``filters._affine``), and
 an LDS filter or ``lds_init`` loads ``scipy.linalg`` on its first
-``closed_form.privacy_lds`` call; sweeps over the other linear filters
+``baselines.privacy_lds`` call; sweeps over the other linear filters
 and the baselines load neither.
 
 Random streams (roles): 0 splits, keyed (trial); 1 filter fitting, keyed
@@ -81,8 +81,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import fit_pca, fit_ppls, fit_rand
-from .closed_form import build_scatters, privacy_lds
+from .baselines import (build_scatters, fit_pca, fit_ppls, fit_rand,
+                        privacy_lds)
 from .data import Dataset, split_per_subject
 from .dp_mech import (BoundKind, NoiseConfig, bound, bound_scale_from_norms,
                       sample_noise)
@@ -111,6 +111,7 @@ _RUN_FIELDS = ("target_head_grad", "private_head_grad", "wall_time_s",
 
 EVAL_REG_LAMBDA = 1e-6  # ridge of the evaluation heads
 EVAL_TOL = 1e-6  # gradient-norm tolerance of the evaluation heads
+EVAL_MAX_ITER = 300  # Newton steps per evaluation head
 
 _ROLE_SPLIT = 0
 _ROLE_FILTER = 1
@@ -143,7 +144,6 @@ class ExperimentConfig:
     mlp_hidden: tuple = DEFAULT_HIDDEN
     pretrain_epochs: int = 0
     ppls_lambda: float = 1.0
-    eval_max_iter: int = 300  # Newton steps per evaluation head
 
     def __post_init__(self):
         object.__setattr__(self, "filters", tuple(self.filters))
@@ -307,28 +307,28 @@ def _with_intercept(G):
     return out.T
 
 
-def evaluate_heads(g_train, g_test, train, test, data, cfg):
+def evaluate_heads(g_train, g_test, train, test, data):
     """Score released features with fresh softmax attack heads.
 
     Fits target (z) and private (y) heads on the released training rows
-    at ``EVAL_REG_LAMBDA``, ``EVAL_TOL`` and ``eval_max_iter`` and scores
+    at ``EVAL_REG_LAMBDA``, ``EVAL_TOL`` and ``EVAL_MAX_ITER`` and scores
     them on the released test rows.  Returns the accuracies, their
     difference (``tradeoff``), chance levels and both heads' risk-gradient
     norms.
     """
     return _score_heads(_with_intercept(g_train), _with_intercept(g_test),
-                        train, test, data, cfg)
+                        train, test, data)
 
 
-def _score_heads(G_train, G_test, train, test, data, cfg):
+def _score_heads(G_train, G_test, train, test, data):
     """``evaluate_heads`` on features that already carry the intercept
     column."""
     num_target = data.num_target_classes
     num_private = data.num_private_classes
     target_head = fit_softmax(G_train, train.z, num_target, EVAL_REG_LAMBDA,
-                              tol=EVAL_TOL, max_iter=cfg.eval_max_iter)
+                              tol=EVAL_TOL, max_iter=EVAL_MAX_ITER)
     private_head = fit_softmax(G_train, train.y, num_private, EVAL_REG_LAMBDA,
-                               tol=EVAL_TOL, max_iter=cfg.eval_max_iter)
+                               tol=EVAL_TOL, max_iter=EVAL_MAX_ITER)
     target_acc = accuracy(target_head, G_test, test.z)
     private_acc = accuracy(private_head, G_test, test.y)
     return {
@@ -468,7 +468,7 @@ def _run_cell(kind, d, einv, key, fitted, rows, train, test, data, cfg,
     del g_train
     G_test = _with_intercept(g_test)
     del g_test
-    return report, _score_heads(G_train, G_test, train, test, data, cfg)
+    return report, _score_heads(G_train, G_test, train, test, data)
 
 
 def run_experiment(cfg: ExperimentConfig, data: Dataset,

@@ -10,12 +10,29 @@ and denoising-autoencoder layer, the dense BFGS inverse-Hessian update
 behind the minimax L-BFGS direction, and the minimax loop along the
 negated gradient alone (steepest descent), and the row-by-row synthetic
 data generator.
+
+It also holds the exact solution of the linear least-squares filter
+problem, against which iterative training is checked.  With a linear
+filter and least-squares heads the best-response risks have closed
+forms, and the filter tradeoff objective collapses to
+
+    Tr[ (U'(C_xx + delta I)U)^{-1} U'(C_xy C_xy' - rho C_xz C_xz')U ]
+
+whose minimum over U is the sum of the d smallest eigenvalues of the
+whitened contrast matrix (``least_squares_minimax``; the objective at
+any U is ``trace_objective``).
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
+
+from privfilter.baselines import _check_square_symmetric, fix_eigvec_signs
+from privfilter.errors import DataError, NumericError, ShapeError
+
+DEFAULT_WHITEN_RIDGE_FACTOR = 1e-8
 
 
 def central_diff(fn, x, step=1e-6):
@@ -314,3 +331,113 @@ def gen_synthetic_reference(dim, n_subjects, n_target_classes, per_subject,
             subjects[row] = s
             row += 1
     return X, y, z, subjects
+
+
+@dataclass(frozen=True)
+class MomentSet:
+    """Uncentered second moments of features against one-hot labels."""
+
+    xx: np.ndarray  # (D, D), (1/N) X'X
+    xy: np.ndarray  # (D, K_private), (1/N) X'Y
+    xz: np.ndarray  # (D, K_target), (1/N) X'Z
+    n_samples: int
+    ridge: float    # whitening ridge delta added to xx
+
+    def __post_init__(self):
+        xx = _check_square_symmetric(self.xx, "xx")
+        xy = np.asarray(self.xy, dtype=np.float64)
+        xz = np.asarray(self.xz, dtype=np.float64)
+        d = xx.shape[0]
+        if xy.ndim != 2 or xy.shape[0] != d or xz.ndim != 2 or xz.shape[0] != d:
+            raise ShapeError("cross moments must have one row per feature")
+        if self.n_samples < 1:
+            raise ShapeError("n_samples must be positive")
+        if self.ridge < 0:
+            raise DataError("ridge must be non-negative")
+        object.__setattr__(self, "xx", xx)
+        object.__setattr__(self, "xy", xy)
+        object.__setattr__(self, "xz", xz)
+
+    @property
+    def dim(self) -> int:
+        return self.xx.shape[0]
+
+
+def default_whitening_ridge(xx) -> float:
+    xx = np.asarray(xx, dtype=np.float64)
+    return DEFAULT_WHITEN_RIDGE_FACTOR * float(np.trace(xx)) / xx.shape[0]
+
+
+def compute_moments(X, y_onehot, z_onehot, ridge=None) -> MomentSet:
+    X = np.asarray(X, dtype=np.float64)
+    y_onehot = np.asarray(y_onehot, dtype=np.float64)
+    z_onehot = np.asarray(z_onehot, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ShapeError("features must be a non-empty 2-d array")
+    n = X.shape[0]
+    if y_onehot.ndim != 2 or y_onehot.shape[0] != n:
+        raise ShapeError("y_onehot must have one row per sample")
+    if z_onehot.ndim != 2 or z_onehot.shape[0] != n:
+        raise ShapeError("z_onehot must have one row per sample")
+    xx = X.T @ X / n
+    xx = 0.5 * (xx + xx.T)
+    if ridge is None:
+        ridge = default_whitening_ridge(xx)
+    return MomentSet(xx=xx, xy=X.T @ y_onehot / n, xz=X.T @ z_onehot / n,
+                     n_samples=n, ridge=float(ridge))
+
+
+def _inv_sqrt_psd(matrix, floor) -> np.ndarray:
+    """Inverse square root via symmetric eigendecomposition.
+
+    Eigenvalues are clamped below at ``floor`` so near-singular inputs
+    stay bounded.
+    """
+    eigvals, eigvecs = np.linalg.eigh(matrix)
+    clamped = np.maximum(eigvals, floor)
+    if np.any(clamped <= 0):
+        raise NumericError("matrix is singular and no positive ridge was given")
+    return (eigvecs / np.sqrt(clamped)) @ eigvecs.T
+
+
+def contrast_matrix(m: MomentSet, tradeoff_weight: float) -> np.ndarray:
+    """C_xy C_xy' - rho C_xz C_xz', the signed information contrast."""
+    return m.xy @ m.xy.T - tradeoff_weight * (m.xz @ m.xz.T)
+
+
+def least_squares_minimax(m: MomentSet, tradeoff_weight: float, d: int):
+    """Exact minimizer of the linear least-squares filter objective.
+
+    Returns
+    -------
+    U : array, shape (D, d)
+        Filter matrix, whitened so U'(C_xx + delta I)U = I.
+    phi_min : float
+        The attained objective value, the sum of the d smallest
+        eigenvalues of the whitened contrast matrix.
+    """
+    if not 1 <= d <= m.dim:
+        raise ShapeError(f"d must lie in 1..{m.dim}, got {d}")
+    regularized = m.xx + m.ridge * np.eye(m.dim)
+    inv_sqrt = _inv_sqrt_psd(regularized, floor=m.ridge)
+    whitened = inv_sqrt @ contrast_matrix(m, tradeoff_weight) @ inv_sqrt
+    whitened = 0.5 * (whitened + whitened.T)
+    eigvals, eigvecs = np.linalg.eigh(whitened)  # ascending
+    basis = fix_eigvec_signs(eigvecs[:, :d])
+    phi_min = float(eigvals[:d].sum())
+    return inv_sqrt @ basis, phi_min
+
+
+def trace_objective(m: MomentSet, tradeoff_weight: float, U) -> float:
+    """The least-squares filter objective evaluated at an arbitrary U.
+
+    Right-invariant: any invertible recombination of U's columns gives the
+    same value.
+    """
+    U = np.asarray(U, dtype=np.float64)
+    if U.ndim != 2 or U.shape[0] != m.dim:
+        raise ShapeError("U must have one row per feature dimension")
+    regularized = m.xx + m.ridge * np.eye(m.dim)
+    gram = U.T @ regularized @ U
+    projected = U.T @ contrast_matrix(m, tradeoff_weight) @ U
+    return float(np.trace(np.linalg.solve(gram, projected)))

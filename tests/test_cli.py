@@ -216,6 +216,14 @@ def test_error_paths_exit_nonzero(tmp_path):
     code, _, err = _run(["sweep", "--data", str(path), "--config",
                          str(missing_config), "--out", str(tmp_path / "x")])
     assert code == 1 and "cannot read" in err
+    # a negative noise level is rejected, not released without noise
+    prefix = tmp_path / "pca"
+    assert _run(["train", "--data", str(path), "--filter", "pca",
+                 "--dim", "2", "--out", str(prefix)])[0] == 0
+    code, out, err = _run(["eval", "--data", str(path), "--filter-path",
+                           str(prefix) + ".filter", "--epsilon-inverse", "-1"])
+    assert code == 1 and not out
+    assert "epsilon_inverses must be non-negative" in err
 
 
 def test_experiment_keys_mirror_the_config_fields(tmp_path):
@@ -228,6 +236,10 @@ def test_experiment_keys_mirror_the_config_fields(tmp_path):
     code, _, err = _run(["sweep", "--data", str(path), "--config",
                          str(config), "--out", str(tmp_path / "x")])
     assert code == 1 and "unknown [experiment] key 'sensitivity'" in err
+    config.write_text("[experiment]\nchain = pre\neval_max_iter = 120\n")
+    code, _, err = _run(["sweep", "--data", str(path), "--config",
+                         str(config), "--out", str(tmp_path / "x")])
+    assert code == 1 and "unknown [experiment] key 'eval_max_iter'" in err
 
 
 def test_eval_of_a_malformed_filter_exits_with_an_error(tmp_path):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import random_orthonormal, rel_error
-from privfilter.closed_form import (build_scatters, compute_moments,
-                                    contrast_matrix, least_squares_minimax,
-                                    privacy_lds, trace_objective)
+from oracles import (compute_moments, contrast_matrix, least_squares_minimax,
+                     random_orthonormal, rel_error, trace_objective)
+from privfilter.baselines import build_scatters, privacy_lds
 from privfilter.data import gen_synthetic
 from privfilter.errors import NumericError, ShapeError
 from privfilter.heads import one_hot

@@ -82,8 +82,6 @@ def test_noise_config_validation():
     with pytest.raises(DataError):
         NoiseConfig(epsilon=0.0)
     with pytest.raises(DataError):
-        NoiseConfig(epsilon=1.0, sensitivity=0.0)
-    with pytest.raises(DataError):
         NoiseConfig.from_epsilon_inverse(-1.0)
     assert not NoiseConfig.from_epsilon_inverse(0.0).noisy
     cfg = NoiseConfig.from_epsilon_inverse(0.1)
@@ -106,7 +104,7 @@ def test_no_noise_sentinel_is_exact_and_consumes_no_randomness():
 
 
 def test_one_dimensional_noise_is_laplace():
-    cfg = NoiseConfig(epsilon=2.0, sensitivity=2.0)  # rate 1
+    cfg = NoiseConfig(epsilon=2.0)  # rate 1
     rng = np.random.default_rng(1)
     draws = sample_noise(cfg, 1, rng=rng, size=100_000)[:, 0]
     stat = stats.kstest(draws, stats.laplace(scale=1.0).cdf).pvalue
@@ -120,7 +118,7 @@ def test_one_dimensional_noise_is_laplace():
 def test_noise_radius_is_gamma_distributed():
     rng = np.random.default_rng(2)
     for dim in (2, 5, 20):
-        cfg = NoiseConfig(epsilon=0.5, sensitivity=2.0)  # rate 0.25
+        cfg = NoiseConfig(epsilon=0.5)  # rate 0.25
         draws = sample_noise(cfg, dim, rng=rng, size=100_000)
         radii = np.linalg.norm(draws, axis=1)
         p = stats.kstest(radii, stats.gamma(a=dim, scale=4.0).cdf).pvalue
@@ -139,7 +137,7 @@ def test_noise_directions_are_uniform():
 
 
 def test_noise_scales_unit_directions_by_gamma_radii_bit_for_bit():
-    cfg = NoiseConfig(epsilon=0.8, sensitivity=2.0)
+    cfg = NoiseConfig(epsilon=0.8)
     rng = np.random.default_rng(17)
     check = copy.deepcopy(rng)
     draws = sample_noise(cfg, 6, rng=rng, size=50)
@@ -154,7 +152,7 @@ def test_noise_scales_unit_directions_by_gamma_radii_bit_for_bit():
 
 def test_log_density_integrates_to_one():
     for dim in (1, 2, 3):
-        cfg = NoiseConfig(epsilon=1.5, sensitivity=2.0)
+        cfg = NoiseConfig(epsilon=1.5)
         rate = cfg.rate
         # radial integral: surface area x integral of r^{d-1} p(r)
         log_surface = (math.log(2.0) + 0.5 * dim * math.log(math.pi)
@@ -187,7 +185,7 @@ def test_privacy_ratio_bound_holds_exactly():
     # |log p(w - b(u)) - log p(w - b(v))| <= rate * ||b(u) - b(v)|| <= epsilon
     rng = np.random.default_rng(4)
     for epsilon in (0.1, 1.0, 10.0):
-        cfg = NoiseConfig(epsilon=epsilon, sensitivity=2.0)
+        cfg = NoiseConfig(epsilon=epsilon)
         for _ in range(200):
             dim = int(rng.integers(1, 6))
             u = bound(BoundKind.CLIP, 1.0, rng.standard_normal(dim) * 5)
@@ -249,7 +247,7 @@ def test_release_post_filters_after_perturbing():
     noise_rng = np.random.default_rng(11)
     check = copy.deepcopy(noise_rng)
     released = release_features(X_train, X_test, cfg, 0.5, noise_rng)
-    noise = NoiseConfig(epsilon=2.0, sensitivity=2.0)
+    noise = NoiseConfig(epsilon=2.0)
     for rows, out in zip((X_train, X_test), released):
         expected = bound(BoundKind.SQUASH, 0.7, rows) + sample_noise(
             noise, 4, rng=check, size=rows.shape[0])

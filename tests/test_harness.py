@@ -31,7 +31,6 @@ def _fast_config(**kwargs):
         trials=2,
         tradeoff=classification_tradeoff(2.0, 1e-4, max_iter=8,
                                          inner_max_iter=80),
-        eval_max_iter=120,
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
@@ -416,12 +415,15 @@ _PAYLOAD_FIELDS = {"schema_version", "filter", "dim", "epsilon_inverse",
                    "chance_target", "chance_private", "error"}
 
 
-def test_evaluation_head_convergence_is_recorded_outside_the_payload():
+def test_evaluation_head_convergence_is_recorded_outside_the_payload(
+        monkeypatch):
     data = _small_data()
     cfg = _fast_config(filters=("raw", "pca"), epsilon_inverses=(0.0, 1.0),
                        chain="pre", trials=1)
-    stopped = run_experiment(replace(cfg, eval_max_iter=1), data)
-    converged = run_experiment(replace(cfg, eval_max_iter=1000), data)
+    monkeypatch.setattr(harness, "EVAL_MAX_ITER", 1)
+    stopped = run_experiment(cfg, data)
+    monkeypatch.setattr(harness, "EVAL_MAX_ITER", 1000)
+    converged = run_experiment(cfg, data)
     for r in stopped.records:
         assert r["error"] is None
         assert r["target_head_grad"] > EVAL_TOL

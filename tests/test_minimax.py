@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import (bfgs_inverse_hessian_reference, central_diff, rel_error,
-                     steepest_descent_reference)
+from oracles import (bfgs_inverse_hessian_reference, central_diff,
+                     compute_moments, least_squares_minimax, rel_error,
+                     steepest_descent_reference, trace_objective)
 from privfilter import filters, heads, minimax_opt
-from privfilter.closed_form import compute_moments, least_squares_minimax
 from privfilter.data import Dataset
 from privfilter.errors import DataError, ShapeError
 from privfilter.filters import FilterKind, init_filter, linear_filter
@@ -123,8 +123,6 @@ def test_least_squares_objective_agrees_with_trace_form():
     kz = int(data.z.max())
     my = compute_moments(data.X, one_hot(data.y, ky), one_hot(data.z, kz),
                          ridge=0.0)
-    from privfilter.closed_form import trace_objective
-
     t_y = trace_objective(my, 0.0, U)  # rho 0 isolates the y cross term
     m_swapped = compute_moments(data.X, one_hot(data.z, kz),
                                 one_hot(data.y, ky), ridge=0.0)
