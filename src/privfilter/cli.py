@@ -158,10 +158,10 @@ def _read_config(path):
     for key, raw in parser.items("experiment") if parser.has_section("experiment") else ():
         if key not in _EXPERIMENT_PARSERS:
             raise DataError(f"unknown [experiment] key {key!r}")
-        if raw.strip() == "":
-            experiment[key] = None
-        else:
-            experiment[key] = _EXPERIMENT_PARSERS[key](raw)
+        try:
+            experiment[key] = _EXPERIMENT_PARSERS[key](raw) if raw.strip() else None
+        except (KeyError, ValueError):  # KeyError: not an INI boolean
+            raise DataError(f"bad [experiment] value {key} = {raw!r}") from None
     tradeoff = {}
     if parser.has_section("tradeoff"):
         for key, raw in parser.items("tradeoff"):

@@ -80,8 +80,8 @@ def bound(kind, scale, h) -> np.ndarray:
     normalize  h / ||h||, with near-zero inputs mapped to zero
     """
     kind = BoundKind(kind)
-    if scale <= 0:
-        raise DataError("bound scale must be positive")
+    if scale <= 0 or not math.isfinite(scale):
+        raise DataError("bound scale must be positive and finite")
     h = np.asarray(h, dtype=np.float64)
     single = h.ndim == 1
     rows = np.atleast_2d(h)

@@ -18,13 +18,13 @@ rows lie in the unit ball, so any two differ by at most 2 and the noise
 uses the mechanism's sensitivity S = 2 (``dp_mech.DEFAULT_SENSITIVITY``).
 Chain "none" releases the filter outputs as they are, so its configs
 accept only epsilon_inverse = 0 and no ``bound_kind`` or ``bound_scale``.
-A sweep bounds each set of rows once: the post chain bounds the split
-once per trial, and the bounded rows replace the raw ones, which that
-chain never reads again; the pre chain bounds each filter's outputs once
-per (filter, dim, trial).  The bounded rows are read-only and shared by
-the cells that release them, and each cell only draws and adds its
-noise (none at epsilon_inverse = 0, where the bounded rows pass through
-as they are).
+A sweep runs the work its cells share once, in a stage before them
+(``_stage``): the post chain bounds the split once per trial, and the
+bounded rows replace the raw ones, which that chain never reads again;
+the pre and none chains fit and apply each filter once per (filter, dim,
+trial), and the pre chain bounds its outputs.  The bounded rows are
+read-only, and each cell only draws and adds its noise (none at
+epsilon_inverse = 0, where the bounded rows pass through as they are).
 
 Evaluation heads are softmax heads with ridge ``EVAL_REG_LAMBDA``, fit
 to gradient norm ``EVAL_TOL`` in at most ``EVAL_MAX_ITER`` Newton steps
@@ -43,9 +43,10 @@ and the gradient diagnostics read without a transposed copy.  The
 largest head solve of a cell thus runs next to the split, the bounded
 rows it shares with other cells and its own two evaluation matrices.
 
-Per-cell failures are recorded in the cell's record and the run
-continues.  All randomness is derived from the master seed and the cell
-indices, so any cell is reproducible in isolation and the whole report is
+Failures are recorded in the cell's record and the run continues; a
+failed stage is not retried, and each of its cells records its error.
+All randomness is derived from the master seed and the cell indices, so
+any cell is reproducible in isolation and the whole report is
 deterministic; recorded wall times are the only non-deterministic field.
 Each record also keeps the risk-gradient norm of both evaluation heads
 (``target_head_grad``, ``private_head_grad``): above ``EVAL_TOL``, the
@@ -76,8 +77,10 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import time
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,7 +102,8 @@ FILTER_CHOICES = ("raw", "rand", "pca", "ppls", "minimax-linear",
                   "minimax-mlp", "lds-init")
 CHAIN_CHOICES = ("none", "pre", "post")
 
-# How a cell's minimax fit ended (None for filters without one)
+# How a cell's minimax fit ended: the TrainReport attributes named after
+# the "train_" prefix (None for filters without one)
 _TRAIN_FIELDS = ("train_stop_reason", "train_iterations",
                  "train_objective_calls", "train_inner_unconverged")
 # The bound scale a cell's release used and the share of its rows clipped
@@ -158,8 +162,8 @@ class ExperimentConfig:
             raise DataError("filters, dims, and epsilon_inverses must be non-empty")
         if any(d < 1 for d in self.dims):
             raise ShapeError("dims must be positive")
-        if any(e < 0 for e in self.epsilon_inverses):
-            raise DataError("epsilon_inverses must be non-negative")
+        if any(e < 0 or not math.isfinite(e) for e in self.epsilon_inverses):
+            raise DataError("epsilon_inverses must be non-negative and finite")
         if self.chain not in CHAIN_CHOICES:
             raise DataError(f"chain must be one of {CHAIN_CHOICES}")
         if self.chain == "none" and any(self.epsilon_inverses):
@@ -167,8 +171,9 @@ class ExperimentConfig:
                             "epsilon_inverse needs chain 'pre' or 'post'")
         if self.bound_kind is not None:
             BoundKind(self.bound_kind)
-        if self.bound_scale is not None and self.bound_scale <= 0:
-            raise DataError("bound_scale must be positive (or None for automatic)")
+        scale = self.bound_scale
+        if scale is not None and (scale <= 0 or not math.isfinite(scale)):
+            raise DataError("bound_scale must be positive and finite (or None for automatic)")
         for name in ("bound_kind", "bound_scale"):
             if self.chain == "none" and getattr(self, name) is not None:
                 raise DataError(f"chain 'none' bounds no rows; a {name} "
@@ -235,8 +240,7 @@ def release_features(train_rows, test_rows, cfg, einv, noise_rng):
     scale is fit on the training rows.  The inputs are left as they are;
     at ``einv = 0`` the bounded rows come back read-only, otherwise the
     noise arrays with the bounded rows added in place.  A sweep runs the
-    same two steps, ``_bound_halves`` and ``_add_noise``, but bounds once
-    per trial (post chain) or per filter (pre chain).
+    same two steps, ``_bound_halves`` once per ``_stage`` and ``_add_noise``.
     """
     if cfg.chain == "none":
         return train_rows, test_rows
@@ -421,54 +425,70 @@ class EvalReport:
         return float(np.mean(values))
 
 
-def _bound_split(train, test, cfg):
-    """A post chain's split with its rows bounded in place of the raw rows,
-    which that chain never reads again, and the bound fields."""
-    (X_train, X_test), fields = _bound_halves(train.X, test.X, cfg)
-    return replace(train, X=X_train), replace(test, X=X_test), fields
+_Stage = namedtuple("_Stage", "train test rows fields")
 
 
-def _filter_outputs(filt, train, test, cfg):
-    """A pre or none chain's rows to release: the filter outputs of both
-    halves, bounded on a pre chain, and their bound fields (none on chain
-    "none")."""
+def _stage(cfg, train, test, fit, training_log):
+    """The split, the rows the cells perturb and the record fields they
+    share (``_BOUND_FIELDS``, a minimax fit's ``_TRAIN_FIELDS``), built
+    once before the cells.  A post chain passes ``fit`` None; a pre or none
+    chain the (kind, dim, rng) of the filter to fit and apply."""
+    if fit is None:
+        (X_train, X_test), fields = _bound_halves(train.X, test.X, cfg)
+        return _Stage(replace(train, X=X_train), replace(test, X=X_test),
+                      (X_train, X_test), fields)
+    filt, fields = _fit_logged(*fit, train, cfg, training_log)
     rows = (apply_filter(filt, train.X), apply_filter(filt, test.X))
-    if cfg.chain == "none":
-        return rows, {}
-    return _bound_halves(*rows, cfg)
+    if cfg.chain == "pre":
+        rows, bound_fields = _bound_halves(*rows, cfg)
+        fields.update(bound_fields)
+    return _Stage(train, test, rows, fields)
 
 
-def _run_cell(kind, d, einv, key, fitted, rows, train, test, data, cfg,
-              training_log):
-    """Release, filter and score one grid cell; returns (TrainReport or
-    None, ``evaluate_heads`` scores).
+def _fit_logged(kind, d, rng, train, cfg, training_log):
+    """``fit_filter`` with a minimax fit's TrainReport appended to
+    ``training_log``; returns (filter, the fit's ``_TRAIN_FIELDS``)."""
+    filt, report = fit_filter(kind, train, d, cfg, rng)
+    if report is None:
+        return filt, {}
+    if training_log is not None:
+        training_log.append(report)
+    return filt, {k: getattr(report, k.removeprefix("train_"))
+                  for k in _TRAIN_FIELDS}
 
-    ``key`` is the cell's (filter, dim, noise, trial) index and ``rows``
-    the bounded (train, test) rows that the cell perturbs: the split's
-    features on a post chain, which fits its filter here, on the released
-    rows; the filter outputs of the (filter, dim) otherwise, whose
-    ``fitted`` (filter, TrainReport or None) is passed in.  Each array
-    dies as soon as the next stage has been built from it, and none
-    outlives the cell.
-    """
+
+def _run_cell(stage, kind, d, einv, key, data, cfg, training_log):
+    """Release, filter and score the cell of ``stage`` at (filter, dim,
+    noise, trial) index ``key``; returns its ``evaluate_heads`` scores and
+    the ``_TRAIN_FIELDS`` of a post chain's fit, made here on the released
+    rows.  Each array dies as soon as the next step has been built from
+    it, and none outlives the cell."""
     fi, di, ei, trial = key
-    g_train, g_test = _add_noise(rows, einv, derive_rng(
+    g_train, g_test = _add_noise(stage.rows, einv, derive_rng(
         cfg.master_seed, _ROLE_NOISE, fi, di, ei, trial))
+    fields = {}
     if cfg.chain == "post":
-        filt, report = fit_filter(
-            kind, replace(train, X=g_train), d, cfg,
-            derive_rng(cfg.master_seed, _ROLE_FILTER, fi, di, ei, trial))
-        if training_log is not None and report is not None:
-            training_log.append(report)
+        filt, fields = _fit_logged(
+            kind, d, derive_rng(cfg.master_seed, _ROLE_FILTER, fi, di, ei, trial),
+            replace(stage.train, X=g_train), cfg, training_log)
         g_train = apply_filter(filt, g_train)
         g_test = apply_filter(filt, g_test)
-    else:
-        report = fitted[1]
     G_train = _with_intercept(g_train)
     del g_train
     G_test = _with_intercept(g_test)
     del g_test
-    return report, _score_heads(G_train, G_test, train, test, data)
+    fields.update(_score_heads(G_train, G_test, stage.train, stage.test, data))
+    return fields
+
+
+def _timed(fn, *args):
+    """(result, ``"Type: message"`` of what it raised, seconds) of a call."""
+    start = time.perf_counter()
+    try:
+        result, error = fn(*args), None
+    except Exception as exc:  # recorded, run continues
+        result, error = None, f"{type(exc).__name__}: {exc}"
+    return result, error, time.perf_counter() - start
 
 
 def run_experiment(cfg: ExperimentConfig, data: Dataset,
@@ -479,11 +499,8 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
     position in the grid, filter, dim, epsilon_inverse, trial, wall time,
     the ``_TRAIN_FIELDS`` of its minimax fit and error.
 
-    Each release step runs once: a post chain bounds the split once per
-    trial, a pre chain fits, applies and bounds each filter once per
-    (filter, dim, trial), and each cell only draws and adds its noise.
-    A step that fails is retried by the next cell that needs it, and each
-    of those cells records the error."""
+    Each stage runs once, before its cells (see the module docstring), and
+    the first of them carries the stage's time in its ``wall_time_s``."""
     if data.z is None:
         raise DataError("the experiment protocol needs target labels z")
     if any(d > data.dim for d in cfg.dims):
@@ -494,14 +511,18 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
     for trial in range(cfg.trials):
         split_rng = derive_rng(cfg.master_seed, _ROLE_SPLIT, trial)
         train, test = split_per_subject(data, cfg.train_fraction, split_rng)
-        split_fields = None  # bound fields of a post chain's bounded split
         for fi, kind in enumerate(cfg.filters):
             dims = (data.dim,) if kind == "raw" else cfg.dims
             for di, d in enumerate(dims):
-                fitted = None  # (filter, TrainReport or None) of a pre/none chain
-                outputs = None  # (its rows to release, bound fields)
+                if cfg.chain != "post" or fi == di == 0:  # post: once per trial
+                    fit = None if cfg.chain == "post" else (kind, d, derive_rng(
+                        cfg.master_seed, _ROLE_FILTER, fi, di, trial))
+                    stage = None  # the last stage's rows die before the next
+                    stage, error, stage_s = _timed(_stage, cfg, train, test,
+                                                   fit, training_log)
+                    if fit is None:  # the bounded rows replace the raw ones
+                        train = test = None
                 for ei, einv in enumerate(cfg.epsilon_inverses):
-                    start = time.perf_counter()
                     record = {
                         "schema_version": SCHEMA_VERSION,
                         "filter": kind,
@@ -513,44 +534,21 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
                         "tradeoff": None,
                         "chance_target": 1.0 / data.num_target_classes,
                         "chance_private": 1.0 / data.num_private_classes,
-                        "error": None,
+                        "error": error,
                         "target_head_grad": None,
                         "private_head_grad": None,
                         **dict.fromkeys(_TRAIN_FIELDS),
                         **dict.fromkeys(_BOUND_FIELDS),
                     }
-                    try:
-                        if cfg.chain == "post":
-                            if split_fields is None:
-                                train, test, split_fields = _bound_split(
-                                    train, test, cfg)
-                            record.update(split_fields)
-                        else:
-                            if fitted is None:
-                                fitted = fit_filter(
-                                    kind, train, d, cfg,
-                                    derive_rng(cfg.master_seed, _ROLE_FILTER,
-                                               fi, di, trial))
-                                if training_log is not None and fitted[1] is not None:
-                                    training_log.append(fitted[1])
-                            if outputs is None:
-                                outputs = _filter_outputs(fitted[0], train,
-                                                          test, cfg)
-                            record.update(outputs[1])
-                        report, scores = _run_cell(
-                            kind, d, einv, (fi, di, ei, trial), fitted,
-                            (train.X, test.X) if cfg.chain == "post"
-                            else outputs[0], train, test, data, cfg,
-                            training_log)
-                        if report is not None:
-                            record.update(zip(_TRAIN_FIELDS, (
-                                report.stop_reason, report.iterations,
-                                report.objective_calls,
-                                report.inner_unconverged)))
-                        record.update(scores)
-                    except Exception as exc:  # recorded, run continues
-                        record["error"] = f"{type(exc).__name__}: {exc}"
-                    record["wall_time_s"] = time.perf_counter() - start
+                    if stage is not None:
+                        record.update(stage.fields)
+                        fields, record["error"], cell_s = _timed(
+                            _run_cell, stage, kind, d, einv,
+                            (fi, di, ei, trial), data, cfg, training_log)
+                        record.update(fields or {})
+                        stage_s += cell_s
+                    record["wall_time_s"] = stage_s
+                    stage_s = 0.0  # only a stage's first cell carries its time
                     records.append(record)
                     _log.info("cell %d/%d filter=%s dim=%d eps_inv=%g trial=%d "
                               "wall=%.3fs stop=%s iters=%s calls=%s "

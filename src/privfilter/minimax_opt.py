@@ -43,6 +43,7 @@ filter and no extra forward pass or head work.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 
@@ -71,28 +72,26 @@ class TaskSpec:
     kind: str
     label_field: str = "y"   # "y" (private labels) or "z" (target labels)
     reg_lambda: float = 1e-6
-    fit_intercept: bool = False  # least-squares and reconstruction heads only
 
     def __post_init__(self):
         if self.kind not in _TASK_KINDS:
             raise DataError(f"unknown task kind {self.kind!r}")
         if self.kind != TASK_RECONSTRUCTION and self.label_field not in ("y", "z"):
             raise DataError("label_field must be 'y' or 'z'")
-        if self.reg_lambda < 0:
-            raise DataError("reg_lambda must be non-negative")
+        if self.reg_lambda < 0 or not math.isfinite(self.reg_lambda):
+            raise DataError("reg_lambda must be non-negative and finite")
 
 
 def softmax_task(label_field="y", reg_lambda=1e-6) -> TaskSpec:
     return TaskSpec(TASK_SOFTMAX, label_field, reg_lambda)
 
 
-def least_squares_task(label_field="y", reg_lambda=0.0,
-                       fit_intercept=False) -> TaskSpec:
-    return TaskSpec(TASK_LEAST_SQUARES, label_field, reg_lambda, fit_intercept)
+def least_squares_task(label_field="y", reg_lambda=0.0) -> TaskSpec:
+    return TaskSpec(TASK_LEAST_SQUARES, label_field, reg_lambda)
 
 
-def reconstruction_task(reg_lambda=0.0, fit_intercept=True) -> TaskSpec:
-    return TaskSpec(TASK_RECONSTRUCTION, "y", reg_lambda, fit_intercept)
+def reconstruction_task(reg_lambda=0.0) -> TaskSpec:
+    return TaskSpec(TASK_RECONSTRUCTION, "y", reg_lambda)
 
 
 @dataclass(frozen=True)
@@ -109,19 +108,20 @@ class TradeoffConfig:
     inner_max_iter: int = 500  # Newton steps per softmax inner head
 
     def __post_init__(self):
-        if self.utility_weight <= 0:
-            raise DataError("utility_weight must be positive")
+        if self.utility_weight <= 0 or not math.isfinite(self.utility_weight):
+            raise DataError("utility_weight must be positive and finite")
         if not self.private_tasks:
             raise DataError("at least one private task is required")
         for task, weight in (*self.private_tasks, *self.utility_tasks):
             if not isinstance(task, TaskSpec):
                 raise DataError("tasks must be TaskSpec instances")
-            if weight <= 0:
-                raise DataError("task weights must be positive")
+            if weight <= 0 or not math.isfinite(weight):
+                raise DataError("task weights must be positive and finite")
         if self.max_iter < 1:
             raise DataError("max_iter must be at least 1")
-        if self.convergence_tol <= 0 or self.inner_tol <= 0:
-            raise DataError("tolerances must be positive")
+        if any(tol <= 0 or not math.isfinite(tol)
+               for tol in (self.convergence_tol, self.inner_tol)):
+            raise DataError("tolerances must be positive and finite")
         if self.slow_iterations < 1 or self.inner_max_iter < 1:
             raise DataError("iteration limits must be at least 1")
 
@@ -225,8 +225,9 @@ def _task_pass(task: TaskSpec, head, G, data, cfg: TradeoffConfig, refit,
         target = _task_target(task, data,
                               None if refit else head.weights.shape[1])
     if refit:
-        head = heads_mod.fit_reconstruction(G, target, task.reg_lambda,
-                                            task.fit_intercept)
+        # least-squares heads fit no intercept, reconstruction heads one
+        head = heads_mod.fit_reconstruction(
+            G, target, task.reg_lambda, task.kind == TASK_RECONSTRUCTION)
     risk, _, grad_features = heads_mod.reconstruction_risk(head, G, target)
     return head, risk, grad_features, 1 if refit else 0, 0.0
 

@@ -224,6 +224,16 @@ def test_error_paths_exit_nonzero(tmp_path):
                            str(prefix) + ".filter", "--epsilon-inverse", "-1"])
     assert code == 1 and not out
     assert "epsilon_inverses must be non-negative" in err
+    # an infinite bound scale would release all-zero rows
+    code, out, err = _run(["sweep", "--data", str(path), "--chain", "pre",
+                           "--filter", "pca", "--bound-scale", "inf",
+                           "--out", str(tmp_path / "x")])
+    assert code == 1 and not out and "bound_scale" in err
+    bad_bool = tmp_path / "bool.ini"
+    bad_bool.write_text("[experiment]\nlds_init = maybe\n")
+    code, _, err = _run(["sweep", "--data", str(path), "--config",
+                         str(bad_bool), "--out", str(tmp_path / "x")])
+    assert code == 1 and err.startswith("error:") and "lds_init" in err
 
 
 def test_experiment_keys_mirror_the_config_fields(tmp_path):

@@ -66,6 +66,9 @@ def test_bound_zero_vectors():
 def test_bound_validation():
     with pytest.raises(DataError):
         bound(BoundKind.CLIP, 0.0, np.ones(3))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DataError):
+            bound(BoundKind.CLIP, bad, np.ones(3))
     with pytest.raises(ValueError):
         bound("fold", 1.0, np.ones(3))
 

@@ -61,6 +61,12 @@ def test_config_validation():
         ExperimentConfig(bound_kind="fold")
     with pytest.raises(DataError):
         ExperimentConfig(bound_scale=0.0)
+    # an infinite scale would release all-zero rows, a NaN one NaN rows
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(DataError, match="bound_scale"):
+            ExperimentConfig(chain="pre", bound_scale=bad)
+        with pytest.raises(DataError, match="epsilon_inverses"):
+            ExperimentConfig(chain="pre", epsilon_inverses=(0.0, bad))
     with pytest.raises(DataError):
         ExperimentConfig(trials=0)
     with pytest.raises(DataError):
@@ -512,6 +518,56 @@ def test_failed_minimax_fit_leaves_the_training_summary_empty(monkeypatch):
     (record,) = report.records
     assert record["error"] == "FloatingPointError: no fit"
     assert all(record[k] is None for k in _TRAIN_FIELDS)
+
+
+@pytest.mark.parametrize("chain, einvs", [("pre", (0.0, 0.5, 1.0)),
+                                          ("none", (0.0,))])
+def test_a_failed_filter_fit_runs_once_per_filter(monkeypatch, chain, einvs):
+    attempts = []
+
+    def broken(*args, **kwargs):
+        attempts.append(args)
+        raise FloatingPointError("no fit")
+
+    monkeypatch.setattr(harness, "train_minimax", broken)
+    cfg = _fast_config(filters=("minimax-linear", "pca"), dims=(2, 3),
+                       epsilon_inverses=einvs, chain=chain, trials=2)
+    log = ["earlier fit"]
+    report = run_experiment(cfg, _small_data(), training_log=log)
+    # one attempt per (filter, dim, trial), none repeated by later cells
+    assert len(attempts) == 2 * 2
+    assert log == ["earlier fit"]
+    assert len(report.records) == 2 * 2 * 2 * len(einvs)
+    for record in report.records:
+        assert record["wall_time_s"] >= 0.0
+        if record["filter"] == "pca":
+            assert record["error"] is None
+        else:
+            assert record["error"] == "FloatingPointError: no fit"
+            assert record["target_accuracy"] is None
+            assert all(record[k] is None for k in _TRAIN_FIELDS)
+
+
+def test_a_failed_split_bound_runs_once_per_trial(monkeypatch):
+    attempts = []
+
+    def broken(*args, **kwargs):
+        attempts.append(args)
+        raise FloatingPointError("no bound")
+
+    monkeypatch.setattr(harness, "bound", broken)
+    cfg = _fast_config(filters=("pca", "minimax-linear"), dims=(2, 3),
+                       epsilon_inverses=(0.0, 0.5, 1.0), chain="post",
+                       trials=2)
+    log = []
+    report = run_experiment(cfg, _small_data(), training_log=log)
+    assert len(attempts) == 2
+    assert log == []
+    assert len(report.records) == 24
+    for record in report.records:
+        assert record["error"] == "FloatingPointError: no bound"
+        assert record["wall_time_s"] >= 0.0
+        assert record["bound_scale"] is None
 
 
 def _degenerate_config(task):

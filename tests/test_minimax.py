@@ -308,6 +308,17 @@ def test_config_validation():
         classification_tradeoff(max_iter=0)
     with pytest.raises(DataError):
         classification_tradeoff(convergence_tol=0.0)
+    # NaN slips past a sign check: a NaN tolerance ran silently to
+    # max_iter, an infinite one stopped after 0 iterations
+    for bad in (float("nan"), float("inf")):
+        for kwargs in (dict(convergence_tol=bad), dict(inner_tol=bad),
+                       dict(utility_weight=bad)):
+            with pytest.raises(DataError):
+                classification_tradeoff(**kwargs)
+        with pytest.raises(DataError):
+            TradeoffConfig(private_tasks=((softmax_task(), bad),))
+        with pytest.raises(DataError):
+            softmax_task(reg_lambda=bad)
     with pytest.raises(DataError):
         least_squares_task(label_field="w")
     with pytest.raises(ShapeError):
