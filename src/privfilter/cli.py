@@ -11,8 +11,10 @@ level, so with the training seed it reproduces that cell, noisy or not.
 
 ``sweep`` optionally reads an INI config whose ``[experiment]`` keys
 match ExperimentConfig fields one for one (list-valued fields as comma
-lists) and whose ``[tradeoff]`` section feeds the minimax optimizer.
-Every flag given on the command line overrides its config key.
+lists) and whose ``[tradeoff]`` section feeds the minimax optimizer.  A
+key left empty keeps its default, and a value that does not parse is an
+error naming its section and key.  Every flag given on the command line
+overrides its config key.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .dp_mech import BoundKind, compute_diameters
 from .errors import DataError
 from .filters import apply_filter, load_filter, save_filter
 from .harness import (CHAIN_CHOICES, FILTER_CHOICES, ExperimentConfig,
-                      _ROLE_FILTER, _ROLE_NOISE, _ROLE_SPLIT, derive_rng,
+                      ROLE_FILTER, ROLE_NOISE, ROLE_SPLIT, derive_rng,
                       evaluate_heads, fit_filter, release_features,
                       run_experiment, export_results)
 from .minimax_opt import classification_tradeoff, save_report
@@ -84,7 +86,7 @@ def _cmd_diameters(args) -> int:
 def _cmd_train(args) -> int:
     data = _load(args)
     train, _ = split_per_subject(
-        data, args.train_fraction, derive_rng(args.seed, _ROLE_SPLIT, 0))
+        data, args.train_fraction, derive_rng(args.seed, ROLE_SPLIT, 0))
     tradeoff = classification_tradeoff(utility_weight=args.utility_weight,
                                        reg_lambda=args.reg_lambda,
                                        max_iter=args.max_iter)
@@ -94,7 +96,7 @@ def _cmd_train(args) -> int:
                            ppls_lambda=args.ppls_lambda,
                            master_seed=args.seed)
     state, report = fit_filter(args.filter, train, args.dim, cfg,
-                               derive_rng(args.seed, _ROLE_FILTER, 0, 0, 0))
+                               derive_rng(args.seed, ROLE_FILTER, 0, 0, 0))
     save_filter(state, args.out + ".filter")
     message = f"saved filter to {args.out}.filter"
     if report is not None:
@@ -118,35 +120,38 @@ def _cmd_eval(args) -> int:
                            train_fraction=args.train_fraction,
                            master_seed=args.seed)
     train, test = split_per_subject(
-        data, cfg.train_fraction, derive_rng(args.seed, _ROLE_SPLIT, 0))
+        data, cfg.train_fraction, derive_rng(args.seed, ROLE_SPLIT, 0))
     state = load_filter(args.filter_path)
     g_train, g_test = release_features(
         apply_filter(state, train.X), apply_filter(state, test.X), cfg,
-        args.epsilon_inverse, derive_rng(args.seed, _ROLE_NOISE, 0, 0, 0, 0))
+        args.epsilon_inverse, derive_rng(args.seed, ROLE_NOISE, 0, 0, 0, 0))
     print(json.dumps(evaluate_heads(g_train, g_test, train, test, data),
                      sort_keys=True))
     return 0
 
 
-_EXPERIMENT_PARSERS = {
-    "filters": _parse_names,
-    "dims": _parse_ints,
-    "epsilon_inverses": _parse_floats,
-    "chain": str,
-    "bound_kind": str,
-    "bound_scale": float,
-    "trials": int,
-    "train_fraction": float,
-    "master_seed": int,
-    "lds_init": lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
-    "mlp_hidden": _parse_ints,
-    "pretrain_epochs": int,
-    "ppls_lambda": float,
+_CONFIG_PARSERS = {  # section -> key -> parser
+    "experiment": {
+        "filters": _parse_names,
+        "dims": _parse_ints,
+        "epsilon_inverses": _parse_floats,
+        "chain": str,
+        "bound_kind": str,
+        "bound_scale": float,
+        "trials": int,
+        "train_fraction": float,
+        "master_seed": int,
+        "lds_init": lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
+        "mlp_hidden": _parse_ints,
+        "pretrain_epochs": int,
+        "ppls_lambda": float,
+    },
+    "tradeoff": {
+        "utility_weight": float, "reg_lambda": float, "max_iter": int,
+        "convergence_tol": float, "inner_tol": float, "inner_max_iter": int,
+        "slow_iterations": int,
+    },
 }
-
-_TRADEOFF_KEYS = ("utility_weight", "reg_lambda", "max_iter",
-                  "convergence_tol", "inner_tol", "inner_max_iter",
-                  "slow_iterations")
 
 
 def _read_config(path):
@@ -154,22 +159,19 @@ def _read_config(path):
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise DataError(f"cannot read config file {path}")
-    experiment = {}
-    for key, raw in parser.items("experiment") if parser.has_section("experiment") else ():
-        if key not in _EXPERIMENT_PARSERS:
-            raise DataError(f"unknown [experiment] key {key!r}")
-        try:
-            experiment[key] = _EXPERIMENT_PARSERS[key](raw) if raw.strip() else None
-        except (KeyError, ValueError):  # KeyError: not an INI boolean
-            raise DataError(f"bad [experiment] value {key} = {raw!r}") from None
-    tradeoff = {}
-    if parser.has_section("tradeoff"):
-        for key, raw in parser.items("tradeoff"):
-            if key not in _TRADEOFF_KEYS:
-                raise DataError(f"unknown [tradeoff] key {key!r}")
-            tradeoff[key] = int(raw) if key in ("max_iter", "inner_max_iter",
-                                                "slow_iterations") else float(raw)
-    return experiment, tradeoff
+    settings = {}
+    for section, parsers in _CONFIG_PARSERS.items():
+        values = settings[section] = {}
+        for key, raw in parser.items(section) if parser.has_section(section) else ():
+            if key not in parsers:
+                raise DataError(f"unknown [{section}] key {key!r}")
+            if not raw.strip():
+                continue
+            try:
+                values[key] = parsers[key](raw)
+            except (KeyError, ValueError):  # KeyError: not an INI boolean
+                raise DataError(f"bad [{section}] value {key} = {raw!r}") from None
+    return settings["experiment"], settings["tradeoff"]
 
 
 def _cmd_sweep(args) -> int:

@@ -66,10 +66,11 @@ an LDS filter or ``lds_init`` loads ``scipy.linalg`` on its first
 ``baselines.privacy_lds`` call; sweeps over the other linear filters
 and the baselines load neither.
 
-Random streams (roles): 0 splits, keyed (trial); 1 filter fitting, keyed
-(filter, dim, trial) plus the noise index for post chains since those
-train on perturbed data; 2 release noise, keyed (filter, dim, noise,
-trial), drawing the training rows before the test rows.
+Random streams (roles): ``ROLE_SPLIT`` = 0 splits, keyed (trial);
+``ROLE_FILTER`` = 1 filter fitting, keyed (filter, dim, trial) plus the
+noise index for post chains since those train on perturbed data;
+``ROLE_NOISE`` = 2 release noise, keyed (filter, dim, noise, trial),
+drawing the training rows before the test rows.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import heads as heads_mod
 from .baselines import (build_scatters, fit_pca, fit_ppls, fit_rand,
                         privacy_lds)
 from .data import Dataset, split_per_subject
@@ -93,8 +95,7 @@ from .errors import DataError, ShapeError
 from .filters import (DEFAULT_HIDDEN, FilterKind, apply_filter,
                       identity_filter, init_filter, linear_filter,
                       pretrain_autoencoder)
-from .heads import (_label_index, _softmax_core, accuracy, fit_softmax,
-                    one_hot)
+from .heads import accuracy, fit_softmax, one_hot
 from .minimax_opt import TradeoffConfig, train_minimax
 
 SCHEMA_VERSION = 1
@@ -117,9 +118,9 @@ EVAL_REG_LAMBDA = 1e-6  # ridge of the evaluation heads
 EVAL_TOL = 1e-6  # gradient-norm tolerance of the evaluation heads
 EVAL_MAX_ITER = 300  # Newton steps per evaluation head
 
-_ROLE_SPLIT = 0
-_ROLE_FILTER = 1
-_ROLE_NOISE = 2
+ROLE_SPLIT = 0
+ROLE_FILTER = 1
+ROLE_NOISE = 2
 
 _log = logging.getLogger(__name__)
 
@@ -154,7 +155,7 @@ class ExperimentConfig:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "epsilon_inverses",
                            tuple(float(e) for e in self.epsilon_inverses))
-        object.__setattr__(self, "mlp_hidden", tuple(self.mlp_hidden))
+        object.__setattr__(self, "mlp_hidden", tuple(int(h) for h in self.mlp_hidden))
         for kind in self.filters:
             if kind not in FILTER_CHOICES:
                 raise DataError(f"unknown filter {kind!r}; choose from {FILTER_CHOICES}")
@@ -184,6 +185,12 @@ class ExperimentConfig:
             raise DataError("trials must be at least 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise DataError("train_fraction must lie strictly between 0 and 1")
+        if len(self.mlp_hidden) != 2 or any(h < 1 for h in self.mlp_hidden):
+            raise DataError(f"mlp_hidden must be two positive ints, got {self.mlp_hidden}")
+        if self.pretrain_epochs < 0:
+            raise DataError("pretrain_epochs must be non-negative")
+        if self.ppls_lambda < 0 or not math.isfinite(self.ppls_lambda):
+            raise DataError("ppls_lambda must be non-negative and finite")
 
 
 def fit_filter(kind: str, train: Dataset, d: int, cfg: ExperimentConfig, rng):
@@ -302,7 +309,7 @@ def _with_intercept(G):
     from this column, so the attack model is a full logistic regression
     (filters never see it).  The result is the (n, d + 1) transpose of a
     C-contiguous (d + 1, n) buffer, the layout the softmax solver and
-    ``_head_grad`` read, so no fit makes a transposed copy.
+    ``heads.softmax_risk`` read, so no fit makes a transposed copy.
     """
     n, d = G.shape
     out = np.empty((d + 1, n))
@@ -326,36 +333,20 @@ def evaluate_heads(g_train, g_test, train, test, data):
 
 def _score_heads(G_train, G_test, train, test, data):
     """``evaluate_heads`` on features that already carry the intercept
-    column."""
-    num_target = data.num_target_classes
-    num_private = data.num_private_classes
-    target_head = fit_softmax(G_train, train.z, num_target, EVAL_REG_LAMBDA,
-                              tol=EVAL_TOL, max_iter=EVAL_MAX_ITER)
-    private_head = fit_softmax(G_train, train.y, num_private, EVAL_REG_LAMBDA,
-                               tol=EVAL_TOL, max_iter=EVAL_MAX_ITER)
-    target_acc = accuracy(target_head, G_test, test.z)
-    private_acc = accuracy(private_head, G_test, test.y)
-    return {
-        "target_accuracy": target_acc,
-        "private_accuracy": private_acc,
-        "tradeoff": target_acc - private_acc,
-        "chance_target": 1.0 / num_target,
-        "chance_private": 1.0 / num_private,
-        "target_head_grad": _head_grad(target_head, G_train, train.z),
-        "private_head_grad": _head_grad(private_head, G_train, train.y),
-    }
-
-
-def _head_grad(head, G, labels):
-    """Norm of the head's risk gradient on the features it was fit on.
-
-    The gradient is ``softmax_risk``'s, from the same residual and the
-    same expression, without the per-sample feature gradient it also
-    builds.  ``G`` is the transposed buffer of ``_with_intercept``.
-    """
-    _, residual = _softmax_core(head.weights, G.T, _label_index(labels))
-    grad = residual @ G / G.shape[0] + head.reg_lambda * head.weights
-    return float(np.linalg.norm(grad))
+    column.  Each head's risk-gradient norm is that of
+    ``heads.softmax_risk`` on the features it was fit on."""
+    scores = {}
+    for task, field, num_classes in (("target", "z", data.num_target_classes),
+                                     ("private", "y", data.num_private_classes)):
+        labels = getattr(train, field)
+        head = fit_softmax(G_train, labels, num_classes, EVAL_REG_LAMBDA,
+                           tol=EVAL_TOL, max_iter=EVAL_MAX_ITER)
+        scores[f"{task}_accuracy"] = accuracy(head, G_test, getattr(test, field))
+        scores[f"chance_{task}"] = 1.0 / num_classes
+        grad = heads_mod.softmax_risk(head, G_train, labels)[1]
+        scores[f"{task}_head_grad"] = float(np.linalg.norm(grad))
+    scores["tradeoff"] = scores["target_accuracy"] - scores["private_accuracy"]
+    return scores
 
 
 @dataclass(frozen=True)
@@ -465,11 +456,11 @@ def _run_cell(stage, kind, d, einv, key, data, cfg, training_log):
     it, and none outlives the cell."""
     fi, di, ei, trial = key
     g_train, g_test = _add_noise(stage.rows, einv, derive_rng(
-        cfg.master_seed, _ROLE_NOISE, fi, di, ei, trial))
+        cfg.master_seed, ROLE_NOISE, fi, di, ei, trial))
     fields = {}
     if cfg.chain == "post":
         filt, fields = _fit_logged(
-            kind, d, derive_rng(cfg.master_seed, _ROLE_FILTER, fi, di, ei, trial),
+            kind, d, derive_rng(cfg.master_seed, ROLE_FILTER, fi, di, ei, trial),
             replace(stage.train, X=g_train), cfg, training_log)
         g_train = apply_filter(filt, g_train)
         g_test = apply_filter(filt, g_test)
@@ -509,14 +500,14 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
         1 if kind == "raw" else len(cfg.dims) for kind in cfg.filters)
     records = []
     for trial in range(cfg.trials):
-        split_rng = derive_rng(cfg.master_seed, _ROLE_SPLIT, trial)
+        split_rng = derive_rng(cfg.master_seed, ROLE_SPLIT, trial)
         train, test = split_per_subject(data, cfg.train_fraction, split_rng)
         for fi, kind in enumerate(cfg.filters):
             dims = (data.dim,) if kind == "raw" else cfg.dims
             for di, d in enumerate(dims):
                 if cfg.chain != "post" or fi == di == 0:  # post: once per trial
                     fit = None if cfg.chain == "post" else (kind, d, derive_rng(
-                        cfg.master_seed, _ROLE_FILTER, fi, di, trial))
+                        cfg.master_seed, ROLE_FILTER, fi, di, trial))
                     stage = None  # the last stage's rows die before the next
                     stage, error, stage_s = _timed(_stage, cfg, train, test,
                                                    fit, training_log)

@@ -126,23 +126,30 @@ def _label_index(labels) -> np.ndarray:
     return (labels - 1) * labels.size + np.arange(labels.size)
 
 
+def _softmax_problem(G, labels, num_classes, dim=None):
+    """Checked softmax inputs: the features, their C-contiguous (dim, n)
+    transpose and their ``_label_index``."""
+    G = _check_feature_matrix(G, dim)
+    labels = _check_labels(labels, num_classes)
+    if labels.size != G.shape[0]:
+        raise ShapeError("labels and features disagree on the sample count")
+    return G, np.ascontiguousarray(G.T), _label_index(labels)
+
+
 def _softmax_core(weights, G_t, label_index):
     """Mean negative log-likelihood and the class-major residual (P - Y)'.
 
-    ``G_t`` is the (feature_dim, n) transpose of the features, C-contiguous,
-    and ``label_index`` comes from ``_label_index``.  The (num_classes, n)
-    logits buffer is shifted, exponentiated and normalized in place to
-    become the residual, so every per-sample step runs over a contiguous
-    row of n values.  The result equals the row-major form
+    ``G_t`` and ``label_index`` come from ``_softmax_problem``.  The
+    (num_classes, n) logits buffer is shifted, exponentiated and normalized
+    in place to become the residual, so every per-sample step runs over a
+    contiguous row of n values.  The result equals the row-major form
     (``tests/oracles.py::softmax_core_reference``) up to the rounding of
     the class sums, which run in another order.
     """
     logits = weights @ G_t
     flat = logits.reshape(-1)
     picked = flat[label_index]
-    shift = logits[0].copy()
-    for row in logits[1:]:
-        np.maximum(shift, row, out=shift)
+    shift = logits.max(axis=0)
     logits -= shift
     np.exp(logits, out=logits)
     norms = logits.sum(axis=0)
@@ -151,6 +158,14 @@ def _softmax_core(weights, G_t, label_index):
     logits /= norms
     flat[label_index] -= 1.0
     return nll, logits
+
+
+def _risk_and_grad(weights, lam, G, G_t, label_index):
+    """Regularized softmax risk, its gradient in ``weights`` and the
+    residual (P - Y)' of ``_softmax_core``."""
+    nll, residual = _softmax_core(weights, G_t, label_index)
+    risk = nll + 0.5 * lam * float((weights ** 2).sum())
+    return risk, residual @ G / G.shape[0] + lam * weights, residual
 
 
 def softmax_risk(head: SoftmaxHead, G, labels):
@@ -162,17 +177,11 @@ def softmax_risk(head: SoftmaxHead, G, labels):
     grad_head : array, shape (num_classes, feature_dim)
     grad_features : array, shape (n_samples, feature_dim)
     """
-    G = _check_feature_matrix(G, head.feature_dim)
-    labels = _check_labels(labels, head.num_classes)
-    if labels.size != G.shape[0]:
-        raise ShapeError("labels and features disagree on the sample count")
-    n = G.shape[0]
-    lam = head.reg_lambda
-    nll, residual = _softmax_core(head.weights, np.ascontiguousarray(G.T),
-                                  _label_index(labels))
-    risk = nll + 0.5 * lam * float((head.weights ** 2).sum())
-    grad_head = residual @ G / n + lam * head.weights
-    grad_features = residual.T @ head.weights / n
+    G, G_t, label_index = _softmax_problem(G, labels, head.num_classes,
+                                           head.feature_dim)
+    risk, grad_head, residual = _risk_and_grad(head.weights, head.reg_lambda,
+                                               G, G_t, label_index)
+    grad_features = residual.T @ head.weights / G.shape[0]
     return risk, grad_head, grad_features
 
 
@@ -208,33 +217,21 @@ def fit_softmax_with_info(G, labels, num_classes, reg_lambda=1e-6, tol=1e-8,
     """
     if num_classes < 2:
         raise DataError("softmax heads need at least two classes")
-    G = _check_feature_matrix(G)
-    labels = _check_labels(labels, num_classes)
-    if labels.size != G.shape[0]:
-        raise ShapeError("labels and features disagree on the sample count")
-    n, d = G.shape
+    G, G_t, label_index = _softmax_problem(G, labels, num_classes)
+    d = G.shape[1]
     if init is not None and init.weights.shape != (num_classes, d):
         raise ShapeError("warm-start head has the wrong shape")
     lam = float(reg_lambda)
-    G_t = np.ascontiguousarray(G.T)
-    label_index = _label_index(labels)
-
-    def value_and_grad(weights):
-        nll, residual = _softmax_core(weights, G_t, label_index)
-        risk = nll + 0.5 * lam * float((weights ** 2).sum())
-        return risk, residual @ G / n + lam * weights, residual
-
     start = np.zeros((num_classes, d)) if init is None else init.weights
-    weights, risk, steps = _newton_fit(value_and_grad, start, G, G_t,
-                                       label_index, lam, tol, max_iter)
+    weights, risk, steps = _newton_fit(start, G, G_t, label_index, lam, tol,
+                                       max_iter)
     if not np.isfinite(risk):
         raise NumericError("softmax fit diverged to a non-finite risk")
     head = SoftmaxHead(weights, reg_lambda=lam)
     return head, steps
 
 
-def _newton_fit(value_and_grad, weights, G, G_t, label_index, lam, tol,
-                max_iter):
+def _newton_fit(weights, G, G_t, label_index, lam, tol, max_iter):
     """Damped Newton minimization of the softmax risk from ``weights``.
 
     Each step solves H s = -grad, densely (``_newton_step``) for at most
@@ -246,7 +243,7 @@ def _newton_fit(value_and_grad, weights, G, G_t, label_index, lam, tol,
     accepted.  Returns (weights, risk, steps).
     """
     dense = weights.size <= _NEWTON_MAX_WEIGHTS
-    risk, grad, residual = value_and_grad(weights)
+    risk, grad, residual = _risk_and_grad(weights, lam, G, G_t, label_index)
     grad_norm = np.linalg.norm(grad)
     steps = 0
     while steps < max_iter and grad_norm > tol:
@@ -264,7 +261,8 @@ def _newton_fit(value_and_grad, weights, G, G_t, label_index, lam, tol,
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = weights + t * step
-            trial_risk, trial_grad, trial_residual = value_and_grad(trial)
+            trial_risk, trial_grad, trial_residual = _risk_and_grad(
+                trial, lam, G, G_t, label_index)
             trial_norm = np.linalg.norm(trial_grad)
             if trial_risk <= risk + _ARMIJO * t * slope or (
                     flat and trial_norm < grad_norm):

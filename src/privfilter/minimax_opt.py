@@ -242,37 +242,33 @@ def _tradeoff_pass(state: FilterState, heads, data, cfg: TradeoffConfig, refit,
     ``targets`` are ``_task_targets(cfg, data)`` or None.
     """
     n_private = len(cfg.private_tasks)
+    tasks = (*cfg.private_tasks, *cfg.utility_tasks)
+    given = ((None,) * len(tasks) if heads is None
+             else (*heads.private, *heads.utility))
     if targets is None:
-        targets = (None,) * (n_private + len(cfg.utility_tasks))
+        targets = (None,) * len(tasks)
     hidden = []
     G = apply_filter(state, data.X, hidden)
     upstream = np.zeros_like(G)
     iterations = 0
     inner_grads = []
-    privacy_value = 0.0
-    private_heads = []
-    for i, (task, weight) in enumerate(cfg.private_tasks):
-        given = heads.private[i] if heads is not None else None
+    values = [0.0, 0.0]  # privacy_value, utility_value
+    fitted_heads = []
+    for i, (task, weight) in enumerate(tasks):
+        utility = i >= n_private
         head, risk, grad_features, nit, inner_grad = _task_pass(
-            task, given, G, data, cfg, refit, targets[i])
-        private_heads.append(head)
-        privacy_value += weight * (-risk)
-        upstream += weight * grad_features
+            task, given[i], G, data, cfg, refit, targets[i])
+        fitted_heads.append(head)
+        values[utility] += weight * (-risk)
+        # kappa_i for a private task, -rho * omega_j for a utility task
+        scale = -cfg.utility_weight * weight if utility else weight
+        upstream += scale * grad_features
         iterations += nit
         inner_grads.append(inner_grad)
-    utility_value = 0.0
-    utility_heads = []
-    for j, (task, weight) in enumerate(cfg.utility_tasks):
-        given = heads.utility[j] if heads is not None else None
-        head, risk, grad_features, nit, inner_grad = _task_pass(
-            task, given, G, data, cfg, refit, targets[n_private + j])
-        utility_heads.append(head)
-        utility_value += weight * (-risk)
-        upstream -= cfg.utility_weight * weight * grad_features
-        iterations += nit
-        inner_grads.append(inner_grad)
+    privacy_value, utility_value = values
     objective = privacy_value - cfg.utility_weight * utility_value
-    fitted = FittedHeads(tuple(private_heads), tuple(utility_heads), iterations,
+    fitted = FittedHeads(tuple(fitted_heads[:n_private]),
+                         tuple(fitted_heads[n_private:]), iterations,
                          upstream, max(inner_grads),
                          sum(g > cfg.inner_tol for g in inner_grads),
                          tuple(hidden))

@@ -5,12 +5,13 @@ import logging
 from dataclasses import fields
 
 import numpy as np
+import pytest
 
-from privfilter.cli import _EXPERIMENT_PARSERS, main
+from privfilter.cli import _CONFIG_PARSERS, main
 from privfilter.data import load_csv
 from privfilter.filters import load_filter
 from privfilter.harness import ExperimentConfig, load_results, run_experiment
-from privfilter.minimax_opt import load_report_records
+from privfilter.minimax_opt import TradeoffConfig, load_report_records
 
 
 def _run(argv):
@@ -237,9 +238,14 @@ def test_error_paths_exit_nonzero(tmp_path):
 
 
 def test_experiment_keys_mirror_the_config_fields(tmp_path):
-    # every ExperimentConfig field but the [tradeoff] section has one key
-    assert set(_EXPERIMENT_PARSERS) == (
+    # every ExperimentConfig field but the [tradeoff] section has one key,
+    # and so does every TradeoffConfig setting but the task lists, whose
+    # heads share the one reg_lambda
+    assert set(_CONFIG_PARSERS["experiment"]) == (
         {f.name for f in fields(ExperimentConfig)} - {"tradeoff"})
+    assert set(_CONFIG_PARSERS["tradeoff"]) == (
+        {f.name for f in fields(TradeoffConfig)}
+        - {"private_tasks", "utility_tasks"} | {"reg_lambda"})
     path = _make_dataset(tmp_path)
     config = tmp_path / "old.ini"
     config.write_text("[experiment]\nchain = pre\nsensitivity = 3.0\n")
@@ -250,6 +256,34 @@ def test_experiment_keys_mirror_the_config_fields(tmp_path):
     code, _, err = _run(["sweep", "--data", str(path), "--config",
                          str(config), "--out", str(tmp_path / "x")])
     assert code == 1 and "unknown [experiment] key 'eval_max_iter'" in err
+
+
+@pytest.mark.parametrize("section, key, raw", [
+    ("experiment", "trials", "three"),
+    ("tradeoff", "max_iter", "ten"),
+    ("tradeoff", "utility_weight", "heavy"),
+])
+def test_a_bad_config_value_names_its_section_and_key(tmp_path, section, key,
+                                                      raw):
+    path = _make_dataset(tmp_path)
+    config = tmp_path / "bad.ini"
+    config.write_text(f"[{section}]\n{key} = {raw}\n")
+    code, out, err = _run(["sweep", "--data", str(path), "--config",
+                           str(config), "--out", str(tmp_path / "x")])
+    assert code == 1 and not out
+    assert err == f"error: bad [{section}] value {key} = {raw!r}\n"
+
+
+def test_an_empty_config_value_keeps_its_default(tmp_path):
+    path = _make_dataset(tmp_path)
+    config = tmp_path / "empty.ini"
+    config.write_text("[experiment]\nfilters = pca\ndims = 2\ntrials = 1\n"
+                      "bound_scale =\n[tradeoff]\nmax_iter =\n")
+    prefix = tmp_path / "empty"
+    code, out, err = _run(["sweep", "--data", str(path), "--config",
+                           str(config), "--out", str(prefix)])
+    assert code == 0, err
+    assert len(load_results(prefix).records) == 1
 
 
 def test_eval_of_a_malformed_filter_exits_with_an_error(tmp_path):

@@ -71,6 +71,14 @@ def test_config_validation():
         ExperimentConfig(trials=0)
     with pytest.raises(DataError):
         ExperimentConfig(train_fraction=1.0)
+    for bad in (float("nan"), float("inf"), -5.0):
+        with pytest.raises(DataError, match="ppls_lambda"):
+            ExperimentConfig(ppls_lambda=bad)
+    with pytest.raises(DataError, match="pretrain_epochs"):
+        ExperimentConfig(pretrain_epochs=-3)
+    for bad in ((20,), (20, 10, 5), (20, 0)):
+        with pytest.raises(DataError, match="mlp_hidden"):
+            ExperimentConfig(mlp_hidden=bad)
     assert set(ExperimentConfig().filters) <= set(FILTER_CHOICES)
     assert ExperimentConfig().chain in CHAIN_CHOICES
 
@@ -341,18 +349,32 @@ def test_cells_record_their_bound_outside_the_payload(chain, kind, scale):
                for r in plain.records)
 
 
-def test_head_gradient_reads_the_transposed_features_bit_for_bit():
-    rng = np.random.default_rng(8)
-    g = rng.standard_normal((70, 4))
-    labels = rng.integers(1, 4, size=70)
+def test_head_gradient_reads_the_transposed_features_bit_for_bit(monkeypatch):
+    g = np.random.default_rng(8).standard_normal((70, 4))
     G = harness._with_intercept(g)
     # the (n, d + 1) features are a view of one C-contiguous (d + 1, n)
     # buffer, so neither the solver nor the gradient copies them
     assert np.array_equal(G, np.hstack([g, np.ones((70, 1))]))
     assert G.T.flags.c_contiguous
-    head = fit_softmax(G, labels, 3, harness.EVAL_REG_LAMBDA, max_iter=3)
-    expected = np.linalg.norm(softmax_risk(head, G, labels)[1])
-    assert harness._head_grad(head, G, labels) == expected
+    # a sweep's recorded head gradients are the norms of softmax_risk's
+    # weight gradient on the features each head was fit on
+    fits = []
+
+    def recording_fit(G, labels, *args, **kwargs):
+        head = fit_softmax(G, labels, *args, **kwargs)
+        fits.append((head, G, labels))
+        return head
+
+    monkeypatch.setattr(harness, "fit_softmax", recording_fit)
+    cfg = _fast_config(epsilon_inverses=(0.0, 1.0), chain="pre", trials=1)
+    report = run_experiment(cfg, _small_data())
+    assert len(fits) == 2 * len(report.records)
+    for r, target, private in zip(report.records, fits[::2], fits[1::2]):
+        for name, (head, G, labels) in (("target_head_grad", target),
+                                        ("private_head_grad", private)):
+            assert G.T.flags.c_contiguous
+            expected = float(np.linalg.norm(softmax_risk(head, G, labels)[1]))
+            assert r[name] == expected
 
 
 def test_cell_errors_are_recorded_and_do_not_stop_the_run():

@@ -64,6 +64,47 @@ def test_split_task_weights_match_single_task():
     assert priv_a == priv_b and util_a == util_b and obj_a == obj_b
 
 
+def test_objective_is_the_weighted_sum_of_its_tasks_bit_for_bit():
+    rng = np.random.default_rng(4)
+    data = _toy_dataset(rng)
+    state = init_filter(FilterKind.LINEAR, 6, 3, seed=5)
+    cfg = TradeoffConfig(
+        utility_weight=2.5,
+        private_tasks=((softmax_task("y", 1e-4), 0.7),
+                       (least_squares_task("y", 1e-3), 0.3)),
+        utility_tasks=((softmax_task("z", 1e-4), 1.5),
+                       (reconstruction_task(1e-3), 0.25)),
+        inner_tol=1e-10, inner_max_iter=2000)
+    objective, privacy_value, utility_value, fitted = joint_objective(
+        state, data, cfg)
+    G = filters.apply_filter(state, data.X)
+
+    def risk(task, head):
+        if task.kind == "softmax":
+            labels = getattr(data, task.label_field)
+            return heads.softmax_risk(head, G, labels)
+        if task.kind == "least_squares":
+            labels = getattr(data, task.label_field)
+            target = one_hot(labels, int(labels.max()))
+        else:
+            target = data.X
+        return heads.reconstruction_risk(head, G, target)
+
+    privacy, utility, feature_grad = 0.0, 0.0, np.zeros_like(G)
+    for (task, weight), head in zip(cfg.private_tasks, fitted.private):
+        value, _, grad = risk(task, head)
+        privacy += weight * (-value)
+        feature_grad += weight * grad
+    for (task, weight), head in zip(cfg.utility_tasks, fitted.utility):
+        value, _, grad = risk(task, head)
+        utility += weight * (-value)
+        feature_grad -= cfg.utility_weight * weight * grad
+    assert len(fitted.private) == len(fitted.utility) == 2
+    assert privacy_value == privacy and utility_value == utility
+    assert objective == privacy - cfg.utility_weight * utility
+    assert np.array_equal(fitted.feature_grad, feature_grad)
+
+
 def test_matching_labels_collapse_the_tradeoff():
     # when z equals y the same head solves both tasks
     rng = np.random.default_rng(2)

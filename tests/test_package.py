@@ -1,4 +1,6 @@
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -72,3 +74,33 @@ def test_sweep_without_lds_leaves_scipy_linalg_unloaded(chain):
     # the check can see the module: an LDS filter loads it
     lds = _SWEEP.format(filters='"lds-init",', chain=chain)
     assert _loaded_in_fresh_interpreter("scipy.linalg", lds)
+
+
+def _private_imports(path):
+    """(line, name) of each underscore name ``path`` takes from another
+    privfilter module: by ``from . import``/``from .mod import`` or as an
+    attribute of a module it imported from the package."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("privfilter")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append((node.lineno, alias.name))
+                elif node.module in (None, "privfilter"):  # a sibling module
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return found
+
+
+def test_no_module_imports_another_modules_private_names():
+    package = pathlib.Path(privfilter.__file__).parent
+    found = {path.name: _private_imports(path)
+             for path in sorted(package.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
