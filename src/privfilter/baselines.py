@@ -9,10 +9,12 @@ filter matrix) that maximizes target-class scatter relative to
 private-class scatter, usable directly or as a minimax initializer.
 ``harness.fit_filter`` dispatches to them by filter kind.
 
-Only ``privacy_lds`` uses scipy: it imports ``scipy.linalg`` on its first
-call for the generalized symmetric eigensolver, whose basis of a repeated
-eigenvalue numpy does not reproduce (see its docstring).  Importing this
-module and calling its other functions need numpy only.
+Only ``privacy_lds`` uses scipy: on its first call it loads LAPACK's
+generalized symmetric eigensolver ``dsygvd`` from scipy's compiled
+``scipy.linalg._flapack`` alone (``kernels.scipy_kernel``), without
+importing ``scipy.linalg``; numpy does not reproduce its basis of a
+repeated eigenvalue (see its docstring).  Importing this module and
+calling its other functions need numpy only.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from .errors import DataError, NumericError, ShapeError
 from .filters import FilterState, linear_filter
+from .kernels import scipy_kernel
 
 _RANK_TOL = 1e-10
 _MAX_RANK_RETRIES = 10
@@ -33,6 +36,8 @@ def _check_square_symmetric(a, name) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{name} must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NumericError(f"{name} must be finite")
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.T).max()) > 1e-10 * scale:
         raise ShapeError(f"{name} must be symmetric")
@@ -139,8 +144,8 @@ class ScatterSet:
             floor = -1e-10 * max(1.0, float(np.trace(mat)))
             if float(np.linalg.eigvalsh(mat).min()) < floor:
                 raise NumericError(f"{name} must be positive semidefinite")
-        if self.ridge <= 0:
-            raise DataError("ridge must be positive")
+        if not (self.ridge > 0 and np.isfinite(self.ridge)):
+            raise DataError(f"ridge must be positive and finite, got {self.ridge}")
         object.__setattr__(self, "between_target", bt)
         object.__setattr__(self, "between_private", bp)
 
@@ -199,22 +204,24 @@ def privacy_lds(s: ScatterSet, d: int) -> np.ndarray:
     On the training half of the benchmark's ``linear-sweep`` data the
     quotients are 662.27, 1, 1, ... (12 of 20 equal to 1); on
     ``release-sweep``'s they are 1234.0, 2.71, 1.95, 1, ... (28 of 50).
-    scipy's ``gv``, ``gvd`` and ``gvx`` drivers return the same columns to
-    within 6e-16, but numpy formulations of the same problem (a Cholesky
-    or an inverse-square-root whitening, ``eig`` of the solved pencil)
-    return other bases of the unit eigenspace, which moves a minimax fit
-    that starts from them.
+    The solver is LAPACK ``dsygvd`` called as ``scipy.linalg.eigh(numer,
+    denom)`` calls it (itype 1, lower triangle), so the columns equal
+    ``eigh``'s bit for bit.  scipy's ``gv``, ``gvd`` and ``gvx`` drivers
+    return the same columns to within 6e-16, but numpy formulations of the
+    same problem (a Cholesky or an inverse-square-root whitening, ``eig``
+    of the solved pencil) return other bases of the unit eigenspace, which
+    moves a minimax fit that starts from them.
     """
     if not 1 <= d <= s.dim:
         raise ShapeError(f"d must lie in 1..{s.dim}, got {d}")
     eye = np.eye(s.dim)
     numer = s.between_target + s.ridge * eye
     denom = s.between_private + s.ridge * eye
-    import scipy.linalg  # loaded by the first LDS solve only
-    try:
-        eigvals, eigvecs = scipy.linalg.eigh(numer, denom)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"generalized eigenproblem failed: {exc}") from exc
+    dsygvd = scipy_kernel("scipy.linalg._flapack", "dsygvd",
+                          "scipy.linalg.lapack")
+    eigvals, eigvecs, info = dsygvd(numer, denom, itype=1, jobz="V", uplo="L")
+    if info != 0:
+        raise NumericError(f"generalized eigenproblem failed: dsygvd info {info}")
     order = np.argsort(eigvals)[::-1][:d]
     vectors = eigvecs[:, order]
     values = eigvals[order]

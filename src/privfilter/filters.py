@@ -19,11 +19,11 @@ in the buffers their matrix products allocate, with the same operations
 in the same order as the plain expressions: the results match those bit
 for bit without the n-row temporaries each expression would allocate.
 
-The sigmoid is ``scipy.special.expit``, imported on the first MLP forward
-pass: a process that only uses linear filters never loads
-``scipy.special``.  A numpy sigmoid would be faster but rounds
-differently, and the MLP workloads' private accuracies move with those
-last bits.
+The sigmoid is scipy's ``expit``, loaded on the first MLP forward pass
+from its compiled module alone (``kernels.scipy_kernel``): no process
+loads ``scipy.special``, and one that only uses linear filters loads no
+scipy at all.  A numpy sigmoid would be faster but rounds differently,
+and the MLP workloads' private accuracies move with those last bits.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ShapeError
+from .kernels import scipy_kernel
 from .records import read_record, write_record
 
 DEFAULT_HIDDEN = (20, 10)
@@ -145,7 +146,8 @@ def _affine(X, w, b, sigmoid):
     h = X @ w
     h += b
     if sigmoid:
-        from scipy.special import expit  # loaded by the first MLP pass only
+        expit = scipy_kernel("scipy.special._special_ufuncs", "expit",
+                             "scipy.special")
         expit(h, out=h)
     return h
 

@@ -60,11 +60,13 @@ share of the bounded rows of both halves that lay beyond the clip scale
 (both None on chain "none"; ``clip_frac`` None for other bounds).  These
 diagnostics and the wall time stay out of the scientific payload.
 
-Importing the harness loads no scipy module.  An MLP filter loads
-``scipy.special`` on its first forward pass (``filters._affine``), and
-an LDS filter or ``lds_init`` loads ``scipy.linalg`` on its first
-``baselines.privacy_lds`` call; sweeps over the other linear filters
-and the baselines load neither.
+Importing the harness loads no scipy module, and no sweep loads
+``scipy.special`` or ``scipy.linalg``.  An MLP filter loads the compiled
+module of scipy's ``expit`` on its first forward pass
+(``filters._affine``), and an LDS filter or ``lds_init`` that of LAPACK
+``dsygvd`` on its first ``baselines.privacy_lds`` call, each on its own
+(``kernels.scipy_kernel``); sweeps over the other linear filters and the
+baselines load no scipy module.
 
 Random streams (roles): ``ROLE_SPLIT`` = 0 splits, keyed (trial);
 ``ROLE_FILTER`` = 1 filter fitting, keyed (filter, dim, trial) plus the
@@ -85,7 +87,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import heads as heads_mod
 from .baselines import (build_scatters, fit_pca, fit_ppls, fit_rand,
                         privacy_lds)
 from .data import Dataset, split_per_subject
@@ -95,7 +96,7 @@ from .errors import DataError, ShapeError
 from .filters import (DEFAULT_HIDDEN, FilterKind, apply_filter,
                       identity_filter, init_filter, linear_filter,
                       pretrain_autoencoder)
-from .heads import accuracy, fit_softmax, one_hot
+from .heads import accuracy, fit_softmax, one_hot, softmax_weight_grad
 from .minimax_opt import TradeoffConfig, train_minimax
 
 SCHEMA_VERSION = 1
@@ -334,7 +335,8 @@ def evaluate_heads(g_train, g_test, train, test, data):
 def _score_heads(G_train, G_test, train, test, data):
     """``evaluate_heads`` on features that already carry the intercept
     column.  Each head's risk-gradient norm is that of
-    ``heads.softmax_risk`` on the features it was fit on."""
+    ``heads.softmax_risk``'s weight gradient on the features it was fit
+    on (``heads.softmax_weight_grad``)."""
     scores = {}
     for task, field, num_classes in (("target", "z", data.num_target_classes),
                                      ("private", "y", data.num_private_classes)):
@@ -343,7 +345,7 @@ def _score_heads(G_train, G_test, train, test, data):
                            tol=EVAL_TOL, max_iter=EVAL_MAX_ITER)
         scores[f"{task}_accuracy"] = accuracy(head, G_test, getattr(test, field))
         scores[f"chance_{task}"] = 1.0 / num_classes
-        grad = heads_mod.softmax_risk(head, G_train, labels)[1]
+        grad = softmax_weight_grad(head, G_train, labels)
         scores[f"{task}_head_grad"] = float(np.linalg.norm(grad))
     scores["tradeoff"] = scores["target_accuracy"] - scores["private_accuracy"]
     return scores

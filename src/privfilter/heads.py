@@ -185,6 +185,16 @@ def softmax_risk(head: SoftmaxHead, G, labels):
     return risk, grad_head, grad_features
 
 
+def softmax_weight_grad(head: SoftmaxHead, G, labels) -> np.ndarray:
+    """``softmax_risk(head, G, labels)[1]``, the risk gradient in the
+    weights, bit for bit, without the (n_samples, feature_dim) feature
+    gradient."""
+    G, G_t, label_index = _softmax_problem(G, labels, head.num_classes,
+                                           head.feature_dim)
+    return _risk_and_grad(head.weights, head.reg_lambda, G, G_t,
+                          label_index)[1]
+
+
 # Fits with at most this many weights (num_classes * dim) solve each Newton
 # step densely; larger fits solve it by truncated conjugate gradients.
 # Timed on the cold evaluation heads of a 6,400-row training split (one

@@ -3,9 +3,9 @@ import pytest
 
 from oracles import (compute_moments, contrast_matrix, least_squares_minimax,
                      random_orthonormal, rel_error, trace_objective)
-from privfilter.baselines import build_scatters, privacy_lds
+from privfilter.baselines import ScatterSet, build_scatters, privacy_lds
 from privfilter.data import gen_synthetic
-from privfilter.errors import NumericError, ShapeError
+from privfilter.errors import DataError, NumericError, ShapeError
 from privfilter.heads import one_hot
 
 
@@ -218,6 +218,38 @@ def test_scatter_validation():
         privacy_lds(s, 0)
     with pytest.raises(ShapeError):
         privacy_lds(s, 3)
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("between_target", np.nan, NumericError),
+    ("between_private", np.nan, NumericError),
+    ("between_target", np.inf, NumericError),
+    ("between_private", -np.inf, NumericError),
+    ("ridge", np.nan, DataError),
+    ("ridge", np.inf, DataError),
+    ("ridge", 0.0, DataError),
+])
+def test_scatter_set_rejects_non_finite_input(field, value, error):
+    # NaN compares False against every bound and inf made eigvalsh raise a
+    # bare LinAlgError; the eigensolver itself no longer checks its input
+    fields = {"between_target": np.eye(3), "between_private": np.eye(3),
+              "ridge": 0.1}
+    if field == "ridge":
+        fields[field] = value
+    else:
+        fields[field] = np.eye(3)
+        fields[field][1, 1] = value
+    with pytest.raises(error, match=field):
+        ScatterSet(**fields)
+
+
+def test_lds_solver_failure_is_a_numeric_error():
+    # an eigenvalue of -5e-11 passes the semidefinite check's tolerance, but
+    # the ridge 1e-12 leaves the private pencil indefinite: dsygvd's
+    # Cholesky factorization fails (info > n)
+    s = ScatterSet(np.eye(2), np.diag([1.0, -5e-11]), ridge=1e-12)
+    with pytest.raises(NumericError, match="dsygvd info 4"):
+        privacy_lds(s, 1)
 
 
 def test_determinism():

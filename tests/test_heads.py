@@ -10,7 +10,8 @@ from privfilter.heads import (_NEWTON_MAX_WEIGHTS, _label_index,
                               ReconstructionHead, SoftmaxHead, accuracy,
                               fit_reconstruction, fit_softmax,
                               fit_softmax_with_info, one_hot, predict_labels,
-                              reconstruction_risk, softmax_risk)
+                              reconstruction_risk, softmax_risk,
+                              softmax_weight_grad)
 
 
 def _random_instance(rng, n=50, d=5, num_classes=3):
@@ -52,6 +53,18 @@ def test_softmax_gradients_match_finite_differences():
                      central_diff(risk_of_weights, head.weights.ravel())) <= 1e-5
     assert rel_error(grad_features.ravel(),
                      central_diff(risk_of_features, G.ravel())) <= 1e-5
+
+
+def test_weight_grad_is_softmax_risks_bit_for_bit():
+    rng = np.random.default_rng(2)
+    G, labels = _random_instance(rng, n=300, d=6, num_classes=4)
+    for reg_lambda in (0.0, 1e-3):
+        head = SoftmaxHead(rng.standard_normal((4, 6)), reg_lambda=reg_lambda)
+        assert np.array_equal(softmax_weight_grad(head, G, labels),
+                              softmax_risk(head, G, labels)[1])
+    G[5, 2] = np.nan
+    with pytest.raises(NumericError):
+        softmax_weight_grad(head, G, labels)
 
 
 def test_softmax_risk_is_convex_in_weights():
