@@ -64,7 +64,7 @@ def _cmd_synth(args) -> int:
                          args.per_subject, angle_deg=args.angle,
                          subject_sep=args.subject_sep,
                          target_sep=args.target_sep, noise=args.noise,
-                         seed=args.seed, name=args.name)
+                         seed=args.seed)
     save_csv(data, args.out)
     print(f"wrote {data.n_samples} rows ({data.n_subjects} subjects, "
           f"{data.num_target_classes} target classes) to {args.out}")
@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--target-sep", type=float, default=3.0)
     synth.add_argument("--noise", type=float, default=0.5)
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--name", default="synthetic")
     synth.set_defaults(func=_cmd_synth)
 
     diameters = sub.add_parser("diameters",

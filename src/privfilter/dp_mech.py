@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, NumericError, ShapeError
 
 DEFAULT_SENSITIVITY = 2.0
 _NORMALIZE_FLOOR = 1e-300
@@ -78,6 +78,9 @@ def bound(kind, scale, h) -> np.ndarray:
                direction only)
     squash     tanh(scale ||h||) h / ||h||
     normalize  h / ||h||, with near-zero inputs mapped to zero
+
+    A row whose norm is not finite (a NaN or infinite entry, or overflow)
+    has no image in the ball and raises ``NumericError``.
     """
     kind = BoundKind(kind)
     if scale <= 0 or not math.isfinite(scale):
@@ -88,6 +91,7 @@ def bound(kind, scale, h) -> np.ndarray:
     if rows.ndim != 2:
         raise ShapeError("bound expects a vector or a matrix of row vectors")
     norms = np.linalg.norm(rows, axis=1)
+    _check_finite_norms(norms)
     if kind is BoundKind.NORMALIZE:
         degenerate = norms < _NORMALIZE_FLOOR
         if np.any(degenerate):
@@ -119,10 +123,16 @@ def bound_scale_from_norms(norms) -> float:
     norms = np.asarray(norms, dtype=np.float64)
     if norms.size == 0:
         raise DataError("cannot derive a bound scale from no samples")
+    _check_finite_norms(norms)
     reference = float(np.percentile(norms, 95.0))
     if reference <= 0:
         return 1.0
     return 1.0 / reference
+
+
+def _check_finite_norms(norms):
+    if not np.all(np.isfinite(norms)):
+        raise NumericError("cannot bound a row whose norm is not finite")
 
 
 def sample_noise(cfg: NoiseConfig, dim: int, rng=None, size=None) -> np.ndarray:

@@ -307,11 +307,10 @@ def _train_dae_layer(H, w, b, rng, noise_level, epochs, step, sigmoid_out,
         d_r *= 2.0 / n_samples
         g_wdec = z.T @ d_r
         g_c = d_r.sum(axis=0)
-        d_pre = d_r @ w_dec.T
-        if sigmoid_out:
-            d_pre *= z
-            np.subtract(1.0, z, out=z)
-            d_pre *= z
+        if sigmoid_out:  # z is dead from here on, so it is the scratch
+            d_pre = _sigmoid_backward(d_r, w_dec, z, z.reshape(-1))
+        else:
+            d_pre = d_r @ w_dec.T
         g_w = corrupted.T @ d_pre
         g_b = d_pre.sum(axis=0)
         w = w - step * g_w

@@ -22,12 +22,13 @@ line search along a limited-memory BFGS direction (Liu & Nocedal, Math.
 Prog. 1989; Nocedal & Wright, ch. 7): the two-loop recursion over the
 last ``_LBFGS_MEMORY`` pairs (s, y) of parameter and gradient changes,
 scaled by s.y / y.y of the newest pair.  Pairs with s.y <= 0 are
-skipped.  The memory is cleared whenever a probe of a step counts an
-unconverged inner fit, since the gradient is then inexact; a direction
-that is not a descent direction falls back to the negated gradient, and
-so does a search in which no step passes, which is retried along the
-negated gradient in the same iteration before the run counts as
-stalled.
+skipped.  With an empty memory the direction is the negated gradient.
+The memory is cleared whenever a probe of a step counts an unconverged
+inner fit, since the gradient is then inexact, and whenever a search
+accepts no step, so the next search from the same iterate runs along
+the negated gradient; only a failed search along the negated gradient
+stalls the run.  A direction that is not a descent direction also falls
+back to the negated gradient.
 
 Every search is plain backtracking: it probes the unit step, the natural
 scale of a quasi-Newton direction, then halves the step until the Armijo
@@ -323,8 +324,8 @@ class IterationRecord:
     ``heads.fit_softmax_with_info``); an exact least-squares or
     reconstruction solve counts 1.  ``probes`` is the number of
     ``joint_objective`` calls in that outer step (1 for the initial
-    record), a failed L-BFGS search before its retry along the negated
-    gradient included.
+    record), including those of a failed L-BFGS search before the
+    search along the negated gradient that accepted the step.
     ``worst_inner_grad`` is the largest risk-gradient norm of a softmax
     head fit over the same probes: above ``inner_tol``, some head was not
     a best response and the step's gradient is inexact.  Reports saved
@@ -348,9 +349,11 @@ class TrainReport:
 
     ``stop_reason`` is ``"converged"`` (slow progress), ``"stalled"`` (no
     step passed the Armijo test along the negated gradient) or
-    ``"max_iter"``.  A stalled search's ``joint_objective`` calls and
-    head-solver iterations belong to no record, so they are kept in
-    ``stall_probes`` and ``stall_inner_iterations`` (0 otherwise).
+    ``"max_iter"``.  The ``joint_objective`` calls and head-solver
+    iterations after the last record (the failed search along the negated
+    gradient, and a failed L-BFGS search before it) belong to no record,
+    so they are kept in ``stall_probes`` and ``stall_inner_iterations``
+    (0 otherwise).
     ``inner_unconverged`` counts the softmax head fits of the whole run,
     stalled search included, that ended above ``inner_tol``.
     """
@@ -422,35 +425,33 @@ def _lbfgs_direction(neg_grad, pairs):
 
 
 def _line_search(state, direction, slope, objective, fitted, data, cfg,
-                 targets):
+                 targets, work):
     """Armijo backtracking along ``direction`` from the unit step.
 
     ``slope`` is -grad Phi . direction (positive for a descent direction);
     a step t passes when it lowers the objective by more than
     ``_ARMIJO * t * slope``.  Probes t = 1, 1/2, 1/4, ... and takes the
     first step that passes, after at most ``_MAX_BACKTRACKS`` halvings.
-    Every probe warm-starts from the heads ``fitted`` at ``state``.
-    Returns (accepted, probes, inner_iterations, worst_inner_grad,
-    inner_unconverged) where accepted is (step, trial_state, trial_values),
-    or None when no step passes; the last four sum (or maximize) over
-    every probe.
+    Every probe warm-starts from the heads ``fitted`` at ``state`` and
+    appends its ``_probe_work`` to ``work``.  Returns (step, trial_state,
+    trial_values) for the accepted step, or None when no step passes.
     """
-    probes = 0
-    inner_used = 0
-    worst_grad = 0.0
-    unconverged = 0
     step = _UNIT_STEP
     for _ in range(_MAX_BACKTRACKS + 1):
         trial = state.with_params(state.params + step * direction)
         values = joint_objective(trial, data, cfg, warm=fitted, targets=targets)
-        probes += 1
-        inner_used += values[3].inner_iterations
-        worst_grad = max(worst_grad, values[3].worst_inner_grad)
-        unconverged += values[3].inner_unconverged
+        work.append(_probe_work(values[3]))
         if values[0] < objective - _ARMIJO * step * slope:
-            return (step, trial, values), probes, inner_used, worst_grad, unconverged
+            return step, trial, values
         step *= _SHRINK
-    return None, probes, inner_used, worst_grad, unconverged
+    return None
+
+
+def _probe_work(fitted: FittedHeads):
+    """(inner iterations, worst inner gradient, unconverged inner fits) of
+    one ``joint_objective`` call."""
+    return (fitted.inner_iterations, fitted.worst_inner_grad,
+            fitted.inner_unconverged)
 
 
 def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
@@ -462,10 +463,11 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
     L-BFGS direction is not a descent direction), and backtracks from the
     unit step, halving it until the objective decreases by the Armijo
     margin (see ``_line_search``).  If no step passes along an L-BFGS
-    direction, the memory is cleared and the same iteration searches
-    again along the negated gradient.  The memory is also cleared after
-    any step with an unconverged inner fit.  The run stops after
-    ``cfg.slow_iterations`` consecutive decreases below
+    direction, the memory is cleared and the loop searches again from the
+    same iterate, now along the negated gradient; only a failed search
+    along the negated gradient stalls the run.  The memory is also
+    cleared after any step with an unconverged inner fit.  The run stops
+    after ``cfg.slow_iterations`` consecutive decreases below
     ``cfg.convergence_tol`` (converged), when no step is accepted along
     the negated gradient (stalled), or at ``cfg.max_iter``;
     the report's ``stop_reason`` says which.
@@ -474,68 +476,57 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
     if X.ndim != 2 or X.shape[1] != init.input_dim:
         raise ShapeError("initial filter does not match the data dimension")
     targets = _task_targets(cfg, data)
-    state = init
-    objective, privacy_value, utility_value, fitted = joint_objective(
-        state, data, cfg, targets=targets)
-    neg_grad = filter_param_grad(state, data.X, fitted.feature_grad,
-                                 fitted.hidden)
-    records = [IterationRecord(0, objective, privacy_value, utility_value,
-                               0.0, fitted.inner_iterations,
-                               float(np.linalg.norm(neg_grad)), probes=1,
-                               worst_inner_grad=fitted.worst_inner_grad)]
-    unconverged = fitted.inner_unconverged
-    stop_reason = "max_iter"
-    stall_probes = stall_inner = 0
-    slow_count = 0
+    # the initial record has step 0 ...
+    accepted = (0.0, init, joint_objective(init, data, cfg, targets=targets))
+    objective = math.inf  # ... and is no slow decrease
+    # _probe_work of every joint_objective call since the last record
+    work = [_probe_work(accepted[2][3])]
+    records = []
     pairs = deque(maxlen=_LBFGS_MEMORY)
-    for iteration in range(1, cfg.max_iter + 1):
+    unconverged = slow_count = 0
+    stop_reason = "max_iter"
+    while True:
+        if accepted is not None:
+            step, trial, (trial_objective, privacy_value, utility_value,
+                          fitted) = accepted
+            trial_neg_grad = filter_param_grad(trial, data.X, fitted.feature_grad,
+                                               fitted.hidden)
+            step_unconverged = sum(w[2] for w in work)
+            if step_unconverged:
+                pairs.clear()
+            elif records:
+                s = trial.params - state.params
+                y = neg_grad - trial_neg_grad
+                sy = float(s @ y)
+                if sy > 0:
+                    pairs.append((s, y, sy))
+            slow = objective - trial_objective < cfg.convergence_tol
+            slow_count = slow_count + 1 if slow else 0
+            state, objective, neg_grad = trial, trial_objective, trial_neg_grad
+            records.append(IterationRecord(
+                len(records), objective, privacy_value, utility_value, step,
+                sum(w[0] for w in work), float(np.linalg.norm(neg_grad)),
+                len(work), max(w[1] for w in work)))
+            unconverged += step_unconverged
+            work = []
+            if slow_count >= cfg.slow_iterations:
+                stop_reason = "converged"
+                break
+            if len(records) > cfg.max_iter:
+                break
+        elif direction is neg_grad:
+            # No productive step along the gradient; at (or numerically
+            # indistinguishable from) a stationary point.
+            stop_reason = "stalled"
+            break
+        else:
+            pairs.clear()  # the next direction is the negated gradient
         direction = _lbfgs_direction(neg_grad, pairs)
         slope = float(neg_grad @ direction)
         if direction is not neg_grad and not slope > 0:
             direction, slope = neg_grad, float(neg_grad @ neg_grad)
-        search = _line_search(state, direction, slope, objective, fitted, data,
-                              cfg, targets)
-        accepted, probes, inner_used, worst_grad, step_unconverged = search
-        if accepted is None and direction is not neg_grad:
-            pairs.clear()
-            retry = _line_search(state, neg_grad, float(neg_grad @ neg_grad),
-                                 objective, fitted, data, cfg, targets)
-            accepted = retry[0]
-            probes += retry[1]
-            inner_used += retry[2]
-            worst_grad = max(worst_grad, retry[3])
-            step_unconverged += retry[4]
-        unconverged += step_unconverged
-        if accepted is None:
-            # No productive step along the gradient; at (or numerically
-            # indistinguishable from) a stationary point.
-            stop_reason = "stalled"
-            stall_probes, stall_inner = probes, inner_used
-            break
-        step, trial, (trial_objective, privacy_value, utility_value, fitted) = accepted
-        decrease = objective - trial_objective
-        objective = trial_objective
-        trial_neg_grad = filter_param_grad(trial, data.X, fitted.feature_grad,
-                                           fitted.hidden)
-        if step_unconverged:
-            pairs.clear()
-        else:
-            s = trial.params - state.params
-            y = neg_grad - trial_neg_grad
-            sy = float(s @ y)
-            if sy > 0:
-                pairs.append((s, y, sy))
-        state, neg_grad = trial, trial_neg_grad
-        records.append(IterationRecord(iteration, objective, privacy_value,
-                                       utility_value, step, inner_used,
-                                       float(np.linalg.norm(neg_grad)),
-                                       probes, worst_grad))
-        if decrease < cfg.convergence_tol:
-            slow_count += 1
-            if slow_count >= cfg.slow_iterations:
-                stop_reason = "converged"
-                break
-        else:
-            slow_count = 0
-    return TrainReport(tuple(records), state, stop_reason, stall_probes,
-                       stall_inner, unconverged)
+        accepted = _line_search(state, direction, slope, objective, fitted, data,
+                                cfg, targets, work)
+    unconverged += sum(w[2] for w in work)
+    return TrainReport(tuple(records), state, stop_reason, len(work),
+                       sum(w[0] for w in work), unconverged)

@@ -31,6 +31,9 @@ def read_record(path):
             header = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: not a record file ({exc})") from exc
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: not a record file (its header is not "
+                            "a JSON object)")
         if header.get("record_version") != RECORD_VERSION:
             raise DataError(
                 f"{path}: unsupported record version {header.get('record_version')!r}"

@@ -441,3 +441,18 @@ def trace_objective(m: MomentSet, tradeoff_weight: float, U) -> float:
     gram = U.T @ regularized @ U
     projected = U.T @ contrast_matrix(m, tradeoff_weight) @ U
     return float(np.trace(np.linalg.solve(gram, projected)))
+
+
+def trace_objectives(m: MomentSet, tradeoff_weight: float, Us) -> np.ndarray:
+    """``trace_objective`` of each U in the stack ``Us`` (shape (k, D, d)),
+    by the same operations batched, so each value is bit for bit the
+    scalar one."""
+    Us = np.asarray(Us, dtype=np.float64)
+    if Us.ndim != 3 or Us.shape[1] != m.dim:
+        raise ShapeError("Us must be a stack of matrices with one row per "
+                         "feature dimension")
+    regularized = m.xx + m.ridge * np.eye(m.dim)
+    Us_t = Us.transpose(0, 2, 1)
+    gram = Us_t @ regularized @ Us
+    projected = Us_t @ contrast_matrix(m, tradeoff_weight) @ Us
+    return np.trace(np.linalg.solve(gram, projected), axis1=1, axis2=2)

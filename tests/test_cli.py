@@ -40,6 +40,15 @@ def test_synth_writes_a_loadable_dataset(tmp_path):
     assert data.n_subjects == 3 and data.num_target_classes == 2
 
 
+def test_synth_has_no_name_option(tmp_path):
+    # the CSV format stores no dataset name, so the option had no effect
+    path = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as exc:
+        _run(["synth", "--out", str(path), "--name", "alpha"])
+    assert exc.value.code == 2
+    assert not path.exists()
+
+
 def test_synth_reports_counts(tmp_path):
     path = tmp_path / "t.csv"
     code, out, _ = _run(["synth", "--out", str(path), "--dim", "3",
@@ -297,7 +306,10 @@ def test_eval_of_a_malformed_filter_exits_with_an_error(tmp_path):
                              "input_dim": 6, "output_dim": 2,
                              "hidden_dims": []}, np.zeros(12))
     truncated.write_bytes(truncated.read_bytes()[:-1])
-    for filter_path, fragment in ((no_kind, "'kind'"), (truncated, "bytes")):
+    listed = tmp_path / "list.filter"
+    listed.write_bytes(b"[1, 2]\n")
+    for filter_path, fragment in ((no_kind, "'kind'"), (truncated, "bytes"),
+                                  (listed, "not a record file")):
         code, _, err = _run(["eval", "--data", str(path), "--filter-path",
                              str(filter_path)])
         assert code == 1 and err.startswith("error:")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import (compute_moments, contrast_matrix, least_squares_minimax,
-                     random_orthonormal, rel_error, trace_objective)
+                     random_orthonormal, rel_error, trace_objective,
+                     trace_objectives)
 from privfilter.baselines import ScatterSet, build_scatters, privacy_lds
 from privfilter.data import gen_synthetic
 from privfilter.errors import DataError, NumericError, ShapeError
@@ -46,6 +47,23 @@ def test_no_search_direction_beats_the_minimizer():
     for _ in range(200):
         U = random_orthonormal(rng, m.dim, d)
         assert trace_objective(m, rho, U) >= phi_min - 1e-9
+
+
+@pytest.mark.parametrize("dim", [6, 10])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("ridge", [0.0, 1e-2])
+def test_batched_trace_objective_equals_the_scalar_one(dim, d, ridge):
+    # one stacked draw and QR give the same U as one random_orthonormal
+    # call per U, and the batched objective the scalar values bit for bit
+    m = _random_moments(np.random.default_rng(dim + d), dim=dim, ridge=ridge)
+    looped, stacked = np.random.default_rng(9), np.random.default_rng(9)
+    singles = [random_orthonormal(looped, dim, d) for _ in range(300)]
+    Us, _ = np.linalg.qr(stacked.standard_normal((300, dim, d)))
+    assert np.array_equal(Us, np.stack(singles))
+    expected = [trace_objective(m, 1.5, U) for U in singles]
+    assert trace_objectives(m, 1.5, Us).tolist() == expected
+    with pytest.raises(ShapeError):
+        trace_objectives(m, 1.5, Us[0])
 
 
 def test_trace_objective_right_invariance():

@@ -14,7 +14,7 @@ from privfilter.data import gen_synthetic
 from privfilter.dp_mech import (BoundKind, NoiseConfig, bound,
                                 bound_scale_from_norms, compute_diameters,
                                 log_density, sample_noise)
-from privfilter.errors import DataError, ShapeError
+from privfilter.errors import DataError, NumericError, ShapeError
 from privfilter.filters import apply_filter, linear_filter
 from privfilter.harness import ExperimentConfig, release_features
 
@@ -71,6 +71,21 @@ def test_bound_validation():
             bound(BoundKind.CLIP, bad, np.ones(3))
     with pytest.raises(ValueError):
         bound("fold", 1.0, np.ones(3))
+
+
+@pytest.mark.parametrize("kind", list(BoundKind))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_bound_rejects_rows_with_non_finite_norms(kind, bad):
+    # the last value is finite, but the row's norm overflows
+    rows = np.ones((3, 2))
+    rows[1] = (bad, bad)
+    with pytest.raises(NumericError, match="not finite"):
+        bound(kind, 1.0, rows)
+    with pytest.raises(NumericError, match="not finite"):
+        bound(kind, 1.0, rows[1])
+    with pytest.raises(NumericError, match="not finite"):
+        bound_scale_from_norms(np.linalg.norm(rows, axis=1))
 
 
 def test_bound_scale_from_norms():

@@ -186,7 +186,7 @@ def test_training_descends_and_records_are_consistent(monkeypatch):
 
     def recorded(state, direction, slope, *args):
         result = search(state, direction, slope, *args)
-        if result[0] is not None:
+        if result is not None:
             slopes.append(slope)
         return result
 
@@ -692,10 +692,12 @@ def _watched_training(monkeypatch, data, cfg, init, fail=(), unconverged=()):
 
     def search(state, direction, slope, objective, fitted, *args):
         neg_grad = descent_direction(state, fitted, data, cfg)
+        work = args[-1]  # one entry per probe
+        before = len(work)
         result = search_fn(state, direction, slope, objective, fitted, *args)
         searches.append({"along_gradient": np.array_equal(direction, neg_grad),
-                         "params": state.params, "probes": result[1]})
-        return (None, *result[1:]) if len(searches) - 1 in fail else result
+                         "params": state.params, "probes": len(work) - before})
+        return None if len(searches) - 1 in fail else result
 
     def objective(*args, **kwargs):
         values = objective_fn(*args, **kwargs)
@@ -746,8 +748,9 @@ def test_failed_lbfgs_search_is_retried_along_the_negated_gradient(monkeypatch):
     assert np.array_equal(failed["params"], retry["params"])
     assert report.records[4].probes == failed["probes"] + retry["probes"]
     assert len(searches) == cfg.max_iter + 1
-    # the retry cleared the memory; its accepted step is the first new pair
-    assert memory[3] == 3 and memory[4] == 1
+    # the retry's direction comes from the cleared memory, and its accepted
+    # step is the first new pair
+    assert memory[3] == 3 and memory[4] == 0 and memory[5] == 1
 
 
 def test_stall_is_reported_only_after_the_retry_fails(monkeypatch):

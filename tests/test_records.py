@@ -24,6 +24,14 @@ def test_rejects_garbage(tmp_path):
         read_record(path)
 
 
+@pytest.mark.parametrize("header", [b"[1, 2]", b'"x"', b"3", b"null"])
+def test_rejects_a_header_that_is_not_an_object(tmp_path, header):
+    path = tmp_path / "list.rec"
+    path.write_bytes(header + b"\n")
+    with pytest.raises(DataError, match="list.rec: not a record file"):
+        read_record(path)
+
+
 def test_rejects_unknown_version(tmp_path):
     path = tmp_path / "future.rec"
     path.write_bytes(b'{"record_version": 99}\n')
