@@ -9,7 +9,7 @@ evaluation protocol.
 
 from .baselines import (ScatterSet, build_scatters, fit_pca, fit_ppls,
                         fit_rand, privacy_lds)
-from .data import (CsvSchema, Dataset, gen_synthetic, load_csv, save_csv,
+from .data import (Dataset, gen_synthetic, load_csv, save_csv,
                    split_per_subject)
 from .dp_mech import (BoundKind, DiameterReport, NoiseConfig, bound,
                       bound_scale_from_norms, compute_diameters, log_density,
@@ -20,8 +20,8 @@ from .filters import (FilterKind, FilterState, apply_filter,
                       linear_filter, load_filter, pretrain_autoencoder,
                       save_filter)
 from .harness import (EvalReport, ExperimentConfig, derive_rng,
-                      evaluate_heads, export_results, fit_filter,
-                      load_results, release_features, run_experiment)
+                      evaluate_filter, export_results, fit_filter,
+                      load_results, run_experiment, train_filter)
 from .heads import (ReconstructionHead, SoftmaxHead, accuracy,
                     fit_reconstruction, fit_softmax, one_hot, predict_labels,
                     reconstruction_risk, softmax_risk)
@@ -34,20 +34,20 @@ from .minimax_opt import (TaskSpec, TradeoffConfig, TrainReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundKind", "CsvSchema", "DataError", "Dataset", "DiameterReport",
+    "BoundKind", "DataError", "Dataset", "DiameterReport",
     "EvalReport", "ExperimentConfig", "FilterKind", "FilterState",
     "NoiseConfig", "NumericError", "ReconstructionHead", "ScatterSet",
     "ShapeError", "SoftmaxHead", "TaskSpec", "TradeoffConfig", "TrainReport",
     "accuracy", "apply_filter", "bound", "bound_scale_from_norms",
     "build_scatters", "classification_tradeoff", "compute_diameters",
-    "derive_rng", "descent_direction", "evaluate_heads", "evaluate_objective",
+    "derive_rng", "descent_direction", "evaluate_filter", "evaluate_objective",
     "export_results", "filter_param_grad", "fit_filter", "fit_pca",
     "fit_ppls", "fit_rand", "fit_reconstruction", "fit_softmax",
     "gen_synthetic", "identity_filter", "init_filter", "joint_objective",
     "least_squares_task", "least_squares_tradeoff", "linear_filter",
     "load_csv", "load_filter", "load_results", "log_density", "one_hot",
     "predict_labels", "pretrain_autoencoder", "privacy_lds",
-    "reconstruction_risk", "reconstruction_task", "release_features",
-    "run_experiment", "sample_noise", "save_csv", "save_filter",
-    "softmax_risk", "softmax_task", "split_per_subject", "train_minimax",
+    "reconstruction_risk", "reconstruction_task", "run_experiment",
+    "sample_noise", "save_csv", "save_filter", "softmax_risk",
+    "softmax_task", "split_per_subject", "train_filter", "train_minimax",
 ]

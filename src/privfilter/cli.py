@@ -2,12 +2,13 @@
 
 Subcommands: ``synth`` writes a synthetic CSV, ``diameters`` prints the
 subject-distance summary of a dataset, ``train`` fits a single filter and
-saves it, ``eval`` scores a saved filter the way a sweep cell does (the
-harness's release and evaluation heads), ``sweep`` runs a full
+saves it, ``eval`` scores a saved filter, ``sweep`` runs a full
 experiment grid and exports the results, logging each finished cell on
-stderr as it goes.  ``eval`` draws its noise from
-the stream of trial 0 of a sweep with one filter, one dim and one noise
-level, so with the training seed it reproduces that cell, noisy or not.
+stderr as it goes.  ``train`` and ``eval`` run trial 0 of a sweep with
+one filter, one dim and one noise level (``harness.train_filter`` and
+``harness.evaluate_filter``): ``train`` saves the filter that sweep fits,
+and ``eval``, given the training seed, prints the fields of its cell,
+noisy or not.
 
 ``sweep`` optionally reads an INI config whose ``[experiment]`` keys
 match ExperimentConfig fields one for one (list-valued fields as comma
@@ -26,14 +27,13 @@ import json
 import logging
 import sys
 
-from .data import CsvSchema, gen_synthetic, load_csv, save_csv, split_per_subject
+from .data import gen_synthetic, load_csv, save_csv
 from .dp_mech import BoundKind, compute_diameters
 from .errors import DataError
-from .filters import apply_filter, load_filter, save_filter
+from .filters import load_filter, save_filter
 from .harness import (CHAIN_CHOICES, FILTER_CHOICES, ExperimentConfig,
-                      ROLE_FILTER, ROLE_NOISE, ROLE_SPLIT, derive_rng,
-                      evaluate_heads, fit_filter, release_features,
-                      run_experiment, export_results)
+                      evaluate_filter, export_results, run_experiment,
+                      train_filter)
 from .minimax_opt import classification_tradeoff, save_report
 
 _BOUND_CHOICES = tuple(kind.value for kind in BoundKind)
@@ -44,7 +44,7 @@ def _add_data_arg(parser):
 
 
 def _load(args):
-    return load_csv(args.data, CsvSchema())
+    return load_csv(args.data)
 
 
 def _parse_floats(text):
@@ -85,8 +85,6 @@ def _cmd_diameters(args) -> int:
 
 def _cmd_train(args) -> int:
     data = _load(args)
-    train, _ = split_per_subject(
-        data, args.train_fraction, derive_rng(args.seed, ROLE_SPLIT, 0))
     tradeoff = classification_tradeoff(utility_weight=args.utility_weight,
                                        reg_lambda=args.reg_lambda,
                                        max_iter=args.max_iter)
@@ -94,9 +92,9 @@ def _cmd_train(args) -> int:
                            tradeoff=tradeoff, lds_init=args.lds_init,
                            pretrain_epochs=args.pretrain_epochs,
                            ppls_lambda=args.ppls_lambda,
+                           train_fraction=args.train_fraction,
                            master_seed=args.seed)
-    state, report = fit_filter(args.filter, train, args.dim, cfg,
-                               derive_rng(args.seed, ROLE_FILTER, 0, 0, 0))
+    state, report = train_filter(data, cfg)
     save_filter(state, args.out + ".filter")
     message = f"saved filter to {args.out}.filter"
     if report is not None:
@@ -109,8 +107,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     data = _load(args)
-    if data.z is None:
-        raise DataError("evaluation needs a z column")
     released = (args.epsilon_inverse > 0 or args.bound is not None
                 or args.bound_scale is not None)
     cfg = ExperimentConfig(epsilon_inverses=(args.epsilon_inverse,),
@@ -119,14 +115,8 @@ def _cmd_eval(args) -> int:
                            bound_scale=args.bound_scale,
                            train_fraction=args.train_fraction,
                            master_seed=args.seed)
-    train, test = split_per_subject(
-        data, cfg.train_fraction, derive_rng(args.seed, ROLE_SPLIT, 0))
-    state = load_filter(args.filter_path)
-    g_train, g_test = release_features(
-        apply_filter(state, train.X), apply_filter(state, test.X), cfg,
-        args.epsilon_inverse, derive_rng(args.seed, ROLE_NOISE, 0, 0, 0, 0))
-    print(json.dumps(evaluate_heads(g_train, g_test, train, test, data),
-                     sort_keys=True))
+    fields = evaluate_filter(load_filter(args.filter_path), data, cfg)
+    print(json.dumps(fields, sort_keys=True))
     return 0
 
 

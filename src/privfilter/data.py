@@ -104,16 +104,6 @@ class Dataset:
                        self.name)
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column names; ``feature_cols=None`` takes every f-prefixed column."""
-
-    feature_cols: tuple | None = None
-    y_col: str = "y"
-    z_col: str = "z"
-    subject_col: str = "subject"
-
-
 def _relabel_contiguous(values) -> np.ndarray:
     """Map sorted distinct values onto 1..K."""
     values = np.asarray(values, dtype=np.int64)
@@ -121,7 +111,7 @@ def _relabel_contiguous(values) -> np.ndarray:
     return (inverse + 1).astype(np.int64)
 
 
-def load_csv(path, schema: CsvSchema = CsvSchema()) -> Dataset:
+def load_csv(path) -> Dataset:
     """Read a dataset written by ``save_csv`` (or any CSV with that header).
 
     A UTF-8 byte-order mark before the header is skipped.  A plain numeric
@@ -143,20 +133,17 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> Dataset:
             raise DataError(f"{path}: no data rows")
         fh.seek(body_start)
         index = {name: i for i, name in enumerate(header)}
-        if schema.feature_cols is None:
-            feature_cols = [name for name in header
-                            if name.startswith("f") and name[1:].isdigit()]
-            feature_cols.sort(key=lambda name: int(name[1:]))
-            if not feature_cols:
-                raise DataError(f"{path}: no f0..fD feature columns found")
-        else:
-            feature_cols = list(schema.feature_cols)
-        for name in feature_cols + [schema.y_col, schema.subject_col]:
+        feature_cols = [name for name in header
+                        if name.startswith("f") and name[1:].isdigit()]
+        feature_cols.sort(key=lambda name: int(name[1:]))
+        if not feature_cols:
+            raise DataError(f"{path}: no f0..fD feature columns found")
+        for name in ("y", "subject"):
             if name not in index:
                 raise DataError(f"{path}: missing column {name!r}")
-        has_z = schema.z_col in index
+        has_z = "z" in index
         feature_idx = [index[name] for name in feature_cols]
-        label_cols = [schema.y_col, schema.subject_col] + ([schema.z_col] if has_z else [])
+        label_cols = ["y", "subject"] + (["z"] if has_z else [])
         label_idx = [index[name] for name in label_cols]
 
         parsed = _parse_table(path, fh, len(header), feature_idx, label_idx)

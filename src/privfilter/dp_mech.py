@@ -14,9 +14,10 @@ exactly the radial marginal of the density above (the r^{d-1} area factor
 turns the exponential into a Gamma).  In one dimension this reduces to
 the scalar Laplace distribution.
 
-The release itself, which bounds and perturbs rows in one of two orders,
-is ``harness.release_features``.  This module needs numpy alone; in
-particular it does not load ``scipy.special``.
+The release, which bounds and perturbs rows in one of two orders, is in
+``harness``: a sweep stage bounds the rows once and each cell adds its
+noise.  This module needs numpy alone; in particular it does not load
+``scipy.special``.
 """
 
 from __future__ import annotations
@@ -215,7 +216,8 @@ def compute_diameters(X, y, z) -> DiameterReport:
     group.  Squared distances are ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j,
     clamped at 0.  Among pairs at the maximal distance the report names
     the smallest (i, j), i < j, in row-major order.  Non-finite features
-    raise ``DataError``.
+    raise ``DataError``, and so does ``z`` None: the cross-subject pairs
+    are defined by the target labels.
 
     Each group is scanned farthest-from-centre first and pruned exactly
     (see ``_farthest_pair``), in blocks of about ``_SCAN_BLOCK`` distance
@@ -224,6 +226,8 @@ def compute_diameters(X, y, z) -> DiameterReport:
     O(sum of squared group sizes) distance entries, and on data with a
     few far-out rows per group it is far less.
     """
+    if z is None:
+        raise DataError("the diameters need target labels z (a z column)")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     z = np.asarray(z)

@@ -1,14 +1,15 @@
 """Desk-scale experiment harness.
 
 Runs the full protocol over a grid of (filter kind, output dim,
-epsilon_inverse, trial): split per subject, fit the filter on the
-training half only (``fit_filter``), release both halves
-(``release_features``), train fresh softmax evaluation heads for the
-target task (z) and the private task (y) on the released training
-features, and score both on the test half (``evaluate_heads``).  Larger
-epsilon_inverse means more noise; epsilon_inverse = 0 is the no-noise
-limit.  The ``eval`` command of the CLI scores a saved filter with the
-same two release and evaluation functions.
+epsilon_inverse, trial): split per subject (``_split``), fit the filter
+on the training half only (``fit_filter``), release both halves, train
+fresh softmax evaluation heads for the target task (z) and the private
+task (y) on the released training features, and score both on the test
+half (``_score_heads``).  Larger epsilon_inverse means more noise;
+epsilon_inverse = 0 is the no-noise limit.  ``train_filter`` and
+``evaluate_filter`` run the same code for trial 0 of a sweep of one
+filter, and the CLI's ``train`` and ``eval`` call them, so a saved
+filter and its scores are those of that sweep.
 
 The release bounds rows into the unit ball and adds noise in one of two
 orders: the "pre" chain bounds and perturbs the filter outputs (noise
@@ -72,13 +73,12 @@ Random streams (roles): ``ROLE_SPLIT`` = 0 splits, keyed (trial);
 ``ROLE_FILTER`` = 1 filter fitting, keyed (filter, dim, trial) plus the
 noise index for post chains since those train on perturbed data;
 ``ROLE_NOISE`` = 2 release noise, keyed (filter, dim, noise, trial),
-drawing the training rows before the test rows.
+drawing the training rows before the test rows.  No other module keys them.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 import time
@@ -98,6 +98,7 @@ from .filters import (DEFAULT_HIDDEN, FilterKind, apply_filter,
                       pretrain_autoencoder)
 from .heads import accuracy, fit_softmax, one_hot, softmax_weight_grad
 from .minimax_opt import TradeoffConfig, train_minimax
+from .records import read_jsonl, write_jsonl
 
 SCHEMA_VERSION = 1
 FILTER_CHOICES = ("raw", "rand", "pca", "ppls", "minimax-linear",
@@ -239,21 +240,10 @@ def fit_filter(kind: str, train: Dataset, d: int, cfg: ExperimentConfig, rng):
     return report.final_state, report
 
 
-def release_features(train_rows, test_rows, cfg, einv, noise_rng):
-    """Bound both halves' rows, then add noise at ``epsilon_inverse = einv``.
-
-    The pre chain passes filter outputs, the post chain raw features;
-    with chain "none" the rows come back unchanged.  The training rows
-    draw their noise first.  Without a configured ``bound_scale`` the
-    scale is fit on the training rows.  The inputs are left as they are;
-    at ``einv = 0`` the bounded rows come back read-only, otherwise the
-    noise arrays with the bounded rows added in place.  A sweep runs the
-    same two steps, ``_bound_halves`` once per ``_stage`` and ``_add_noise``.
-    """
-    if cfg.chain == "none":
-        return train_rows, test_rows
-    bounded, _ = _bound_halves(train_rows, test_rows, cfg)
-    return _add_noise(bounded, einv, noise_rng)
+def _split(data, cfg, trial):
+    """The per-subject (train, test) halves of ``trial``."""
+    return split_per_subject(data, cfg.train_fraction,
+                             derive_rng(cfg.master_seed, ROLE_SPLIT, trial))
 
 
 def _bound_halves(train_rows, test_rows, cfg):
@@ -319,24 +309,15 @@ def _with_intercept(G):
     return out.T
 
 
-def evaluate_heads(g_train, g_test, train, test, data):
+def _score_heads(G_train, G_test, train, test, data):
     """Score released features with fresh softmax attack heads.
 
     Fits target (z) and private (y) heads on the released training rows
-    at ``EVAL_REG_LAMBDA``, ``EVAL_TOL`` and ``EVAL_MAX_ITER`` and scores
-    them on the released test rows.  Returns the accuracies, their
-    difference (``tradeoff``), chance levels and both heads' risk-gradient
-    norms.
+    ``G_train`` (intercept column included) at ``EVAL_REG_LAMBDA``,
+    ``EVAL_TOL`` and ``EVAL_MAX_ITER`` and scores them on ``G_test``.
+    Returns the accuracies, their difference (``tradeoff``), chance levels
+    and the norm of each head's ``heads.softmax_weight_grad`` on ``G_train``.
     """
-    return _score_heads(_with_intercept(g_train), _with_intercept(g_test),
-                        train, test, data)
-
-
-def _score_heads(G_train, G_test, train, test, data):
-    """``evaluate_heads`` on features that already carry the intercept
-    column.  Each head's risk-gradient norm is that of
-    ``heads.softmax_risk``'s weight gradient on the features it was fit
-    on (``heads.softmax_weight_grad``)."""
     scores = {}
     for task, field, num_classes in (("target", "z", data.num_target_classes),
                                      ("private", "y", data.num_private_classes)):
@@ -421,21 +402,30 @@ class EvalReport:
 _Stage = namedtuple("_Stage", "train test rows fields")
 
 
-def _stage(cfg, train, test, fit, training_log):
+def _stage(cfg, train, test, filt, fields):
     """The split, the rows the cells perturb and the record fields they
-    share (``_BOUND_FIELDS``, a minimax fit's ``_TRAIN_FIELDS``), built
-    once before the cells.  A post chain passes ``fit`` None; a pre or none
-    chain the (kind, dim, rng) of the filter to fit and apply."""
-    if fit is None:
+    share (``_BOUND_FIELDS`` and ``fields``, a fit's ``_TRAIN_FIELDS``),
+    built once before the cells.  A post chain bounds the raw split and
+    takes ``filt`` None; a pre or none chain applies the fitted ``filt``,
+    and the pre chain bounds its outputs."""
+    if cfg.chain == "post":
         (X_train, X_test), fields = _bound_halves(train.X, test.X, cfg)
         return _Stage(replace(train, X=X_train), replace(test, X=X_test),
                       (X_train, X_test), fields)
-    filt, fields = _fit_logged(*fit, train, cfg, training_log)
     rows = (apply_filter(filt, train.X), apply_filter(filt, test.X))
     if cfg.chain == "pre":
         rows, bound_fields = _bound_halves(*rows, cfg)
-        fields.update(bound_fields)
+        fields = {**fields, **bound_fields}
     return _Stage(train, test, rows, fields)
+
+
+def _fitted_stage(cfg, train, test, kind, d, key, training_log):
+    """``_stage`` after, on a pre or none chain, fitting the filter of
+    (filter, dim, trial) index ``key``."""
+    fitted = (None, {}) if cfg.chain == "post" else _fit_logged(
+        kind, d, derive_rng(cfg.master_seed, ROLE_FILTER, *key), train, cfg,
+        training_log)
+    return _stage(cfg, train, test, *fitted)
 
 
 def _fit_logged(kind, d, rng, train, cfg, training_log):
@@ -452,7 +442,7 @@ def _fit_logged(kind, d, rng, train, cfg, training_log):
 
 def _run_cell(stage, kind, d, einv, key, data, cfg, training_log):
     """Release, filter and score the cell of ``stage`` at (filter, dim,
-    noise, trial) index ``key``; returns its ``evaluate_heads`` scores and
+    noise, trial) index ``key``; returns its ``_score_heads`` scores and
     the ``_TRAIN_FIELDS`` of a post chain's fit, made here on the released
     rows.  Each array dies as soon as the next step has been built from
     it, and none outlives the cell."""
@@ -502,18 +492,16 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
         1 if kind == "raw" else len(cfg.dims) for kind in cfg.filters)
     records = []
     for trial in range(cfg.trials):
-        split_rng = derive_rng(cfg.master_seed, ROLE_SPLIT, trial)
-        train, test = split_per_subject(data, cfg.train_fraction, split_rng)
+        train, test = _split(data, cfg, trial)
         for fi, kind in enumerate(cfg.filters):
             dims = (data.dim,) if kind == "raw" else cfg.dims
             for di, d in enumerate(dims):
                 if cfg.chain != "post" or fi == di == 0:  # post: once per trial
-                    fit = None if cfg.chain == "post" else (kind, d, derive_rng(
-                        cfg.master_seed, ROLE_FILTER, fi, di, trial))
                     stage = None  # the last stage's rows die before the next
-                    stage, error, stage_s = _timed(_stage, cfg, train, test,
-                                                   fit, training_log)
-                    if fit is None:  # the bounded rows replace the raw ones
+                    stage, error, stage_s = _timed(
+                        _fitted_stage, cfg, train, test, kind, d,
+                        (fi, di, trial), training_log)
+                    if cfg.chain == "post":  # the bounded rows replace them
                         train = test = None
                 for ei, einv in enumerate(cfg.epsilon_inverses):
                     record = {
@@ -552,15 +540,43 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
     return EvalReport(tuple(records))
 
 
+def _trial_zero(data, cfg):
+    """The trial-0 split, on a chain whose stage holds one fitted filter;
+    chain "post" fits one per cell, on that cell's released rows."""
+    if cfg.chain == "post":
+        raise DataError("chain 'post' fits each cell's filter on its "
+                        "released rows; use chain 'pre' or 'none'")
+    return _split(data, cfg, 0)
+
+
+def train_filter(data: Dataset, cfg: ExperimentConfig):
+    """The (FilterState, TrainReport or None) that a sweep under ``cfg``
+    fits for ``cfg.filters[0]`` at ``cfg.dims[0]`` in trial 0."""
+    train, _ = _trial_zero(data, cfg)
+    return fit_filter(cfg.filters[0], train, cfg.dims[0], cfg,
+                      derive_rng(cfg.master_seed, ROLE_FILTER, 0, 0, 0))
+
+
+def evaluate_filter(filt, data: Dataset, cfg: ExperimentConfig) -> dict:
+    """The fields a sweep of the fitted ``filt`` alone records for trial 0
+    at ``cfg.epsilon_inverses[0]``: the ``_score_heads`` scores, and on
+    chain "pre" the ``bound_scale`` and ``clip_frac`` of its release.
+    Chain "post" raises ``DataError``, since it refits per cell."""
+    if data.z is None:
+        raise DataError("evaluation needs target labels z (a z column)")
+    train, test = _trial_zero(data, cfg)
+    stage = _stage(cfg, train, test, filt, {})
+    return {**stage.fields, **_run_cell(
+        stage, cfg.filters[0], cfg.dims[0], cfg.epsilon_inverses[0],
+        (0, 0, 0, 0), data, cfg, None)}
+
+
 def export_results(report: EvalReport, path_prefix) -> None:
     """Write per-cell JSON lines and a CSV summary next to each other."""
     if not report.records:
         raise DataError("refusing to export an empty report")
     path_prefix = str(path_prefix)
-    with open(path_prefix + ".jsonl", "w", encoding="utf-8") as fh:
-        for record in report.records:
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path_prefix + ".jsonl", report.records)
     rows = report.summary()
     with open(path_prefix + ".csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -573,12 +589,7 @@ def load_results(path) -> EvalReport:
     path = str(path)
     if not path.endswith(".jsonl"):
         path = path + ".jsonl"
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    records = read_jsonl(path)
     if not records:
         raise DataError(f"{path}: no records")
     return EvalReport(tuple(records))

@@ -43,7 +43,6 @@ filter and no extra forward pass or head work.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
@@ -53,6 +52,7 @@ import numpy as np
 from . import heads as heads_mod
 from .errors import DataError, ShapeError
 from .filters import FilterState, apply_filter, filter_param_grad
+from .records import read_jsonl, write_jsonl
 
 _LBFGS_MEMORY = 10  # curvature pairs (s, y) behind each outer direction
 _UNIT_STEP = 1.0     # first step of every line search
@@ -385,20 +385,11 @@ class TrainReport:
 
 def save_report(report: TrainReport, path) -> None:
     """One JSON object per iteration record, for convergence plotting."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in report.records:
-            fh.write(json.dumps(asdict(record), sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, (asdict(record) for record in report.records))
 
 
 def load_report_records(path):
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(IterationRecord(**json.loads(line)))
-    return tuple(records)
+    return tuple(IterationRecord(**row) for row in read_jsonl(path))
 
 
 def _lbfgs_direction(neg_grad, pairs):

@@ -1,8 +1,10 @@
-"""Single-array on-disk records.
+"""On-disk records: single arrays and JSON lines.
 
 A record is one JSON header line (utf-8, sorted keys) followed by the raw
 array as little-endian 64-bit floats.  The header carries a version number
-so old checkpoints stay readable if the layout ever changes.
+so old checkpoints stay readable if the layout ever changes.  A JSON-lines
+file (``write_jsonl``/``read_jsonl``) holds one sorted-key JSON object per
+line; sweep results and training reports are written in it.
 """
 
 import json
@@ -43,3 +45,17 @@ def read_record(path):
         raise DataError(f"{path}: payload of {len(payload)} bytes is not a "
                         "whole number of 64-bit floats")
     return header, np.frombuffer(payload, dtype="<f8").astype(np.float64)
+
+
+def write_jsonl(path, rows) -> None:
+    """One ``json.dumps(row, sort_keys=True)`` line per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True))
+            fh.write("\n")
+
+
+def read_jsonl(path) -> list:
+    """The rows of a JSON-lines file; blank lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]

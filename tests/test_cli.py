@@ -7,11 +7,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from privfilter import harness
 from privfilter.cli import _CONFIG_PARSERS, main
 from privfilter.data import load_csv
 from privfilter.filters import load_filter
 from privfilter.harness import ExperimentConfig, load_results, run_experiment
-from privfilter.minimax_opt import TradeoffConfig, load_report_records
+from privfilter.minimax_opt import (TradeoffConfig, classification_tradeoff,
+                                    load_report_records)
 
 
 def _run(argv):
@@ -68,6 +70,14 @@ def test_diameters_prints_json(tmp_path):
     assert payload["cross_attained"] and payload["within_attained"]
 
 
+def test_diameters_without_z_names_the_missing_labels(tmp_path):
+    path = tmp_path / "no_z.csv"
+    path.write_text("f0,f1,y,subject\n0.0,1.0,1,1\n2.0,0.5,2,2\n")
+    code, out, err = _run(["diameters", "--data", str(path)])
+    assert code == 1 and not out
+    assert err.startswith("error:") and "target labels z" in err
+
+
 def test_train_then_eval_pipeline(tmp_path):
     path = _make_dataset(tmp_path)
     prefix = tmp_path / "model"
@@ -117,6 +127,45 @@ def test_eval_matches_the_sweep_cell(tmp_path):
         for key in ("target_accuracy", "private_accuracy", "target_head_grad",
                     "private_head_grad"):
             assert metrics[key] == record[key], (flags, key)
+        # a pre-chain cell also prints the bound its release used
+        for key in ("bound_scale", "clip_frac"):
+            assert metrics.get(key) == record[key], (flags, key)
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("pca", []), ("minimax-linear", ["--lds-init", "--max-iter", "10"])])
+def test_train_saves_the_filter_of_the_sweep(tmp_path, monkeypatch, kind,
+                                             flags):
+    # train fits the filter that trial 0 of a one-filter sweep fits, with
+    # the same TrainReport records
+    path = _make_dataset(tmp_path)
+    prefix = tmp_path / "model"
+    code, _, err = _run(["train", "--data", str(path), "--filter", kind,
+                         "--dim", "2", "--seed", "3", *flags,
+                         "--out", str(prefix)])
+    assert code == 0, err
+    fitted = []
+    fit = harness.fit_filter
+
+    def recording(*args):
+        result = fit(*args)
+        fitted.append(result[0])
+        return result
+    monkeypatch.setattr(harness, "fit_filter", recording)
+    cfg = ExperimentConfig(filters=(kind,), dims=(2,), trials=1, master_seed=3,
+                           lds_init="--lds-init" in flags,
+                           tradeoff=classification_tradeoff(
+                               10.0, 1e-6, max_iter=10))
+    log = []
+    assert run_experiment(cfg, load_csv(path), log).records[0]["error"] is None
+    saved = load_filter(str(prefix) + ".filter")
+    assert saved.kind is fitted[0].kind
+    assert saved.params.tobytes() == fitted[0].params.tobytes()
+    if kind == "pca":
+        assert not log and not (tmp_path / "model.report.jsonl").exists()
+        return
+    assert saved.params.tobytes() == log[0].final_state.params.tobytes()
+    assert load_report_records(str(prefix) + ".report.jsonl") == log[0].records
 
 
 def test_train_baseline_writes_no_report(tmp_path):

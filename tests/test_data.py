@@ -6,8 +6,8 @@ import pytest
 from oracles import gen_synthetic_reference
 
 from privfilter import data as data_mod
-from privfilter.data import (CsvSchema, Dataset, gen_synthetic, load_csv,
-                             save_csv, split_per_subject)
+from privfilter.data import (Dataset, gen_synthetic, load_csv, save_csv,
+                             split_per_subject)
 from privfilter.errors import DataError, ShapeError
 
 
@@ -137,16 +137,6 @@ def test_csv_relabels_to_contiguous(tmp_path):
     np.testing.assert_array_equal(data.y, [1, 2, 1])
     np.testing.assert_array_equal(data.z, [1, 1, 2])
     np.testing.assert_array_equal(data.subject_ids, [100, 100, 200])
-
-
-def test_csv_schema_override(tmp_path):
-    path = tmp_path / "named.csv"
-    path.write_text("a,b,label,who\n1.0,2.0,1,5\n3.0,4.0,2,6\n")
-    schema = CsvSchema(feature_cols=("a", "b"), y_col="label",
-                       z_col="missing", subject_col="who")
-    data = load_csv(path, schema)
-    assert data.z is None
-    np.testing.assert_array_equal(data.X, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_csv_errors_carry_row_numbers(tmp_path):

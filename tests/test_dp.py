@@ -15,8 +15,6 @@ from privfilter.dp_mech import (BoundKind, NoiseConfig, bound,
                                 bound_scale_from_norms, compute_diameters,
                                 log_density, sample_noise)
 from privfilter.errors import DataError, NumericError, ShapeError
-from privfilter.filters import apply_filter, linear_filter
-from privfilter.harness import ExperimentConfig, release_features
 
 
 def test_clip_known_values():
@@ -224,79 +222,6 @@ def test_seeded_sampling_is_reproducible():
                           sample_noise(cfg, 4, rng=rng2, size=10))
 
 
-def test_release_pre_shape_and_no_noise_path():
-    rng = np.random.default_rng(5)
-    filt = linear_filter(rng.standard_normal((6, 2)))
-    g_train = apply_filter(filt, rng.standard_normal((10, 6)))
-    g_test = apply_filter(filt, rng.standard_normal((4, 6)))
-    cfg = ExperimentConfig(chain="pre", bound_kind="clip", bound_scale=0.5)
-    silent_train, silent_test = release_features(g_train, g_test, cfg, 0.0,
-                                                 np.random.default_rng(0))
-    assert np.array_equal(silent_train, bound(BoundKind.CLIP, 0.5, g_train))
-    assert np.array_equal(silent_test, bound(BoundKind.CLIP, 0.5, g_test))
-    assert np.linalg.norm(silent_train, axis=1).max() <= 1.0
-    assert np.linalg.norm(silent_test, axis=1).max() <= 1.0
-    # without a configured scale it is fit on the training rows only
-    scale = bound_scale_from_norms(np.linalg.norm(g_train, axis=1))
-    _, auto_test = release_features(g_train, g_test,
-                                    ExperimentConfig(chain="pre"), 0.0, None)
-    assert np.array_equal(auto_test, bound(BoundKind.CLIP, scale, g_test))
-    # the training rows draw their noise first, the test rows second
-    noisy_train, noisy_test = release_features(g_train, g_test, cfg, 1.0,
-                                               np.random.default_rng(3))
-    noise = NoiseConfig(epsilon=1.0)
-    check = np.random.default_rng(3)
-    first = sample_noise(noise, 2, rng=check, size=10)
-    second = sample_noise(noise, 2, rng=check, size=4)
-    assert np.array_equal(noisy_train, silent_train + first)
-    assert np.array_equal(noisy_test, silent_test + second)
-    # chain "none" releases the rows as they are
-    plain = release_features(g_train, g_test, ExperimentConfig(), 1.0, None)
-    assert plain[0] is g_train and plain[1] is g_test
-
-
-def test_release_post_filters_after_perturbing():
-    rng = np.random.default_rng(6)
-    U = rng.standard_normal((4, 2))
-    filt = linear_filter(U)
-    X_train = rng.standard_normal((8, 4))
-    X_test = rng.standard_normal((3, 4))
-    cfg = ExperimentConfig(chain="post", bound_kind="squash", bound_scale=0.7)
-    noise_rng = np.random.default_rng(11)
-    check = copy.deepcopy(noise_rng)
-    released = release_features(X_train, X_test, cfg, 0.5, noise_rng)
-    noise = NoiseConfig(epsilon=2.0)
-    for rows, out in zip((X_train, X_test), released):
-        expected = bound(BoundKind.SQUASH, 0.7, rows) + sample_noise(
-            noise, 4, rng=check, size=rows.shape[0])
-        assert out.tobytes() == expected.tobytes()
-        np.testing.assert_allclose(apply_filter(filt, out), expected @ U)
-
-
-@pytest.mark.parametrize("chain", ["pre", "post"])
-@pytest.mark.parametrize("einv", [0.0, 0.5])
-def test_release_matches_the_out_of_place_sum(chain, einv):
-    # the release adds its noise in place into the bounded rows; the bits
-    # are those of bound(...) + sample_noise(...) from the same stream
-    rng = np.random.default_rng(21)
-    train_rows = 3.0 * rng.standard_normal((40, 7))
-    test_rows = 3.0 * rng.standard_normal((9, 7))
-    train_copy, test_copy = train_rows.copy(), test_rows.copy()
-    cfg = ExperimentConfig(chain=chain, epsilon_inverses=(einv,))
-    noise_rng = np.random.default_rng(4)
-    check = copy.deepcopy(noise_rng)
-    released = release_features(train_rows, test_rows, cfg, einv, noise_rng)
-    scale = bound_scale_from_norms(np.linalg.norm(train_rows, axis=1))
-    noise = NoiseConfig.from_epsilon_inverse(einv)
-    for rows, out in zip((train_rows, test_rows), released):
-        expected = bound(cfg.bound_kind, scale, rows) + sample_noise(
-            noise, 7, rng=check, size=rows.shape[0])
-        assert out.tobytes() == expected.tobytes()
-    # the inputs are left as they were
-    assert train_rows.tobytes() == train_copy.tobytes()
-    assert test_rows.tobytes() == test_copy.tobytes()
-
-
 def test_diameters_by_enumeration():
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [5.0, 0.0]])
     y = np.array([1, 1, 2, 2])
@@ -309,6 +234,13 @@ def test_diameters_by_enumeration():
     assert report.within_subject == pytest.approx(math.sqrt(34.0))
     assert report.within_pair == (2, 3)
     assert report.cross_attained and report.within_attained
+
+
+def test_diameters_need_target_labels():
+    # the cross-subject pairs are those that share z; z None used to become
+    # a 0-d array and fail as a label-shape error
+    with pytest.raises(DataError, match="target labels z"):
+        compute_diameters(np.eye(3), np.array([1, 2, 3]), None)
 
 
 def test_diameters_with_no_qualifying_pairs():

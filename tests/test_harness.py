@@ -1,3 +1,4 @@
+import copy
 import logging
 import tracemalloc
 from dataclasses import replace
@@ -7,9 +8,10 @@ import pytest
 
 from privfilter import harness
 from privfilter.data import Dataset, gen_synthetic, split_per_subject
-from privfilter.dp_mech import bound_scale_from_norms
+from privfilter.dp_mech import (BoundKind, NoiseConfig, bound,
+                                bound_scale_from_norms, sample_noise)
 from privfilter.errors import DataError, ShapeError
-from privfilter.filters import FilterKind, apply_filter
+from privfilter.filters import FilterKind, apply_filter, linear_filter
 from privfilter.harness import (CHAIN_CHOICES, EVAL_TOL, FILTER_CHOICES,
                                 ExperimentConfig, derive_rng, export_results,
                                 fit_filter, load_results, run_experiment)
@@ -318,6 +320,119 @@ def test_cells_share_read_only_bounded_rows(monkeypatch):
     # at 1.0 it sees fresh arrays with noise
     assert applied[0] is bounded[0] and applied[1] is bounded[1]
     assert all(X is not rows for X in applied[2:] for rows in bounded)
+
+
+def test_the_one_filter_entry_points_refuse_the_post_chain():
+    # a post sweep fits one filter per cell, on that cell's released rows
+    data = _small_data()
+    filt, _ = harness.train_filter(data, _fast_config(filters=("pca",)))
+    post = _fast_config(filters=("pca",), chain="post")
+    with pytest.raises(DataError, match="post"):
+        harness.train_filter(data, post)
+    with pytest.raises(DataError, match="post"):
+        harness.evaluate_filter(filt, data, post)
+
+
+def _halves(rng, n_train, n_test, dim):
+    """Training and test Datasets of Gaussian rows, for the release tests."""
+    return tuple(Dataset(3.0 * rng.standard_normal((n, dim)),
+                         np.ones(n, dtype=int), np.ones(n, dtype=int))
+                 for n in (n_train, n_test))
+
+
+def test_release_pre_shape_and_no_noise_path():
+    rng = np.random.default_rng(5)
+    filt = linear_filter(rng.standard_normal((6, 2)))
+    train, test = _halves(rng, 10, 4, 6)
+    g_train, g_test = apply_filter(filt, train.X), apply_filter(filt, test.X)
+    cfg = ExperimentConfig(chain="pre", bound_kind="clip", bound_scale=0.5)
+    stage = harness._stage(cfg, train, test, filt, {})
+    # at epsilon_inverse = 0 the bounded rows pass through as they are
+    silent = harness._add_noise(stage.rows, 0.0, np.random.default_rng(0))
+    assert silent is stage.rows
+    silent_train, silent_test = silent
+    assert np.array_equal(silent_train, bound(BoundKind.CLIP, 0.5, g_train))
+    assert np.array_equal(silent_test, bound(BoundKind.CLIP, 0.5, g_test))
+    assert np.linalg.norm(silent_train, axis=1).max() <= 1.0
+    assert np.linalg.norm(silent_test, axis=1).max() <= 1.0
+    # without a configured scale it is fit on the training rows only
+    scale = bound_scale_from_norms(np.linalg.norm(g_train, axis=1))
+    auto = harness._stage(ExperimentConfig(chain="pre"), train, test, filt, {})
+    assert np.array_equal(auto.rows[1], bound(BoundKind.CLIP, scale, g_test))
+    assert auto.fields["bound_scale"] == scale
+    # the training rows draw their noise first, the test rows second
+    noisy_train, noisy_test = harness._add_noise(stage.rows, 1.0,
+                                                 np.random.default_rng(3))
+    noise = NoiseConfig(epsilon=1.0)
+    check = np.random.default_rng(3)
+    first = sample_noise(noise, 2, rng=check, size=10)
+    second = sample_noise(noise, 2, rng=check, size=4)
+    assert np.array_equal(noisy_train, silent_train + first)
+    assert np.array_equal(noisy_test, silent_test + second)
+    # chain "none" releases the filter outputs as they are, unbounded
+    plain = harness._stage(ExperimentConfig(), train, test, filt, {})
+    assert plain.fields == {}
+    assert np.array_equal(plain.rows[0], g_train)
+    assert np.array_equal(plain.rows[1], g_test)
+    assert harness._add_noise(plain.rows, 0.0, None) is plain.rows
+
+
+def test_release_post_filters_after_perturbing(monkeypatch):
+    # a post cell fits its filter on the bounded, perturbed training rows
+    # and applies it to both perturbed halves
+    data = _small_data()
+    cfg = _fast_config(filters=("pca",), chain="post", bound_kind="squash",
+                       bound_scale=0.7, epsilon_inverses=(0.5,))
+    train, test = harness._split(data, cfg, 0)
+    stage = harness._stage(cfg, train, test, None, {})
+    fitted, applied = [], []
+    fit, apply = harness.fit_filter, harness.apply_filter
+
+    def watched_fit(kind, half, *args):
+        fitted.append(half.X.copy())
+        return fit(kind, half, *args)
+
+    def watched_apply(filt, X):
+        applied.append((filt, X.copy()))
+        return apply(filt, X)
+    monkeypatch.setattr(harness, "fit_filter", watched_fit)
+    monkeypatch.setattr(harness, "apply_filter", watched_apply)
+    harness._run_cell(stage, "pca", 2, 0.5, (0, 0, 0, 0), data, cfg, None)
+    check = derive_rng(cfg.master_seed, harness.ROLE_NOISE, 0, 0, 0, 0)
+    noise = NoiseConfig(epsilon=2.0)
+    expected = [bound(BoundKind.SQUASH, 0.7, half.X) + sample_noise(
+        noise, data.dim, rng=check, size=half.n_samples) for half in (train, test)]
+    assert [X.tobytes() for X in fitted] == [expected[0].tobytes()]
+    assert [X.tobytes() for _, X in applied] == [e.tobytes() for e in expected]
+    assert applied[0][0] is applied[1][0]
+
+
+@pytest.mark.parametrize("chain", ["pre", "post"])
+@pytest.mark.parametrize("einv", [0.0, 0.5])
+def test_release_matches_the_out_of_place_sum(chain, einv):
+    # a cell adds its noise in place into a fresh noise array; the bits are
+    # those of bound(...) + sample_noise(...) from the same stream, and
+    # neither the inputs nor the stage's shared bounded rows change
+    rng = np.random.default_rng(21)
+    train, test = _halves(rng, 40, 9, 7)
+    filt = linear_filter(rng.standard_normal((7, 7))) if chain == "pre" else None
+    inputs = [half.X.tobytes() for half in (train, test)]
+    cfg = ExperimentConfig(chain=chain, epsilon_inverses=(einv,))
+    stage = harness._stage(cfg, train, test, filt, {})
+    shared = [rows.tobytes() for rows in stage.rows]
+    noise_rng = np.random.default_rng(4)
+    check = copy.deepcopy(noise_rng)
+    released = harness._add_noise(stage.rows, einv, noise_rng)
+    rows = [half.X if filt is None else apply_filter(filt, half.X)
+            for half in (train, test)]
+    scale = bound_scale_from_norms(np.linalg.norm(rows[0], axis=1))
+    noise = NoiseConfig.from_epsilon_inverse(einv)
+    for half, out in zip(rows, released):
+        expected = bound(cfg.bound_kind, scale, half) + sample_noise(
+            noise, 7, rng=check, size=half.shape[0])
+        assert out.tobytes() == expected.tobytes()
+    assert [half.X.tobytes() for half in (train, test)] == inputs
+    assert [rows.tobytes() for rows in stage.rows] == shared
 
 
 @pytest.mark.parametrize("chain, kind, scale", [

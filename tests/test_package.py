@@ -116,3 +116,31 @@ def test_no_module_imports_another_modules_private_names():
     found = {path.name: _private_imports(path)
              for path in sorted(package.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def _stream_keys(path):
+    """(line, name) of each use of ``derive_rng`` or a ``ROLE_*`` stream
+    role in ``path``: imported, read as a name or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name == "derive_rng" or name.startswith("ROLE_")]
+    return found
+
+
+def test_only_the_harness_keys_the_random_streams():
+    # the package root re-exports derive_rng and is no caller; every other
+    # module reaches a sweep's streams through the harness's functions
+    package = pathlib.Path(privfilter.__file__).parent
+    found = {path.name: _stream_keys(path)
+             for path in sorted(package.glob("*.py"))
+             if path.name not in ("harness.py", "__init__.py")}
+    assert {name: hits for name, hits in found.items() if hits} == {}
