@@ -11,9 +11,8 @@ from .baselines import (ScatterSet, build_scatters, fit_pca, fit_ppls,
                         fit_rand, privacy_lds)
 from .data import (Dataset, gen_synthetic, load_csv, save_csv,
                    split_per_subject)
-from .dp_mech import (BoundKind, DiameterReport, NoiseConfig, bound,
-                      bound_scale_from_norms, compute_diameters, log_density,
-                      sample_noise)
+from .dp_mech import (BoundKind, DiameterReport, bound, bound_scale_from_norms,
+                      compute_diameters, log_density, sample_noise)
 from .errors import DataError, NumericError, ShapeError
 from .filters import (FilterKind, FilterState, apply_filter,
                       filter_param_grad, identity_filter, init_filter,
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundKind", "DataError", "Dataset", "DiameterReport",
     "EvalReport", "ExperimentConfig", "FilterKind", "FilterState",
-    "NoiseConfig", "NumericError", "ReconstructionHead", "ScatterSet",
+    "NumericError", "ReconstructionHead", "ScatterSet",
     "ShapeError", "SoftmaxHead", "TaskSpec", "TradeoffConfig", "TrainReport",
     "accuracy", "apply_filter", "bound", "bound_scale_from_norms",
     "build_scatters", "classification_tradeoff", "compute_diameters",

@@ -47,16 +47,10 @@ def _load(args):
     return load_csv(args.data)
 
 
-def _parse_floats(text):
-    return tuple(float(part) for part in str(text).split(",") if part.strip())
-
-
-def _parse_ints(text):
-    return tuple(int(part) for part in str(text).split(",") if part.strip())
-
-
-def _parse_names(text):
-    return tuple(part.strip() for part in str(text).split(",") if part.strip())
+def _parse_list(text, convert):
+    """A comma list: ``convert`` applied to each stripped, non-empty part."""
+    parts = (part.strip() for part in str(text).split(","))
+    return tuple(convert(part) for part in parts if part)
 
 
 def _cmd_synth(args) -> int:
@@ -122,9 +116,9 @@ def _cmd_eval(args) -> int:
 
 _CONFIG_PARSERS = {  # section -> key -> parser
     "experiment": {
-        "filters": _parse_names,
-        "dims": _parse_ints,
-        "epsilon_inverses": _parse_floats,
+        "filters": lambda text: _parse_list(text, str),
+        "dims": lambda text: _parse_list(text, int),
+        "epsilon_inverses": lambda text: _parse_list(text, float),
         "chain": str,
         "bound_kind": str,
         "bound_scale": float,
@@ -132,7 +126,7 @@ _CONFIG_PARSERS = {  # section -> key -> parser
         "train_fraction": float,
         "master_seed": int,
         "lds_init": lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
-        "mlp_hidden": _parse_ints,
+        "mlp_hidden": lambda text: _parse_list(text, int),
         "pretrain_epochs": int,
         "ppls_lambda": float,
     },
@@ -169,9 +163,9 @@ def _cmd_sweep(args) -> int:
     if args.config:
         experiment, tradeoff = _read_config(args.config)
     overrides = {
-        "filters": _parse_names(args.filter) if args.filter else None,
-        "dims": _parse_ints(args.dim) if args.dim else None,
-        "epsilon_inverses": (_parse_floats(args.epsilon_inverse)
+        "filters": _parse_list(args.filter, str) if args.filter else None,
+        "dims": _parse_list(args.dim, int) if args.dim else None,
+        "epsilon_inverses": (_parse_list(args.epsilon_inverse, float)
                              if args.epsilon_inverse else None),
         "chain": args.chain,
         "bound_kind": args.bound,

@@ -14,10 +14,12 @@ exactly the radial marginal of the density above (the r^{d-1} area factor
 turns the exponential into a Gamma).  In one dimension this reduces to
 the scalar Laplace distribution.
 
-The release, which bounds and perturbs rows in one of two orders, is in
-``harness``: a sweep stage bounds the rows once and each cell adds its
-noise.  This module needs numpy alone; in particular it does not load
-``scipy.special``.
+``sample_noise`` and ``log_density`` take the noise level as
+``epsilon_inverse`` = 1 / epsilon, the value a sweep's config lists, with
+0 meaning release without noise.  The release, which bounds and perturbs
+rows in one of two orders, is in ``harness``: a sweep stage bounds the
+rows once and each cell adds its noise.  This module needs numpy alone;
+in particular it does not load ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -40,36 +42,6 @@ class BoundKind(str, enum.Enum):
     CLIP = "clip"
     SQUASH = "squash"
     NORMALIZE = "normalize"
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Noise parameters.  ``epsilon=None`` means release without noise."""
-
-    epsilon: float | None
-
-    def __post_init__(self):
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise DataError("epsilon must be positive (or None for no noise)")
-
-    @classmethod
-    def from_epsilon_inverse(cls, epsilon_inverse: float) -> "NoiseConfig":
-        """Sweep-friendly constructor; epsilon_inverse = 0 disables noise."""
-        if epsilon_inverse < 0:
-            raise DataError("epsilon_inverse must be non-negative")
-        epsilon = None if epsilon_inverse == 0 else 1.0 / epsilon_inverse
-        return cls(epsilon=epsilon)
-
-    @property
-    def noisy(self) -> bool:
-        return self.epsilon is not None
-
-    @property
-    def rate(self) -> float:
-        """epsilon / S, the exponential decay rate of the noise density."""
-        if self.epsilon is None:
-            raise DataError("the no-noise sentinel has no noise density")
-        return self.epsilon / DEFAULT_SENSITIVITY
 
 
 def bound(kind, scale, h) -> np.ndarray:
@@ -136,19 +108,31 @@ def _check_finite_norms(norms):
         raise NumericError("cannot bound a row whose norm is not finite")
 
 
-def sample_noise(cfg: NoiseConfig, dim: int, rng=None, size=None) -> np.ndarray:
-    """Draw noise vectors; returns (dim,) or (size, dim).
+def _rate(epsilon_inverse) -> float:
+    """epsilon / S, the exponential decay rate of the noise density, at a
+    positive and finite ``epsilon_inverse`` = 1 / epsilon."""
+    if not 0.0 < epsilon_inverse < math.inf:
+        raise DataError("epsilon_inverse must be positive and finite, "
+                        f"got {epsilon_inverse!r}")
+    return (1.0 / epsilon_inverse) / DEFAULT_SENSITIVITY
 
-    ``rng`` is a Generator, a seed or None (fresh entropy).  With the
-    no-noise sentinel this returns exact zeros without consuming
-    random state.
+
+def sample_noise(epsilon_inverse, dim: int, rng=None, size=None) -> np.ndarray:
+    """Draw noise vectors at ``epsilon_inverse`` = 1 / epsilon; returns
+    (dim,) or (size, dim).
+
+    ``rng`` is a Generator, a seed or None (fresh entropy).  At
+    ``epsilon_inverse`` = 0 (no noise) this returns exact zeros without
+    consuming random state; a negative, NaN or infinite value raises
+    ``DataError``.
     """
     if dim < 1:
         raise ShapeError("noise dimension must be positive")
     n = 1 if size is None else int(size)
-    if not cfg.noisy:
+    if epsilon_inverse == 0:
         out = np.zeros((n, dim))
         return out[0] if size is None else out
+    rate = _rate(epsilon_inverse)
     rng = np.random.default_rng(rng)
     directions = rng.standard_normal((n, dim))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
@@ -156,26 +140,26 @@ def sample_noise(cfg: NoiseConfig, dim: int, rng=None, size=None) -> np.ndarray:
     # divide by zero; its norm is set to 1, so that row's noise is zero.
     norms[norms == 0] = 1.0
     directions /= norms
-    radii = rng.gamma(shape=dim, scale=1.0 / cfg.rate, size=n)
+    radii = rng.gamma(shape=dim, scale=1.0 / rate, size=n)
     directions *= radii[:, None]
     return directions[0] if size is None else directions
 
 
-def log_density(xi, cfg: NoiseConfig) -> float | np.ndarray:
-    """Log of the noise density at xi (rows of xi if 2-d).
+def log_density(xi, epsilon_inverse) -> float | np.ndarray:
+    """Log of the noise density at ``epsilon_inverse`` = 1 / epsilon,
+    evaluated at xi (rows of xi if 2-d).
 
-    The normalizer of exp(-rate ||xi||) over R^d is
-    surface(S^{d-1}) * Gamma(d) / rate^d with
+    Only a positive, finite ``epsilon_inverse`` has a density; any other
+    value raises ``DataError``.  The normalizer of exp(-rate ||xi||) over
+    R^d is surface(S^{d-1}) * Gamma(d) / rate^d with
     surface(S^{d-1}) = 2 pi^{d/2} / Gamma(d/2).  The log-Gammas come from
     ``math.lgamma``, so the release layer needs no ``scipy.special``.
     """
-    if not cfg.noisy:
-        raise DataError("the no-noise sentinel has no density")
+    rate = _rate(epsilon_inverse)
     xi = np.asarray(xi, dtype=np.float64)
     single = xi.ndim == 1
     rows = np.atleast_2d(xi)
     dim = rows.shape[1]
-    rate = cfg.rate
     log_norm = (math.log(2.0) + 0.5 * dim * math.log(math.pi)
                 - math.lgamma(0.5 * dim) + math.lgamma(dim)
                 - dim * math.log(rate))

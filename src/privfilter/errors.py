@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer check the configs share."""
+
+import operator
 
 
 class ShapeError(ValueError):
@@ -11,3 +13,15 @@ class NumericError(ArithmeticError):
 
 class DataError(ValueError):
     """A dataset, config, or file violates the expected format."""
+
+
+def require_int(name, value, minimum) -> int:
+    """``value`` as a Python int, at least ``minimum`` unless that is None;
+    a float or other non-integer raises ``DataError`` naming ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DataError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise DataError(f"{name} must be at least {minimum}")
+    return value

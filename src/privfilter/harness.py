@@ -90,9 +90,8 @@ import numpy as np
 from .baselines import (build_scatters, fit_pca, fit_ppls, fit_rand,
                         privacy_lds)
 from .data import Dataset, split_per_subject
-from .dp_mech import (BoundKind, NoiseConfig, bound, bound_scale_from_norms,
-                      sample_noise)
-from .errors import DataError, ShapeError
+from .dp_mech import BoundKind, bound, bound_scale_from_norms, sample_noise
+from .errors import DataError, ShapeError, require_int
 from .filters import (DEFAULT_HIDDEN, FilterKind, apply_filter,
                       identity_filter, init_filter, linear_filter,
                       pretrain_autoencoder)
@@ -154,10 +153,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "filters", tuple(self.filters))
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        for name, minimum in (("dims", None), ("mlp_hidden", 1)):
+            object.__setattr__(self, name, tuple(
+                require_int(name, v, minimum) for v in getattr(self, name)))
+        for name, minimum in (("trials", 1), ("master_seed", 0),
+                              ("pretrain_epochs", 0)):
+            object.__setattr__(self, name, require_int(
+                name, getattr(self, name), minimum))
         object.__setattr__(self, "epsilon_inverses",
                            tuple(float(e) for e in self.epsilon_inverses))
-        object.__setattr__(self, "mlp_hidden", tuple(int(h) for h in self.mlp_hidden))
         for kind in self.filters:
             if kind not in FILTER_CHOICES:
                 raise DataError(f"unknown filter {kind!r}; choose from {FILTER_CHOICES}")
@@ -183,14 +187,10 @@ class ExperimentConfig:
                                 "needs chain 'pre' or 'post'")
         if self.chain != "none" and self.bound_kind is None:
             object.__setattr__(self, "bound_kind", BoundKind.CLIP.value)
-        if self.trials < 1:
-            raise DataError("trials must be at least 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise DataError("train_fraction must lie strictly between 0 and 1")
-        if len(self.mlp_hidden) != 2 or any(h < 1 for h in self.mlp_hidden):
+        if len(self.mlp_hidden) != 2:
             raise DataError(f"mlp_hidden must be two positive ints, got {self.mlp_hidden}")
-        if self.pretrain_epochs < 0:
-            raise DataError("pretrain_epochs must be non-negative")
         if self.ppls_lambda < 0 or not math.isfinite(self.ppls_lambda):
             raise DataError("ppls_lambda must be non-negative and finite")
 
@@ -281,12 +281,11 @@ def _add_noise(rows, einv, noise_rng):
     Each half's noise array gets its rows added in place; at ``einv = 0``
     no noise is drawn and ``rows`` come back as they are.
     """
-    noise = NoiseConfig.from_epsilon_inverse(einv)
-    if not noise.noisy:
+    if einv == 0:
         return rows
     released = []
     for half in rows:
-        out = sample_noise(noise, half.shape[1], rng=noise_rng,
+        out = sample_noise(einv, half.shape[1], rng=noise_rng,
                            size=half.shape[0])
         out += half
         released.append(out)

@@ -202,6 +202,7 @@ def softmax_weight_grad(head: SoftmaxHead, G, labels) -> np.ndarray:
 # 0.49-0.56 s dense and 0.53 s by CG, four K*d = 204 heads 0.44-0.48 s
 # dense and 0.13-0.15 s by CG, and four K*d = 1,020 heads 1.2 s by CG.
 _NEWTON_MAX_WEIGHTS = 128
+_HESSIAN_BLOCK = 8192  # samples per block of the dense Hessian's products
 _ARMIJO = 1e-4        # sufficient-decrease constant of the Newton line search
 _MAX_HALVINGS = 40    # step halvings before a Newton line search gives up
 _EPS = np.finfo(np.float64).eps
@@ -291,15 +292,23 @@ def _softmax_hessian(probs, G, G_t, lam):
 
     H = (1/n) [blockdiag_k(G' diag(p_k) G) - M'M] + lam I, where
     M[i, (k, a)] = p_ik g_ia and ``probs`` holds the class-major (K, n)
-    probabilities p.
+    probabilities p.  The sums over samples run in ``_HESSIAN_BLOCK`` blocks.
     """
     num_classes, n = probs.shape
     d = G.shape[1]
     size = num_classes * d
-    # M' built class-major from contiguous rows: M'[(k, a), i] = p_ik g_ia
-    weighted = (probs[:, None, :] * G_t).reshape(size, n)
-    hessian = -(weighted @ weighted.T)
-    blocks = (weighted @ G).reshape(num_classes, d, d)  # G' diag(p_k) G
+    for start in range(0, n, _HESSIAN_BLOCK):
+        part = slice(start, start + _HESSIAN_BLOCK)
+        # M' built class-major from contiguous rows: M'[(k, a), i] = p_ik g_ia
+        weighted = (probs[:, None, part] * G_t[:, part]).reshape(size, -1)
+        if start == 0:
+            hessian = -(weighted @ weighted.T)
+            blocks = weighted @ G[part]
+        else:
+            hessian -= weighted @ weighted.T
+            blocks += weighted @ G[part]
+        del weighted  # else the next block is built while this one lives
+    blocks = blocks.reshape(num_classes, d, d)  # G' diag(p_k) G
     diagonal = np.arange(num_classes)
     by_class = hessian.reshape(num_classes, d, num_classes, d)
     by_class[diagonal, :, diagonal, :] += blocks

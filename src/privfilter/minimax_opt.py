@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import heads as heads_mod
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, require_int
 from .filters import FilterState, apply_filter, filter_param_grad
 from .records import read_jsonl, write_jsonl
 
@@ -118,13 +118,11 @@ class TradeoffConfig:
                 raise DataError("tasks must be TaskSpec instances")
             if weight <= 0 or not math.isfinite(weight):
                 raise DataError("task weights must be positive and finite")
-        if self.max_iter < 1:
-            raise DataError("max_iter must be at least 1")
+        for name in ("max_iter", "slow_iterations", "inner_max_iter"):
+            object.__setattr__(self, name, require_int(name, getattr(self, name), 1))
         if any(tol <= 0 or not math.isfinite(tol)
                for tol in (self.convergence_tol, self.inner_tol)):
             raise DataError("tolerances must be positive and finite")
-        if self.slow_iterations < 1 or self.inner_max_iter < 1:
-            raise DataError("iteration limits must be at least 1")
 
 
 def classification_tradeoff(utility_weight=10.0, reg_lambda=1e-6,

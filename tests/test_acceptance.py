@@ -15,7 +15,7 @@ from scipy import stats
 from oracles import (central_diff, compute_moments, least_squares_minimax,
                      rel_error, trace_objectives)
 from privfilter.data import Dataset, gen_synthetic
-from privfilter.dp_mech import BoundKind, NoiseConfig, bound, log_density, sample_noise
+from privfilter.dp_mech import BoundKind, bound, log_density, sample_noise
 from privfilter.filters import (FilterKind, apply_filter, filter_param_grad,
                                 init_filter)
 from privfilter.harness import ExperimentConfig, run_experiment
@@ -302,7 +302,6 @@ def test_criterion_5_dp_ratio_and_bounding():
     worst_fraction = 0.0
     triples = 0
     for epsilon in (0.1, 1.0, 10.0):
-        cfg = NoiseConfig(epsilon=epsilon)
         for dim in (1, 2, 3, 5, 8, 20):
             n = 1700
             triples += n
@@ -312,7 +311,8 @@ def test_criterion_5_dp_ratio_and_bounding():
             radius = rng.uniform(0.0, sensitivity * (1.0 - 1e-4), size=n)
             c2 = c1 + direction * radius[:, None]
             t = 3.0 * rng.standard_normal((n, dim))
-            gaps = log_density(t - c1, cfg) - log_density(t - c2, cfg)
+            gaps = (log_density(t - c1, 1.0 / epsilon)
+                    - log_density(t - c2, 1.0 / epsilon))
             worst_fraction = max(worst_fraction, float(gaps.max()) / epsilon)
 
     bound_ok = True
@@ -335,14 +335,13 @@ def test_criterion_6_noise_sampler():
     start = time.perf_counter()
     rng = np.random.default_rng(6)
     epsilon, sensitivity = 0.8, 2.0
-    cfg = NoiseConfig(epsilon=epsilon)
     p_values = {}
     for dim in (1, 2, 5, 20):
-        draws = sample_noise(cfg, dim, rng=rng, size=100_000)
+        draws = sample_noise(1.0 / epsilon, dim, rng=rng, size=100_000)
         radii = np.linalg.norm(draws, axis=1)
         p_values[dim] = stats.kstest(
             radii, stats.gamma(a=dim, scale=sensitivity / epsilon).cdf).pvalue
-    silent = sample_noise(NoiseConfig(epsilon=None), 5, rng=rng, size=1000)
+    silent = sample_noise(0.0, 5, rng=rng, size=1000)
     zeros_ok = not silent.any()
     elapsed = time.perf_counter() - start
     ok = all(p > 0.01 for p in p_values.values()) and zeros_ok and elapsed < 30.0

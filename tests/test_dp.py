@@ -11,9 +11,8 @@ from scipy.special import gammaln
 from oracles import dense_diameters
 from privfilter import dp_mech
 from privfilter.data import gen_synthetic
-from privfilter.dp_mech import (BoundKind, NoiseConfig, bound,
-                                bound_scale_from_norms, compute_diameters,
-                                log_density, sample_noise)
+from privfilter.dp_mech import (BoundKind, bound, bound_scale_from_norms,
+                                compute_diameters, log_density, sample_noise)
 from privfilter.errors import DataError, NumericError, ShapeError
 
 
@@ -94,48 +93,49 @@ def test_bound_scale_from_norms():
         bound_scale_from_norms(np.array([]))
 
 
-def test_noise_config_validation():
-    with pytest.raises(DataError):
-        NoiseConfig(epsilon=0.0)
-    with pytest.raises(DataError):
-        NoiseConfig.from_epsilon_inverse(-1.0)
-    assert not NoiseConfig.from_epsilon_inverse(0.0).noisy
-    cfg = NoiseConfig.from_epsilon_inverse(0.1)
-    assert cfg.epsilon == pytest.approx(10.0)
-    assert cfg.rate == pytest.approx(5.0)
+def test_noise_level_validation():
+    # epsilon_inverse = 1 / epsilon is non-negative and finite, and only a
+    # positive level has a density; NaN once slipped past a sign check
+    for bad in (-1.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(DataError, match="epsilon_inverse"):
+            sample_noise(bad, 3, rng=0, size=2)
+        with pytest.raises(DataError, match="epsilon_inverse"):
+            log_density(np.zeros(3), bad)
+    with pytest.raises(DataError, match="epsilon_inverse"):
+        log_density(np.zeros(3), 0.0)
+    # epsilon_inverse 0.1: epsilon 10, rate epsilon / S = 5
+    gap = log_density(np.zeros(2), 0.1) - log_density(np.array([0.3, 0.4]), 0.1)
+    assert gap == pytest.approx(5.0 * 0.5)
 
 
 def test_no_noise_sentinel_is_exact_and_consumes_no_randomness():
-    cfg = NoiseConfig(epsilon=None)
     rng = np.random.default_rng(42)
     before = rng.bit_generator.state
-    draws = sample_noise(cfg, 7, rng=rng, size=50)
+    draws = sample_noise(0.0, 7, rng=rng, size=50)
     assert draws.shape == (50, 7)
     assert not draws.any()
     assert rng.bit_generator.state == before
-    with pytest.raises(DataError):
-        log_density(np.zeros(3), cfg)
-    with pytest.raises(DataError):
-        _ = cfg.rate
+    single = sample_noise(0.0, 7, rng=rng)
+    assert single.shape == (7,) and not single.any()
+    assert rng.bit_generator.state == before
 
 
 def test_one_dimensional_noise_is_laplace():
-    cfg = NoiseConfig(epsilon=2.0)  # rate 1
+    epsilon_inverse = 0.5  # rate 1
     rng = np.random.default_rng(1)
-    draws = sample_noise(cfg, 1, rng=rng, size=100_000)[:, 0]
+    draws = sample_noise(epsilon_inverse, 1, rng=rng, size=100_000)[:, 0]
     stat = stats.kstest(draws, stats.laplace(scale=1.0).cdf).pvalue
     assert stat > 0.01
     # density agrees with the scalar Laplace formula
     xs = np.linspace(-4, 4, 9)[:, None]
-    np.testing.assert_allclose(log_density(xs, cfg),
+    np.testing.assert_allclose(log_density(xs, epsilon_inverse),
                                stats.laplace(scale=1.0).logpdf(xs[:, 0]), atol=1e-12)
 
 
 def test_noise_radius_is_gamma_distributed():
     rng = np.random.default_rng(2)
     for dim in (2, 5, 20):
-        cfg = NoiseConfig(epsilon=0.5)  # rate 0.25
-        draws = sample_noise(cfg, dim, rng=rng, size=100_000)
+        draws = sample_noise(2.0, dim, rng=rng, size=100_000)  # rate 0.25
         radii = np.linalg.norm(draws, axis=1)
         p = stats.kstest(radii, stats.gamma(a=dim, scale=4.0).cdf).pvalue
         assert p > 0.01
@@ -143,8 +143,7 @@ def test_noise_radius_is_gamma_distributed():
 
 def test_noise_directions_are_uniform():
     rng = np.random.default_rng(3)
-    cfg = NoiseConfig(epsilon=1.0)
-    draws = sample_noise(cfg, 3, rng=rng, size=50_000)
+    draws = sample_noise(1.0, 3, rng=rng, size=50_000)
     unit = draws / np.linalg.norm(draws, axis=1, keepdims=True)
     # each coordinate of a uniform direction on S^2 is uniform on [-1, 1]
     for axis in range(3):
@@ -153,28 +152,28 @@ def test_noise_directions_are_uniform():
 
 
 def test_noise_scales_unit_directions_by_gamma_radii_bit_for_bit():
-    cfg = NoiseConfig(epsilon=0.8)
+    epsilon_inverse = 1.25
     rng = np.random.default_rng(17)
     check = copy.deepcopy(rng)
-    draws = sample_noise(cfg, 6, rng=rng, size=50)
+    draws = sample_noise(epsilon_inverse, 6, rng=rng, size=50)
     directions = check.standard_normal((50, 6))
     directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = check.gamma(shape=6, scale=1.0 / cfg.rate, size=50)
+    rate = (1.0 / epsilon_inverse) / dp_mech.DEFAULT_SENSITIVITY
+    radii = check.gamma(shape=6, scale=1.0 / rate, size=50)
     assert draws.tobytes() == (directions * radii[:, None]).tobytes()
-    single = sample_noise(cfg, 6, rng=np.random.default_rng(17))
-    row = sample_noise(cfg, 6, rng=np.random.default_rng(17), size=1)
+    single = sample_noise(epsilon_inverse, 6, rng=np.random.default_rng(17))
+    row = sample_noise(epsilon_inverse, 6, rng=np.random.default_rng(17), size=1)
     assert single.shape == (6,) and single.tobytes() == row[0].tobytes()
 
 
 def test_log_density_integrates_to_one():
+    epsilon_inverse = 0.75
     for dim in (1, 2, 3):
-        cfg = NoiseConfig(epsilon=1.5)
-        rate = cfg.rate
         # radial integral: surface area x integral of r^{d-1} p(r)
         log_surface = (math.log(2.0) + 0.5 * dim * math.log(math.pi)
                        - gammaln(0.5 * dim))
-        density_at = lambda r: math.exp(
-            log_density(np.concatenate([[r], np.zeros(dim - 1)]), cfg))
+        density_at = lambda r: math.exp(log_density(
+            np.concatenate([[r], np.zeros(dim - 1)]), epsilon_inverse))
         total, err = integrate.quad(
             lambda r: math.exp(log_surface) * r ** (dim - 1) * density_at(r),
             0, np.inf)
@@ -185,14 +184,15 @@ def test_log_density_matches_the_scipy_log_gamma_normalizer():
     # math.lgamma stands in for scipy.special.gammaln, so the release layer
     # loads no scipy.special; the two agree to rounding for every dimension
     rng = np.random.default_rng(2)
+    epsilon_inverse = 1.0 / 0.7
+    rate = (1.0 / epsilon_inverse) / dp_mech.DEFAULT_SENSITIVITY
     for dim in range(1, 200):
-        cfg = NoiseConfig(epsilon=0.7)
         xi = rng.standard_normal((3, dim))
         log_norm = (math.log(2.0) + 0.5 * dim * math.log(math.pi)
                     - gammaln(0.5 * dim) + gammaln(dim)
-                    - dim * math.log(cfg.rate))
-        expected = -cfg.rate * np.linalg.norm(xi, axis=1) - log_norm
-        np.testing.assert_allclose(log_density(xi, cfg), expected,
+                    - dim * math.log(rate))
+        expected = -rate * np.linalg.norm(xi, axis=1) - log_norm
+        np.testing.assert_allclose(log_density(xi, epsilon_inverse), expected,
                                    rtol=1e-14, atol=1e-12)
 
 
@@ -201,25 +201,24 @@ def test_privacy_ratio_bound_holds_exactly():
     # |log p(w - b(u)) - log p(w - b(v))| <= rate * ||b(u) - b(v)|| <= epsilon
     rng = np.random.default_rng(4)
     for epsilon in (0.1, 1.0, 10.0):
-        cfg = NoiseConfig(epsilon=epsilon)
         for _ in range(200):
             dim = int(rng.integers(1, 6))
             u = bound(BoundKind.CLIP, 1.0, rng.standard_normal(dim) * 5)
             v = bound(BoundKind.CLIP, 1.0, rng.standard_normal(dim) * 5)
             w = rng.standard_normal(dim) * 3
-            gap = abs(log_density(w - u, cfg) - log_density(w - v, cfg))
+            gap = abs(log_density(w - u, 1.0 / epsilon)
+                      - log_density(w - v, 1.0 / epsilon))
             assert gap <= epsilon + 1e-12
 
 
 def test_seeded_sampling_is_reproducible():
-    cfg = NoiseConfig(epsilon=1.0)
-    a = sample_noise(cfg, 4, rng=7, size=10)
-    b = sample_noise(cfg, 4, rng=7, size=10)
+    a = sample_noise(1.0, 4, rng=7, size=10)
+    b = sample_noise(1.0, 4, rng=7, size=10)
     assert np.array_equal(a, b)
     rng1 = np.random.default_rng(9)
     rng2 = np.random.default_rng(9)
-    assert np.array_equal(sample_noise(cfg, 4, rng=rng1, size=10),
-                          sample_noise(cfg, 4, rng=rng2, size=10))
+    assert np.array_equal(sample_noise(1.0, 4, rng=rng1, size=10),
+                          sample_noise(1.0, 4, rng=rng2, size=10))
 
 
 def test_diameters_by_enumeration():

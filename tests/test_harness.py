@@ -8,8 +8,8 @@ import pytest
 
 from privfilter import harness
 from privfilter.data import Dataset, gen_synthetic, split_per_subject
-from privfilter.dp_mech import (BoundKind, NoiseConfig, bound,
-                                bound_scale_from_norms, sample_noise)
+from privfilter.dp_mech import (BoundKind, bound, bound_scale_from_norms,
+                                sample_noise)
 from privfilter.errors import DataError, ShapeError
 from privfilter.filters import FilterKind, apply_filter, linear_filter
 from privfilter.harness import (CHAIN_CHOICES, EVAL_TOL, FILTER_CHOICES,
@@ -81,6 +81,22 @@ def test_config_validation():
     for bad in ((20,), (20, 10, 5), (20, 0)):
         with pytest.raises(DataError, match="mlp_hidden"):
             ExperimentConfig(mlp_hidden=bad)
+    # int() truncated these: dims=(2.9,) ran a d = 2 sweep, and a float
+    # trials count (or a negative seed) failed later with a bare
+    # TypeError (ValueError)
+    for name, bad in (("dims", (2.9,)), ("dims", (2.0,)),
+                      ("mlp_hidden", (20.7, 10.2)), ("trials", 1.5),
+                      ("pretrain_epochs", 2.5), ("master_seed", 1.5),
+                      ("trials", "3"), ("master_seed", -1)):
+        with pytest.raises(DataError, match=name):
+            ExperimentConfig(**{name: bad})
+    cfg = ExperimentConfig(dims=(np.int64(3),), mlp_hidden=np.array([8, 4]),
+                           trials=np.int32(2), master_seed=np.uint8(7),
+                           pretrain_epochs=np.int64(1))
+    assert (cfg.dims, cfg.mlp_hidden, cfg.trials, cfg.master_seed,
+            cfg.pretrain_epochs) == ((3,), (8, 4), 2, 7, 1)
+    assert all(type(v) is int for v in (*cfg.dims, *cfg.mlp_hidden, cfg.trials,
+                                        cfg.master_seed, cfg.pretrain_epochs))
     assert set(ExperimentConfig().filters) <= set(FILTER_CHOICES)
     assert ExperimentConfig().chain in CHAIN_CHOICES
 
@@ -363,10 +379,9 @@ def test_release_pre_shape_and_no_noise_path():
     # the training rows draw their noise first, the test rows second
     noisy_train, noisy_test = harness._add_noise(stage.rows, 1.0,
                                                  np.random.default_rng(3))
-    noise = NoiseConfig(epsilon=1.0)
     check = np.random.default_rng(3)
-    first = sample_noise(noise, 2, rng=check, size=10)
-    second = sample_noise(noise, 2, rng=check, size=4)
+    first = sample_noise(1.0, 2, rng=check, size=10)
+    second = sample_noise(1.0, 2, rng=check, size=4)
     assert np.array_equal(noisy_train, silent_train + first)
     assert np.array_equal(noisy_test, silent_test + second)
     # chain "none" releases the filter outputs as they are, unbounded
@@ -399,9 +414,8 @@ def test_release_post_filters_after_perturbing(monkeypatch):
     monkeypatch.setattr(harness, "apply_filter", watched_apply)
     harness._run_cell(stage, "pca", 2, 0.5, (0, 0, 0, 0), data, cfg, None)
     check = derive_rng(cfg.master_seed, harness.ROLE_NOISE, 0, 0, 0, 0)
-    noise = NoiseConfig(epsilon=2.0)
     expected = [bound(BoundKind.SQUASH, 0.7, half.X) + sample_noise(
-        noise, data.dim, rng=check, size=half.n_samples) for half in (train, test)]
+        0.5, data.dim, rng=check, size=half.n_samples) for half in (train, test)]
     assert [X.tobytes() for X in fitted] == [expected[0].tobytes()]
     assert [X.tobytes() for _, X in applied] == [e.tobytes() for e in expected]
     assert applied[0][0] is applied[1][0]
@@ -426,10 +440,9 @@ def test_release_matches_the_out_of_place_sum(chain, einv):
     rows = [half.X if filt is None else apply_filter(filt, half.X)
             for half in (train, test)]
     scale = bound_scale_from_norms(np.linalg.norm(rows[0], axis=1))
-    noise = NoiseConfig.from_epsilon_inverse(einv)
     for half, out in zip(rows, released):
         expected = bound(cfg.bound_kind, scale, half) + sample_noise(
-            noise, 7, rng=check, size=half.shape[0])
+            einv, 7, rng=check, size=half.shape[0])
         assert out.tobytes() == expected.tobytes()
     assert [half.X.tobytes() for half in (train, test)] == inputs
     assert [rows.tobytes() for rows in stage.rows] == shared

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import (central_diff, lbfgs_softmax_reference, rel_error,
                      reconstruction_risk_reference, softmax_core_reference)
+from privfilter import heads
 from privfilter.errors import DataError, NumericError, ShapeError
 from privfilter.heads import (_NEWTON_MAX_WEIGHTS, _label_index,
                               _newton_step, _softmax_core, _softmax_hessian,
@@ -499,7 +502,7 @@ def test_newton_honours_max_iter(max_iter):
     assert steps == 0
 
 
-def test_softmax_hessian_matches_finite_differences():
+def test_softmax_hessian_matches_finite_differences(monkeypatch):
     rng = np.random.default_rng(82)
     G, labels = _random_instance(rng, n=60, d=4, num_classes=3)
     weights = 0.5 * rng.standard_normal((3, 4))
@@ -519,6 +522,30 @@ def test_softmax_hessian_matches_finite_differences():
     assert rel_error(hessian, np.array(columns)) <= 1e-6
     # symmetric up to the rounding of the diagonal blocks' product
     np.testing.assert_allclose(hessian, hessian.T, rtol=0.0, atol=1e-15)
+    # summed over blocks of samples, as at large n, it is the same matrix
+    # up to the rounding of the sums
+    monkeypatch.setattr(heads, "_HESSIAN_BLOCK", 7)
+    np.testing.assert_allclose(_softmax_hessian(residual, G, G_t, lam),
+                               hessian, rtol=0.0, atol=1e-15)
+
+
+def test_dense_newton_step_at_large_n_keeps_no_copy_per_weight():
+    # 120 weights take the dense step; a (K * d, n) temporary of M' over all
+    # 64,000 samples would alone be 6x the (K, n) probabilities
+    rng = np.random.default_rng(93)
+    n, num_classes, d = 64_000, 20, 6
+    assert num_classes * d <= _NEWTON_MAX_WEIGHTS
+    G = rng.standard_normal((n, d))
+    labels = rng.integers(1, num_classes + 1, size=n)
+    tracemalloc.start()
+    try:
+        _, steps = fit_softmax_with_info(G, labels, num_classes, 1e-6,
+                                         max_iter=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps == 1
+    assert peak <= 3 * num_classes * n * 8
 
 
 def _probabilities(rng, num_classes, d, n=200):

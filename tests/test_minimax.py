@@ -349,6 +349,11 @@ def test_config_validation():
         classification_tradeoff(max_iter=0)
     with pytest.raises(DataError):
         classification_tradeoff(convergence_tol=0.0)
+    for name in ("max_iter", "slow_iterations", "inner_max_iter"):
+        for bad in (2.5, 3.0):
+            with pytest.raises(DataError, match=name):
+                TradeoffConfig(**{name: bad})
+        assert getattr(TradeoffConfig(**{name: np.int64(4)}), name) == 4
     # NaN slips past a sign check: a NaN tolerance ran silently to
     # max_iter, an infinite one stopped after 0 iterations
     for bad in (float("nan"), float("inf")):
