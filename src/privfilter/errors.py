@@ -1,5 +1,7 @@
-"""Shared exception types, and the integer check the configs share."""
+"""Shared exception types, and the integer and float checks the configs
+share."""
 
+import numbers
 import operator
 
 
@@ -25,3 +27,11 @@ def require_int(name, value, minimum) -> int:
     if minimum is not None and value < minimum:
         raise DataError(f"{name} must be at least {minimum}")
     return value
+
+
+def require_float(name, value) -> float:
+    """``value`` as a Python float; a string, bool or other non-number
+    raises ``DataError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataError(f"{name} must be a number, got {value!r}")
+    return float(value)

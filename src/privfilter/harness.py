@@ -91,11 +91,11 @@ from .baselines import (build_scatters, fit_pca, fit_ppls, fit_rand,
                         privacy_lds)
 from .data import Dataset, split_per_subject
 from .dp_mech import BoundKind, bound, bound_scale_from_norms, sample_noise
-from .errors import DataError, ShapeError, require_int
+from .errors import DataError, ShapeError, require_float, require_int
 from .filters import (DEFAULT_HIDDEN, FilterKind, apply_filter,
                       identity_filter, init_filter, linear_filter,
                       pretrain_autoencoder)
-from .heads import accuracy, fit_softmax, one_hot, softmax_weight_grad
+from .heads import accuracy, fit_softmax, one_hot
 from .minimax_opt import TradeoffConfig, train_minimax
 from .records import read_jsonl, write_jsonl
 
@@ -160,8 +160,15 @@ class ExperimentConfig:
                               ("pretrain_epochs", 0)):
             object.__setattr__(self, name, require_int(
                 name, getattr(self, name), minimum))
-        object.__setattr__(self, "epsilon_inverses",
-                           tuple(float(e) for e in self.epsilon_inverses))
+        object.__setattr__(self, "epsilon_inverses", tuple(
+            require_float("epsilon_inverses", e) for e in self.epsilon_inverses))
+        for name in ("train_fraction", "ppls_lambda"):
+            object.__setattr__(self, name, require_float(name, getattr(self, name)))
+        if self.bound_scale is not None:
+            object.__setattr__(self, "bound_scale",
+                               require_float("bound_scale", self.bound_scale))
+        if not isinstance(self.lds_init, bool):
+            raise DataError(f"lds_init must be a bool, got {self.lds_init!r}")
         for kind in self.filters:
             if kind not in FILTER_CHOICES:
                 raise DataError(f"unknown filter {kind!r}; choose from {FILTER_CHOICES}")
@@ -298,8 +305,8 @@ def _with_intercept(G):
     Heads have no intercept of their own; the evaluation heads get one
     from this column, so the attack model is a full logistic regression
     (filters never see it).  The result is the (n, d + 1) transpose of a
-    C-contiguous (d + 1, n) buffer, the layout the softmax solver and
-    ``heads.softmax_risk`` read, so no fit makes a transposed copy.
+    C-contiguous (d + 1, n) buffer, the layout the softmax solver
+    reads, so no fit makes a transposed copy.
     """
     n, d = G.shape
     out = np.empty((d + 1, n))
@@ -315,18 +322,19 @@ def _score_heads(G_train, G_test, train, test, data):
     ``G_train`` (intercept column included) at ``EVAL_REG_LAMBDA``,
     ``EVAL_TOL`` and ``EVAL_MAX_ITER`` and scores them on ``G_test``.
     Returns the accuracies, their difference (``tradeoff``), chance levels
-    and the norm of each head's ``heads.softmax_weight_grad`` on ``G_train``.
+    and the norm of each head's risk gradient in its weights on ``G_train``,
+    the one its solver stopped on (``fit_softmax``'s ``final``).
     """
     scores = {}
     for task, field, num_classes in (("target", "z", data.num_target_classes),
                                      ("private", "y", data.num_private_classes)):
-        labels = getattr(train, field)
-        head = fit_softmax(G_train, labels, num_classes, EVAL_REG_LAMBDA,
-                           tol=EVAL_TOL, max_iter=EVAL_MAX_ITER)
+        final = []  # the fit's (risk, grad_head, grad_features)
+        head = fit_softmax(G_train, getattr(train, field), num_classes,
+                           EVAL_REG_LAMBDA, tol=EVAL_TOL,
+                           max_iter=EVAL_MAX_ITER, final=final)
         scores[f"{task}_accuracy"] = accuracy(head, G_test, getattr(test, field))
         scores[f"chance_{task}"] = 1.0 / num_classes
-        grad = softmax_weight_grad(head, G_train, labels)
-        scores[f"{task}_head_grad"] = float(np.linalg.norm(grad))
+        scores[f"{task}_head_grad"] = float(np.linalg.norm(final[0][1]))
     scores["tradeoff"] = scores["target_accuracy"] - scores["private_accuracy"]
     return scores
 

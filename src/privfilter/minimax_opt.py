@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import heads as heads_mod
-from .errors import DataError, ShapeError, require_int
+from .errors import DataError, ShapeError, require_float, require_int
 from .filters import FilterState, apply_filter, filter_param_grad
 from .records import read_jsonl, write_jsonl
 
@@ -75,6 +75,8 @@ class TaskSpec:
     reg_lambda: float = 1e-6
 
     def __post_init__(self):
+        object.__setattr__(self, "reg_lambda",
+                           require_float("reg_lambda", self.reg_lambda))
         if self.kind not in _TASK_KINDS:
             raise DataError(f"unknown task kind {self.kind!r}")
         if self.kind != TASK_RECONSTRUCTION and self.label_field not in ("y", "z"):
@@ -109,10 +111,16 @@ class TradeoffConfig:
     inner_max_iter: int = 500  # Newton steps per softmax inner head
 
     def __post_init__(self):
+        for name in ("utility_weight", "convergence_tol", "inner_tol"):
+            object.__setattr__(self, name, require_float(name, getattr(self, name)))
         if self.utility_weight <= 0 or not math.isfinite(self.utility_weight):
             raise DataError("utility_weight must be positive and finite")
         if not self.private_tasks:
             raise DataError("at least one private task is required")
+        for name in ("private_tasks", "utility_tasks"):
+            object.__setattr__(self, name, tuple(
+                (task, require_float(f"{name} weight", weight))
+                for task, weight in getattr(self, name)))
         for task, weight in (*self.private_tasks, *self.utility_tasks):
             if not isinstance(task, TaskSpec):
                 raise DataError("tasks must be TaskSpec instances")
@@ -212,14 +220,16 @@ def _task_pass(task: TaskSpec, head, G, data, cfg: TradeoffConfig, refit,
     """
     if task.kind == TASK_SOFTMAX:
         labels = _task_labels(task, data)
-        nit = 0
-        if refit:
-            head, nit = heads_mod.fit_softmax_with_info(
-                G, labels, int(labels.max()), task.reg_lambda,
-                tol=cfg.inner_tol, max_iter=cfg.inner_max_iter, init=head)
-        risk, grad_head, grad_features = heads_mod.softmax_risk(head, G, labels)
-        inner_grad = float(np.linalg.norm(grad_head)) if refit else 0.0
-        return head, risk, grad_features, nit, inner_grad
+        if not refit:
+            risk, _, grad_features = heads_mod.softmax_risk(head, G, labels)
+            return head, risk, grad_features, 0, 0.0
+        final = []  # the fit's (risk, grad_head, grad_features)
+        head, nit = heads_mod.fit_softmax_with_info(
+            G, labels, int(labels.max()), task.reg_lambda,
+            tol=cfg.inner_tol, max_iter=cfg.inner_max_iter, init=head,
+            final=final)
+        risk, grad_head, grad_features = final[0]
+        return head, risk, grad_features, nit, float(np.linalg.norm(grad_head))
     if target is None:
         target = _task_target(task, data,
                               None if refit else head.weights.shape[1])
@@ -309,7 +319,7 @@ def descent_direction(state: FilterState, fitted: FittedHeads, data,
                              at_state.hidden)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     """State after ``iteration`` accepted steps.
 
@@ -327,7 +337,8 @@ class IterationRecord:
     ``worst_inner_grad`` is the largest risk-gradient norm of a softmax
     head fit over the same probes: above ``inner_tol``, some head was not
     a best response and the step's gradient is inexact.  Reports saved
-    before a field existed load it as 0.
+    before a field existed load it as 0.  The class has slots and no
+    per-instance dict, since a run keeps one record per accepted step.
     """
 
     iteration: int

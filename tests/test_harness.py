@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from privfilter import harness
+from privfilter import harness, heads
 from privfilter.data import Dataset, gen_synthetic, split_per_subject
 from privfilter.dp_mech import (BoundKind, bound, bound_scale_from_norms,
                                 sample_noise)
@@ -99,6 +99,30 @@ def test_config_validation():
                                         cfg.master_seed, cfg.pretrain_epochs))
     assert set(ExperimentConfig().filters) <= set(FILTER_CHOICES)
     assert ExperimentConfig().chain in CHAIN_CHOICES
+
+
+def test_float_and_bool_config_fields_are_type_checked():
+    # a string failed a comparison with a bare TypeError, except a noise
+    # level, which float() parsed silently
+    for name, bad in (("bound_scale", "0.5"), ("train_fraction", "0.5"),
+                      ("ppls_lambda", "1"), ("epsilon_inverses", ("0.5",)),
+                      ("epsilon_inverses", (0.0, True)),
+                      ("train_fraction", None)):
+        with pytest.raises(DataError, match=name):
+            ExperimentConfig(chain="pre", **{name: bad})
+    # the string 'no' is truthy and ran the LDS initialization
+    for bad in ("no", 0, None, np.bool_(True)):
+        with pytest.raises(DataError, match="lds_init"):
+            ExperimentConfig(lds_init=bad)
+    cfg = ExperimentConfig(chain="pre", bound_scale=np.float32(0.5),
+                           train_fraction=np.float64(0.75), ppls_lambda=2,
+                           epsilon_inverses=(0, np.int64(1)))
+    assert (cfg.bound_scale, cfg.train_fraction, cfg.ppls_lambda,
+            cfg.epsilon_inverses) == (0.5, 0.75, 2.0, (0.0, 1.0))
+    assert all(type(v) is float for v in (cfg.bound_scale, cfg.train_fraction,
+                                          cfg.ppls_lambda,
+                                          *cfg.epsilon_inverses))
+    assert ExperimentConfig(lds_init=True).lds_init is True
 
 
 def test_noise_grid_needs_a_release_chain():
@@ -505,6 +529,24 @@ def test_head_gradient_reads_the_transposed_features_bit_for_bit(monkeypatch):
             assert r[name] == expected
 
 
+def test_a_sweep_scores_no_head_by_a_second_risk_pass(monkeypatch):
+    # the evaluation heads' recorded gradients and the minimax refits both
+    # come from the fits' final=, not from softmax_risk
+    calls = []
+    original = heads.softmax_risk
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(heads, "softmax_risk", counted)
+    cfg = _fast_config(filters=("minimax-linear", "pca"), trials=1)
+    report = run_experiment(cfg, _small_data())
+    assert all(r["error"] is None for r in report.records)
+    assert report.records[0]["train_objective_calls"] > 1
+    assert not calls
+
+
 def test_cell_errors_are_recorded_and_do_not_stop_the_run():
     data = _small_data()
     single_target = Dataset(data.X, data.y, data.subject_ids,
@@ -657,7 +699,7 @@ def test_minimax_cells_record_their_training_summary(caplog, chain, einvs):
 
 
 def test_failed_minimax_fit_leaves_the_training_summary_empty(monkeypatch):
-    from privfilter import harness
+    from privfilter import harness, heads
 
     def broken(*args, **kwargs):
         raise FloatingPointError("no fit")

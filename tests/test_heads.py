@@ -13,8 +13,7 @@ from privfilter.heads import (_NEWTON_MAX_WEIGHTS, _label_index,
                               ReconstructionHead, SoftmaxHead, accuracy,
                               fit_reconstruction, fit_softmax,
                               fit_softmax_with_info, one_hot, predict_labels,
-                              reconstruction_risk, softmax_risk,
-                              softmax_weight_grad)
+                              reconstruction_risk, softmax_risk)
 
 
 def _random_instance(rng, n=50, d=5, num_classes=3):
@@ -56,18 +55,6 @@ def test_softmax_gradients_match_finite_differences():
                      central_diff(risk_of_weights, head.weights.ravel())) <= 1e-5
     assert rel_error(grad_features.ravel(),
                      central_diff(risk_of_features, G.ravel())) <= 1e-5
-
-
-def test_weight_grad_is_softmax_risks_bit_for_bit():
-    rng = np.random.default_rng(2)
-    G, labels = _random_instance(rng, n=300, d=6, num_classes=4)
-    for reg_lambda in (0.0, 1e-3):
-        head = SoftmaxHead(rng.standard_normal((4, 6)), reg_lambda=reg_lambda)
-        assert np.array_equal(softmax_weight_grad(head, G, labels),
-                              softmax_risk(head, G, labels)[1])
-    G[5, 2] = np.nan
-    with pytest.raises(NumericError):
-        softmax_weight_grad(head, G, labels)
 
 
 def test_softmax_risk_is_convex_in_weights():
@@ -663,3 +650,56 @@ def test_newton_cg_cold_fit_reaches_tol_and_honours_max_iter(lam):
                                               max_iter=max_iter)
         assert steps == max_iter
         assert np.linalg.norm(softmax_risk(capped, G, labels)[1]) > tol
+
+
+def _fit_with_final(G, labels, num_classes, lam, **kwargs):
+    final = []
+    head, steps = fit_softmax_with_info(G, labels, num_classes, lam,
+                                        final=final, **kwargs)
+    assert len(final) == 1
+    risk, grad_head, grad_features = final[0]
+    expected = softmax_risk(head, G, labels)
+    assert risk == expected[0]
+    assert np.array_equal(grad_head, expected[1])
+    assert np.array_equal(grad_features, expected[2])
+    return head, steps, np.linalg.norm(grad_head)
+
+
+@pytest.mark.parametrize("num_classes,d", [(3, 5), (20, 8)])  # dense, CG
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("lam", [0.0, 1e-4])
+def test_final_is_softmax_risk_at_the_head_on_every_exit(
+        monkeypatch, num_classes, d, warm, lam):
+    assert (3 * 5 <= _NEWTON_MAX_WEIGHTS < 20 * 8)
+    rng = np.random.default_rng(93 + num_classes)
+    G, labels, warm_head = _warm_problem(rng, num_classes, d)
+    init = warm_head if warm else None
+    # converged
+    _, steps, grad_norm = _fit_with_final(G, labels, num_classes, lam,
+                                          tol=1e-8, init=init)
+    assert steps >= 1 and grad_norm <= 1e-8
+    # max_iter
+    _, steps, grad_norm = _fit_with_final(G, labels, num_classes, lam,
+                                          tol=1e-14, max_iter=1, init=init)
+    assert steps == 1 and grad_norm > 1e-14
+    # no step: the start already meets tol
+    _, steps, _ = _fit_with_final(G, labels, num_classes, lam, tol=1e3,
+                                  init=init)
+    assert steps == 0
+    # a line search that accepts no step leaves the residual turned into
+    # probabilities; the fit recomputes it at the kept weights (only a
+    # warm start shows it: at zero weights the feature gradient is zero)
+    monkeypatch.setattr(heads, "_MAX_HALVINGS", 0)
+    head, steps, grad_norm = _fit_with_final(G, labels, num_classes, lam,
+                                             tol=1e-8, init=init)
+    assert steps == 0 and grad_norm > 1e-8
+    start = np.zeros((num_classes, d)) if init is None else init.weights
+    assert np.array_equal(head.weights, start)
+
+
+def test_fit_softmax_passes_final_through():
+    rng = np.random.default_rng(94)
+    G, labels = _random_instance(rng, n=120, d=4, num_classes=3)
+    final = []
+    head = fit_softmax(G, labels, 3, 1e-3, final=final)
+    assert len(final) == 1 and final[0][0] == softmax_risk(head, G, labels)[0]

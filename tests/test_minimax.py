@@ -373,6 +373,51 @@ def test_config_validation():
                       classification_tradeoff())
 
 
+def test_refits_take_the_risk_from_the_fit_not_a_second_pass(monkeypatch):
+    # a refit softmax head's risk and gradients are the ones its solver
+    # stopped on; only fixed heads are scored by softmax_risk
+    data = _toy_dataset(np.random.default_rng(18))
+    cfg = classification_tradeoff(2.0, 1e-4, max_iter=5)
+    calls = []
+    original = heads.softmax_risk
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(heads, "softmax_risk", counted)
+    report = train_minimax(init_filter(FilterKind.LINEAR, 6, 2, seed=19),
+                           data, cfg)
+    fitted = joint_objective(report.final_state, data, cfg)[3]
+    assert report.objective_calls > 1 and not calls
+    descent_direction(report.final_state, fitted, data, cfg)
+    assert len(calls) == 2
+    evaluate_objective(report.final_state, fitted, data, cfg)
+    assert len(calls) == 4
+
+
+def test_float_fields_reject_strings_and_bools():
+    # a string failed a comparison with a bare TypeError
+    for name in ("utility_weight", "convergence_tol", "inner_tol"):
+        for bad in ("10", True, None):
+            with pytest.raises(DataError, match=name):
+                TradeoffConfig(**{name: bad})
+    for name in ("private_tasks", "utility_tasks"):
+        with pytest.raises(DataError, match=f"{name} weight"):
+            TradeoffConfig(**{name: ((softmax_task(), "1.0"),)})
+    for bad in ("1e-6", False):
+        with pytest.raises(DataError, match="reg_lambda"):
+            softmax_task(reg_lambda=bad)
+    cfg = TradeoffConfig(utility_weight=np.float32(2.5), inner_tol=1,
+                         private_tasks=[(least_squares_task("y", 0), 2)])
+    assert cfg.utility_weight == 2.5 and cfg.inner_tol == 1.0
+    assert cfg.private_tasks == ((least_squares_task("y", 0.0), 2.0),)
+    task, weight = cfg.private_tasks[0]
+    assert all(type(v) is float for v in (cfg.utility_weight, cfg.inner_tol,
+                                          cfg.convergence_tol, weight,
+                                          task.reg_lambda))
+
+
 def test_missing_target_labels_raise():
     rng = np.random.default_rng(13)
     data = _toy_dataset(rng)
