@@ -5,17 +5,21 @@ subject-distance summary of a dataset, ``train`` fits a single filter and
 saves it, ``eval`` scores a saved filter, ``sweep`` runs a full
 experiment grid and exports the results, logging each finished cell on
 stderr as it goes.  ``train`` and ``eval`` run trial 0 of a sweep with
-one filter, one dim and one noise level (``harness.train_filter`` and
+its first filter, dim and noise level (``harness.train_filter`` and
 ``harness.evaluate_filter``): ``train`` saves the filter that sweep fits,
 and ``eval``, given the training seed, prints the fields of its cell,
 noisy or not.
 
-``sweep`` optionally reads an INI config whose ``[experiment]`` keys
-match ExperimentConfig fields one for one (list-valued fields as comma
-lists) and whose ``[tradeoff]`` section feeds the minimax optimizer.  A
-key left empty keeps its default, and a value that does not parse is an
-error naming its section and key.  Every flag given on the command line
-overrides its config key.
+``train``, ``eval`` and ``sweep`` build their ``ExperimentConfig`` the
+same way (``_config``): from the optional ``--config`` INI file, whose
+``[experiment]`` keys are the ExperimentConfig settings and whose
+``[tradeoff]`` keys are the TradeoffConfig settings plus the heads'
+``reg_lambda``, and then from every setting flag given, which overrides
+its key.  Keys and flags are derived from the fields' ``setting``
+declarations: list-valued settings are comma lists, a key left empty
+keeps its default, and a key's value that does not parse is an error
+naming its section and key.  A flag is the key with dashes, except for the five
+in ``_FLAGS``.
 """
 
 from __future__ import annotations
@@ -28,29 +32,17 @@ import logging
 import sys
 
 from .data import gen_synthetic, load_csv, save_csv
-from .dp_mech import BoundKind, compute_diameters
-from .errors import DataError
+from .dp_mech import compute_diameters
+from .errors import DataError, settings_of
 from .filters import load_filter, save_filter
-from .harness import (CHAIN_CHOICES, FILTER_CHOICES, ExperimentConfig,
-                      evaluate_filter, export_results, run_experiment,
-                      train_filter)
-from .minimax_opt import classification_tradeoff, save_report
-
-_BOUND_CHOICES = tuple(kind.value for kind in BoundKind)
+from .harness import (ExperimentConfig, evaluate_filter, export_results,
+                      run_experiment, train_filter)
+from .minimax_opt import (TaskSpec, TradeoffConfig, classification_tradeoff,
+                          save_report)
 
 
 def _add_data_arg(parser):
     parser.add_argument("--data", required=True, help="CSV dataset path")
-
-
-def _load(args):
-    return load_csv(args.data)
-
-
-def _parse_list(text, convert):
-    """A comma list: ``convert`` applied to each stripped, non-empty part."""
-    parts = (part.strip() for part in str(text).split(","))
-    return tuple(convert(part) for part in parts if part)
 
 
 def _cmd_synth(args) -> int:
@@ -66,7 +58,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_diameters(args) -> int:
-    data = _load(args)
+    data = load_csv(args.data)
     report = compute_diameters(data.X, data.y, data.z)
     print(json.dumps({
         "cross_subject": report.cross_subject,
@@ -77,18 +69,67 @@ def _cmd_diameters(args) -> int:
     return 0
 
 
+_SECTIONS = {  # INI section -> key -> Setting
+    "experiment": settings_of(ExperimentConfig),
+    "tradeoff": {**settings_of(TradeoffConfig),
+                 "reg_lambda": settings_of(TaskSpec)["reg_lambda"]},
+}
+_FLAGS = {"filters": "--filter", "dims": "--dim",
+          "epsilon_inverses": "--epsilon-inverse", "bound_kind": "--bound",
+          "master_seed": "--seed"}
+
+
+def _text_parser(spec):
+    """The parser of one INI value or flag of ``spec``."""
+    if spec.kind is bool:
+        def convert(text):
+            return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    else:
+        convert = spec.kind
+    if not spec.many:
+        return convert
+
+    def comma_list(text):
+        parts = (part.strip() for part in text.split(","))
+        return tuple(convert(part) for part in parts if part)
+    return comma_list
+
+
+def _config(args, derive_chain=False) -> ExperimentConfig:
+    """The ``--config`` file's settings, overridden by every setting flag
+    given.  With ``derive_chain`` a chain that neither sets is "pre" when a
+    noise level, bound kind or bound scale is set and "none" otherwise."""
+    settings = {section: {} for section in _SECTIONS}
+    if args.config:
+        parser = configparser.ConfigParser()
+        if not parser.read(args.config):
+            raise DataError(f"cannot read config file {args.config}")
+        for section, specs in _SECTIONS.items():
+            for key, raw in (parser.items(section)
+                             if parser.has_section(section) else ()):
+                if key not in specs:
+                    raise DataError(f"unknown [{section}] key {key!r}")
+                if not raw.strip():
+                    continue
+                try:
+                    settings[section][key] = _text_parser(specs[key])(raw)
+                except (KeyError, ValueError):  # KeyError: not an INI boolean
+                    raise DataError(f"bad [{section}] value {key} = {raw!r}") from None
+    for section, specs in _SECTIONS.items():
+        settings[section].update((key, getattr(args, key))
+                                 for key in specs if hasattr(args, key))
+    experiment = settings["experiment"]
+    if derive_chain and "chain" not in experiment:
+        released = (any(experiment.get("epsilon_inverses", ()))
+                    or "bound_kind" in experiment or "bound_scale" in experiment)
+        experiment["chain"] = "pre" if released else "none"
+    return ExperimentConfig(
+        **experiment, tradeoff=classification_tradeoff(**settings["tradeoff"]))
+
+
 def _cmd_train(args) -> int:
-    data = _load(args)
-    tradeoff = classification_tradeoff(utility_weight=args.utility_weight,
-                                       reg_lambda=args.reg_lambda,
-                                       max_iter=args.max_iter)
-    cfg = ExperimentConfig(filters=(args.filter,), dims=(args.dim,),
-                           tradeoff=tradeoff, lds_init=args.lds_init,
-                           pretrain_epochs=args.pretrain_epochs,
-                           ppls_lambda=args.ppls_lambda,
-                           train_fraction=args.train_fraction,
-                           master_seed=args.seed)
-    state, report = train_filter(data, cfg)
+    cfg = _config(args)
+    state, report = train_filter(load_csv(args.data), cfg)
     save_filter(state, args.out + ".filter")
     message = f"saved filter to {args.out}.filter"
     if report is not None:
@@ -100,89 +141,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    data = _load(args)
-    released = (args.epsilon_inverse > 0 or args.bound is not None
-                or args.bound_scale is not None)
-    cfg = ExperimentConfig(epsilon_inverses=(args.epsilon_inverse,),
-                           chain="pre" if released else "none",
-                           bound_kind=args.bound,
-                           bound_scale=args.bound_scale,
-                           train_fraction=args.train_fraction,
-                           master_seed=args.seed)
-    fields = evaluate_filter(load_filter(args.filter_path), data, cfg)
+    cfg = _config(args, derive_chain=True)
+    fields = evaluate_filter(load_filter(args.filter_path),
+                             load_csv(args.data), cfg)
     print(json.dumps(fields, sort_keys=True))
     return 0
 
 
-_CONFIG_PARSERS = {  # section -> key -> parser
-    "experiment": {
-        "filters": lambda text: _parse_list(text, str),
-        "dims": lambda text: _parse_list(text, int),
-        "epsilon_inverses": lambda text: _parse_list(text, float),
-        "chain": str,
-        "bound_kind": str,
-        "bound_scale": float,
-        "trials": int,
-        "train_fraction": float,
-        "master_seed": int,
-        "lds_init": lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
-        "mlp_hidden": lambda text: _parse_list(text, int),
-        "pretrain_epochs": int,
-        "ppls_lambda": float,
-    },
-    "tradeoff": {
-        "utility_weight": float, "reg_lambda": float, "max_iter": int,
-        "convergence_tol": float, "inner_tol": float, "inner_max_iter": int,
-        "slow_iterations": int,
-    },
-}
-
-
-def _read_config(path):
-    """INI file → dicts of experiment and tradeoff settings."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise DataError(f"cannot read config file {path}")
-    settings = {}
-    for section, parsers in _CONFIG_PARSERS.items():
-        values = settings[section] = {}
-        for key, raw in parser.items(section) if parser.has_section(section) else ():
-            if key not in parsers:
-                raise DataError(f"unknown [{section}] key {key!r}")
-            if not raw.strip():
-                continue
-            try:
-                values[key] = parsers[key](raw)
-            except (KeyError, ValueError):  # KeyError: not an INI boolean
-                raise DataError(f"bad [{section}] value {key} = {raw!r}") from None
-    return settings["experiment"], settings["tradeoff"]
-
-
 def _cmd_sweep(args) -> int:
-    experiment, tradeoff = ({}, {})
-    if args.config:
-        experiment, tradeoff = _read_config(args.config)
-    overrides = {
-        "filters": _parse_list(args.filter, str) if args.filter else None,
-        "dims": _parse_list(args.dim, int) if args.dim else None,
-        "epsilon_inverses": (_parse_list(args.epsilon_inverse, float)
-                             if args.epsilon_inverse else None),
-        "chain": args.chain,
-        "bound_kind": args.bound,
-        "bound_scale": args.bound_scale,
-        "trials": args.trials,
-        "train_fraction": args.train_fraction,
-        "master_seed": args.seed,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            experiment[key] = value
-    if args.utility_weight is not None:
-        tradeoff["utility_weight"] = args.utility_weight
-    if tradeoff:
-        experiment["tradeoff"] = classification_tradeoff(**tradeoff)
-    cfg = ExperimentConfig(**experiment)
-    data = _load(args)
+    cfg = _config(args)
+    data = load_csv(args.data)
     with _progress_on_stderr():
         report = run_experiment(cfg, data)
     export_results(report, args.out)
@@ -242,49 +210,33 @@ def build_parser() -> argparse.ArgumentParser:
     diameters.set_defaults(func=_cmd_diameters)
 
     train = sub.add_parser("train", help="fit one filter and save it")
-    _add_data_arg(train)
-    train.add_argument("--filter", default="minimax-linear",
-                       choices=[k for k in FILTER_CHOICES if k != "raw"])
-    train.add_argument("--dim", type=int, default=5)
-    train.add_argument("--utility-weight", type=float, default=10.0)
-    train.add_argument("--reg-lambda", type=float, default=1e-6)
-    train.add_argument("--max-iter", type=int, default=200)
-    train.add_argument("--lds-init", action="store_true")
-    train.add_argument("--pretrain-epochs", type=int, default=0)
-    train.add_argument("--ppls-lambda", type=float, default=1.0)
-    train.add_argument("--train-fraction", type=float, default=0.8)
-    train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out", required=True,
                        help="output prefix for .filter and .report.jsonl")
     train.set_defaults(func=_cmd_train)
 
-    evaluate = sub.add_parser("eval", help="score a saved filter on a dataset")
-    _add_data_arg(evaluate)
+    evaluate = sub.add_parser(
+        "eval", help="score a saved filter on a dataset",
+        description="--seed must match the training seed to reproduce its split")
     evaluate.add_argument("--filter-path", required=True)
-    evaluate.add_argument("--train-fraction", type=float, default=0.8)
-    evaluate.add_argument("--seed", type=int, default=0,
-                          help="must match the seed used for training "
-                               "to reproduce its split")
-    evaluate.add_argument("--epsilon-inverse", type=float, default=0.0)
-    evaluate.add_argument("--bound", choices=_BOUND_CHOICES, default=None)
-    evaluate.add_argument("--bound-scale", type=float, default=None)
     evaluate.set_defaults(func=_cmd_eval)
 
     sweep = sub.add_parser("sweep", help="run the full experiment grid")
-    _add_data_arg(sweep)
-    sweep.add_argument("--config", help="INI file; flags below override it")
-    sweep.add_argument("--filter", help="comma list of filter kinds")
-    sweep.add_argument("--dim", help="comma list of output dims")
-    sweep.add_argument("--epsilon-inverse", help="comma list of noise levels")
-    sweep.add_argument("--chain", choices=CHAIN_CHOICES, default=None)
-    sweep.add_argument("--bound", choices=_BOUND_CHOICES, default=None)
-    sweep.add_argument("--bound-scale", type=float, default=None)
-    sweep.add_argument("--trials", type=int, default=None)
-    sweep.add_argument("--train-fraction", type=float, default=None)
-    sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--utility-weight", type=float, default=None)
     sweep.add_argument("--out", required=True, help="output path prefix")
     sweep.set_defaults(func=_cmd_sweep)
+
+    for command in (train, evaluate, sweep):
+        _add_data_arg(command)
+        command.add_argument("--config", help="INI file; flags below override it")
+        for section, specs in _SECTIONS.items():
+            for key, spec in specs.items():
+                flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
+                kwargs = (dict(action=argparse.BooleanOptionalAction)
+                          if spec.kind is bool else dict(type=_text_parser(spec)))
+                notes = [", ".join(spec.choices)] if spec.choices else []
+                notes += ["comma list"] if spec.many else []
+                command.add_argument(
+                    flag, dest=key, default=argparse.SUPPRESS,
+                    help="; ".join([f"[{section}] {key}", *notes]), **kwargs)
     return parser
 
 

@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 import time
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -91,7 +90,7 @@ from .baselines import (build_scatters, fit_pca, fit_ppls, fit_rand,
                         privacy_lds)
 from .data import Dataset, split_per_subject
 from .dp_mech import BoundKind, bound, bound_scale_from_norms, sample_noise
-from .errors import DataError, ShapeError, require_float, require_int
+from .errors import DataError, ShapeError, check_settings, setting
 from .filters import (DEFAULT_HIDDEN, FilterKind, apply_filter,
                       identity_filter, init_filter, linear_filter,
                       pretrain_autoencoder)
@@ -103,6 +102,7 @@ SCHEMA_VERSION = 1
 FILTER_CHOICES = ("raw", "rand", "pca", "ppls", "minimax-linear",
                   "minimax-mlp", "lds-init")
 CHAIN_CHOICES = ("none", "pre", "post")
+_BOUND_KINDS = tuple(kind.value for kind in BoundKind)
 
 # How a cell's minimax fit ended: the TrainReport attributes named after
 # the "train_" prefix (None for filters without one)
@@ -136,70 +136,41 @@ def derive_rng(master_seed, *key) -> np.random.Generator:
 class ExperimentConfig:
     """Grid definition plus every knob the protocol needs."""
 
-    filters: tuple = ("minimax-linear", "pca")
-    dims: tuple = (5,)
-    epsilon_inverses: tuple = (0.0,)
-    chain: str = "none"
-    bound_kind: str | None = None  # None: "clip" under chain "pre"/"post"
-    bound_scale: float | None = None  # None: reciprocal 95th-percentile rule
-    trials: int = 10
-    train_fraction: float = 0.8
-    master_seed: int = 0
+    filters: tuple = setting(("minimax-linear", "pca"), str,
+                             choices=FILTER_CHOICES)
+    dims: tuple = setting((5,), int)
+    epsilon_inverses: tuple = setting((0.0,), float, 0.0)
+    chain: str = setting("none", str, choices=CHAIN_CHOICES)
+    # None: "clip" under chain "pre"/"post"
+    bound_kind: str | None = setting(None, str, choices=_BOUND_KINDS)
+    # None: reciprocal 95th-percentile rule
+    bound_scale: float | None = setting(None, float, 0.0, exclusive=True)
+    trials: int = setting(10, int, 1)
+    train_fraction: float = setting(0.8, float, 0.0, exclusive=True)
+    master_seed: int = setting(0, int, 0)
     tradeoff: TradeoffConfig = TradeoffConfig()
-    lds_init: bool = False
-    mlp_hidden: tuple = DEFAULT_HIDDEN
-    pretrain_epochs: int = 0
-    ppls_lambda: float = 1.0
+    lds_init: bool = setting(False, bool)
+    mlp_hidden: tuple = setting(DEFAULT_HIDDEN, int, 1)
+    pretrain_epochs: int = setting(0, int, 0)
+    ppls_lambda: float = setting(1.0, float, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "filters", tuple(self.filters))
-        for name, minimum in (("dims", None), ("mlp_hidden", 1)):
-            object.__setattr__(self, name, tuple(
-                require_int(name, v, minimum) for v in getattr(self, name)))
-        for name, minimum in (("trials", 1), ("master_seed", 0),
-                              ("pretrain_epochs", 0)):
-            object.__setattr__(self, name, require_int(
-                name, getattr(self, name), minimum))
-        object.__setattr__(self, "epsilon_inverses", tuple(
-            require_float("epsilon_inverses", e) for e in self.epsilon_inverses))
-        for name in ("train_fraction", "ppls_lambda"):
-            object.__setattr__(self, name, require_float(name, getattr(self, name)))
-        if self.bound_scale is not None:
-            object.__setattr__(self, "bound_scale",
-                               require_float("bound_scale", self.bound_scale))
-        if not isinstance(self.lds_init, bool):
-            raise DataError(f"lds_init must be a bool, got {self.lds_init!r}")
-        for kind in self.filters:
-            if kind not in FILTER_CHOICES:
-                raise DataError(f"unknown filter {kind!r}; choose from {FILTER_CHOICES}")
-        if not self.filters or not self.dims or not self.epsilon_inverses:
-            raise DataError("filters, dims, and epsilon_inverses must be non-empty")
+        check_settings(self)
         if any(d < 1 for d in self.dims):
             raise ShapeError("dims must be positive")
-        if any(e < 0 or not math.isfinite(e) for e in self.epsilon_inverses):
-            raise DataError("epsilon_inverses must be non-negative and finite")
-        if self.chain not in CHAIN_CHOICES:
-            raise DataError(f"chain must be one of {CHAIN_CHOICES}")
+        if self.train_fraction >= 1.0:
+            raise DataError("train_fraction must lie strictly between 0 and 1")
+        if len(self.mlp_hidden) != 2:
+            raise DataError(f"mlp_hidden must be two positive ints, got {self.mlp_hidden}")
         if self.chain == "none" and any(self.epsilon_inverses):
             raise DataError("chain 'none' releases no noise; a nonzero "
                             "epsilon_inverse needs chain 'pre' or 'post'")
-        if self.bound_kind is not None:
-            BoundKind(self.bound_kind)
-        scale = self.bound_scale
-        if scale is not None and (scale <= 0 or not math.isfinite(scale)):
-            raise DataError("bound_scale must be positive and finite (or None for automatic)")
         for name in ("bound_kind", "bound_scale"):
             if self.chain == "none" and getattr(self, name) is not None:
                 raise DataError(f"chain 'none' bounds no rows; a {name} "
                                 "needs chain 'pre' or 'post'")
         if self.chain != "none" and self.bound_kind is None:
             object.__setattr__(self, "bound_kind", BoundKind.CLIP.value)
-        if not 0.0 < self.train_fraction < 1.0:
-            raise DataError("train_fraction must lie strictly between 0 and 1")
-        if len(self.mlp_hidden) != 2:
-            raise DataError(f"mlp_hidden must be two positive ints, got {self.mlp_hidden}")
-        if self.ppls_lambda < 0 or not math.isfinite(self.ppls_lambda):
-            raise DataError("ppls_lambda must be non-negative and finite")
 
 
 def fit_filter(kind: str, train: Dataset, d: int, cfg: ExperimentConfig, rng):
@@ -328,7 +299,7 @@ def _score_heads(G_train, G_test, train, test, data):
     scores = {}
     for task, field, num_classes in (("target", "z", data.num_target_classes),
                                      ("private", "y", data.num_private_classes)):
-        final = []  # the fit's (risk, grad_head, grad_features)
+        final = []  # the fit's (risk, grad_head, residual)
         head = fit_softmax(G_train, getattr(train, field), num_classes,
                            EVAL_REG_LAMBDA, tol=EVAL_TOL,
                            max_iter=EVAL_MAX_ITER, final=final)

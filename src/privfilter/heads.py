@@ -219,9 +219,11 @@ def fit_softmax_with_info(G, labels, num_classes, reg_lambda=1e-6, tol=1e-8,
     criterion-7 sweep (K*d = 12 and 48, n = 256) take 0.02 s in all.
 
     ``final``, when given, is a list to which the fit appends
-    ``(risk, grad_head, grad_features)`` at the returned head: bit for bit
-    ``softmax_risk(head, G, labels)``, taken from the solver's last
-    evaluation instead of a second pass over the samples.
+    ``(risk, grad_head, residual)`` at the returned head, taken from the
+    solver's last evaluation instead of a second pass over the samples:
+    the risk and weight gradient of ``softmax_risk(head, G, labels)`` bit
+    for bit, and the (num_classes, n) residual P - Y from which
+    ``residual.T @ head.weights / n`` is its feature gradient.
     """
     if num_classes < 2:
         raise DataError("softmax heads need at least two classes")
@@ -237,7 +239,7 @@ def fit_softmax_with_info(G, labels, num_classes, reg_lambda=1e-6, tol=1e-8,
         raise NumericError("softmax fit diverged to a non-finite risk")
     head = SoftmaxHead(weights, reg_lambda=lam)
     if final is not None:
-        final.append((risk, grad, residual.T @ head.weights / G.shape[0]))
+        final.append((risk, grad, residual))
     return head, steps
 
 

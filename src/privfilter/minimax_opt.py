@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import heads as heads_mod
-from .errors import DataError, ShapeError, require_float, require_int
+from .errors import DataError, Setting, ShapeError, check_settings, setting
 from .filters import FilterState, apply_filter, filter_param_grad
 from .records import read_jsonl, write_jsonl
 
@@ -64,6 +64,7 @@ TASK_SOFTMAX = "softmax"
 TASK_LEAST_SQUARES = "least_squares"
 TASK_RECONSTRUCTION = "reconstruction"
 _TASK_KINDS = (TASK_SOFTMAX, TASK_LEAST_SQUARES, TASK_RECONSTRUCTION)
+_TASK_WEIGHT = Setting(float, 0.0, exclusive=True)
 
 
 @dataclass(frozen=True)
@@ -72,17 +73,14 @@ class TaskSpec:
 
     kind: str
     label_field: str = "y"   # "y" (private labels) or "z" (target labels)
-    reg_lambda: float = 1e-6
+    reg_lambda: float = setting(1e-6, float, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "reg_lambda",
-                           require_float("reg_lambda", self.reg_lambda))
+        check_settings(self)
         if self.kind not in _TASK_KINDS:
             raise DataError(f"unknown task kind {self.kind!r}")
         if self.kind != TASK_RECONSTRUCTION and self.label_field not in ("y", "z"):
             raise DataError("label_field must be 'y' or 'z'")
-        if self.reg_lambda < 0 or not math.isfinite(self.reg_lambda):
-            raise DataError("reg_lambda must be non-negative and finite")
 
 
 def softmax_task(label_field="y", reg_lambda=1e-6) -> TaskSpec:
@@ -101,36 +99,32 @@ def reconstruction_task(reg_lambda=0.0) -> TaskSpec:
 class TradeoffConfig:
     """Weights, task lists, and optimizer settings for minimax training."""
 
-    utility_weight: float = 10.0
+    utility_weight: float = setting(10.0, float, 0.0, exclusive=True)
     private_tasks: tuple = ((TaskSpec(TASK_SOFTMAX, "y"), 1.0),)
     utility_tasks: tuple = ((TaskSpec(TASK_SOFTMAX, "z"), 1.0),)
-    max_iter: int = 200
-    convergence_tol: float = 1e-6
-    slow_iterations: int = 3  # consecutive small decreases that count as converged
-    inner_tol: float = 1e-8
-    inner_max_iter: int = 500  # Newton steps per softmax inner head
+    max_iter: int = setting(200, int, 1)
+    convergence_tol: float = setting(1e-6, float, 0.0, exclusive=True)
+    # consecutive small decreases that count as converged
+    slow_iterations: int = setting(3, int, 1)
+    inner_tol: float = setting(1e-8, float, 0.0, exclusive=True)
+    # Newton steps per softmax inner head
+    inner_max_iter: int = setting(500, int, 1)
 
     def __post_init__(self):
-        for name in ("utility_weight", "convergence_tol", "inner_tol"):
-            object.__setattr__(self, name, require_float(name, getattr(self, name)))
-        if self.utility_weight <= 0 or not math.isfinite(self.utility_weight):
-            raise DataError("utility_weight must be positive and finite")
+        check_settings(self)
+        for name in ("private_tasks", "utility_tasks"):
+            try:
+                pairs = [(task, weight) for task, weight in getattr(self, name)]
+            except (TypeError, ValueError):
+                raise DataError(f"{name} must be a sequence of (TaskSpec, "
+                                f"weight) pairs, got {getattr(self, name)!r}") from None
+            if not all(isinstance(task, TaskSpec) for task, _ in pairs):
+                raise DataError("tasks must be TaskSpec instances")
+            object.__setattr__(self, name, tuple(
+                (task, _TASK_WEIGHT.check(f"{name} weight", weight))
+                for task, weight in pairs))
         if not self.private_tasks:
             raise DataError("at least one private task is required")
-        for name in ("private_tasks", "utility_tasks"):
-            object.__setattr__(self, name, tuple(
-                (task, require_float(f"{name} weight", weight))
-                for task, weight in getattr(self, name)))
-        for task, weight in (*self.private_tasks, *self.utility_tasks):
-            if not isinstance(task, TaskSpec):
-                raise DataError("tasks must be TaskSpec instances")
-            if weight <= 0 or not math.isfinite(weight):
-                raise DataError("task weights must be positive and finite")
-        for name in ("max_iter", "slow_iterations", "inner_max_iter"):
-            object.__setattr__(self, name, require_int(name, getattr(self, name), 1))
-        if any(tol <= 0 or not math.isfinite(tol)
-               for tol in (self.convergence_tol, self.inner_tol)):
-            raise DataError("tolerances must be positive and finite")
 
 
 def classification_tradeoff(utility_weight=10.0, reg_lambda=1e-6,
@@ -223,12 +217,13 @@ def _task_pass(task: TaskSpec, head, G, data, cfg: TradeoffConfig, refit,
         if not refit:
             risk, _, grad_features = heads_mod.softmax_risk(head, G, labels)
             return head, risk, grad_features, 0, 0.0
-        final = []  # the fit's (risk, grad_head, grad_features)
+        final = []  # the fit's (risk, grad_head, residual)
         head, nit = heads_mod.fit_softmax_with_info(
             G, labels, int(labels.max()), task.reg_lambda,
             tol=cfg.inner_tol, max_iter=cfg.inner_max_iter, init=head,
             final=final)
-        risk, grad_head, grad_features = final[0]
+        risk, grad_head, residual = final[0]
+        grad_features = residual.T @ head.weights / residual.shape[1]
         return head, risk, grad_features, nit, float(np.linalg.norm(grad_head))
     if target is None:
         target = _task_target(task, data,

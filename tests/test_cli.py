@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from privfilter import harness
-from privfilter.cli import _CONFIG_PARSERS, main
+from privfilter.cli import _SECTIONS, main
 from privfilter.data import load_csv
 from privfilter.filters import load_filter
 from privfilter.harness import ExperimentConfig, load_results, run_experiment
@@ -132,16 +132,27 @@ def test_eval_matches_the_sweep_cell(tmp_path):
             assert metrics.get(key) == record[key], (flags, key)
 
 
+_SWEEP_INI = ("[experiment]\nfilters = minimax-linear, pca\ndims = 2, 3\n"
+              "epsilon_inverses = 0.0, 1.0\nchain = pre\ntrials = 2\n"
+              "master_seed = 3\nlds_init = yes\n[tradeoff]\nmax_iter = 10\n")
+
+
 @pytest.mark.parametrize("kind, flags", [
-    ("pca", []), ("minimax-linear", ["--lds-init", "--max-iter", "10"])])
+    ("pca", []), ("minimax-linear", ["--lds-init", "--max-iter", "10"]),
+    ("minimax-linear", ["--config"])])
 def test_train_saves_the_filter_of_the_sweep(tmp_path, monkeypatch, kind,
                                              flags):
     # train fits the filter that trial 0 of a one-filter sweep fits, with
-    # the same TrainReport records
+    # the same TrainReport records; given a sweep's config file, it fits
+    # that sweep's first filter at its first dim
     path = _make_dataset(tmp_path)
     prefix = tmp_path / "model"
-    code, _, err = _run(["train", "--data", str(path), "--filter", kind,
-                         "--dim", "2", "--seed", "3", *flags,
+    args = ["--filter", kind, "--dim", "2", "--seed", "3", *flags]
+    if flags == ["--config"]:
+        config = tmp_path / "sweep.ini"
+        config.write_text(_SWEEP_INI)
+        args = ["--config", str(config)]
+    code, _, err = _run(["train", "--data", str(path), *args,
                          "--out", str(prefix)])
     assert code == 0, err
     fitted = []
@@ -153,7 +164,7 @@ def test_train_saves_the_filter_of_the_sweep(tmp_path, monkeypatch, kind,
         return result
     monkeypatch.setattr(harness, "fit_filter", recording)
     cfg = ExperimentConfig(filters=(kind,), dims=(2,), trials=1, master_seed=3,
-                           lds_init="--lds-init" in flags,
+                           lds_init=kind == "minimax-linear",
                            tradeoff=classification_tradeoff(
                                10.0, 1e-6, max_iter=10))
     log = []
@@ -248,6 +259,72 @@ def test_sweep_with_config_and_overrides(tmp_path):
     assert out.count("eps_inv=") == 4
 
 
+def test_eval_reads_its_release_chain_from_the_config(tmp_path):
+    # a chain set in the file is kept, not derived from the noise flags;
+    # a --chain flag overrides the file
+    path = _make_dataset(tmp_path)
+    prefix = tmp_path / "pca"
+    assert _run(["train", "--data", str(path), "--filter", "pca",
+                 "--dim", "2", "--seed", "3", "--out", str(prefix)])[0] == 0
+    config = tmp_path / "eval.ini"
+    config.write_text("[experiment]\nfilters = pca\nchain = pre\n"
+                      "master_seed = 3\n")
+    evaluate = ["eval", "--data", str(path), "--filter-path",
+                str(prefix) + ".filter", "--config", str(config)]
+    code, out, err = _run(evaluate)
+    assert code == 0, err
+    metrics = json.loads(out)
+    cfg = ExperimentConfig(filters=("pca",), dims=(2,), trials=1,
+                           master_seed=3, chain="pre")
+    record = run_experiment(cfg, load_csv(path)).records[0]
+    for key in ("target_accuracy", "private_accuracy", "bound_scale",
+                "clip_frac"):
+        assert metrics[key] == record[key], key
+    code, out, err = _run([*evaluate, "--chain", "none"])
+    assert code == 0, err
+    assert "bound_scale" not in json.loads(out)
+
+
+def test_sweep_tradeoff_flags_override_the_config(tmp_path):
+    path = _make_dataset(tmp_path)
+    config = tmp_path / "sweep.ini"
+    config.write_text("[experiment]\nfilters = minimax-linear\ndims = 2\n"
+                      "trials = 1\n[tradeoff]\nreg_lambda = 0.5\n"
+                      "max_iter = 40\n")
+    code, _, err = _run(["sweep", "--data", str(path), "--config",
+                         str(config), "--reg-lambda", "1e-4", "--max-iter",
+                         "3", "--out", str(tmp_path / "r")])
+    assert code == 0, err
+    cfg = ExperimentConfig(filters=("minimax-linear",), dims=(2,), trials=1,
+                           tradeoff=classification_tradeoff(
+                               10.0, 1e-4, max_iter=3))
+    expected = run_experiment(cfg, load_csv(path))
+    report = load_results(tmp_path / "r")
+    assert report.records[0]["train_iterations"] <= 3
+    assert report.scientific_payload() == expected.scientific_payload()
+    for key in ("train_iterations", "train_objective_calls"):
+        assert report.records[0][key] == expected.records[0][key]
+
+
+def test_every_command_takes_the_setting_flags(tmp_path):
+    # train accepts raw, and a setting's bad value is the config's error
+    path = _make_dataset(tmp_path)
+    prefix = tmp_path / "raw"
+    code, out, err = _run(["train", "--data", str(path), "--filter", "raw",
+                           "--out", str(prefix)])
+    assert code == 0, err
+    assert load_filter(str(prefix) + ".filter").output_dim == 6
+    for command in (["train", "--out", str(prefix)],
+                    ["eval", "--filter-path", str(prefix) + ".filter"],
+                    ["sweep", "--out", str(tmp_path / "x")]):
+        for flag, value, fragment in (("--chain", "mid", "chain must be one of"),
+                                      ("--bound", "fold", "bound_kind must be"),
+                                      ("--inner-max-iter", "0", "inner_max_iter")):
+            code, out, err = _run([*command, "--data", str(path), flag, value])
+            assert code == 1 and not out, (command, flag)
+            assert err.startswith("error:") and fragment in err
+
+
 def test_sweep_flags_only(tmp_path):
     path = _make_dataset(tmp_path)
     prefix = tmp_path / "r2"
@@ -299,9 +376,9 @@ def test_experiment_keys_mirror_the_config_fields(tmp_path):
     # every ExperimentConfig field but the [tradeoff] section has one key,
     # and so does every TradeoffConfig setting but the task lists, whose
     # heads share the one reg_lambda
-    assert set(_CONFIG_PARSERS["experiment"]) == (
+    assert set(_SECTIONS["experiment"]) == (
         {f.name for f in fields(ExperimentConfig)} - {"tradeoff"})
-    assert set(_CONFIG_PARSERS["tradeoff"]) == (
+    assert set(_SECTIONS["tradeoff"]) == (
         {f.name for f in fields(TradeoffConfig)}
         - {"private_tasks", "utility_tasks"} | {"reg_lambda"})
     path = _make_dataset(tmp_path)

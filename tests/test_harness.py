@@ -84,10 +84,14 @@ def test_config_validation():
     # int() truncated these: dims=(2.9,) ran a d = 2 sweep, and a float
     # trials count (or a negative seed) failed later with a bare
     # TypeError (ValueError)
+    # ... and a scalar or a string where a list belongs failed with a bare
+    # TypeError, or was split into characters ("unknown filter 'p'")
     for name, bad in (("dims", (2.9,)), ("dims", (2.0,)),
                       ("mlp_hidden", (20.7, 10.2)), ("trials", 1.5),
                       ("pretrain_epochs", 2.5), ("master_seed", 1.5),
-                      ("trials", "3"), ("master_seed", -1)):
+                      ("trials", "3"), ("master_seed", -1), ("dims", 5),
+                      ("epsilon_inverses", 0.1), ("filters", "pca"),
+                      ("mlp_hidden", "20,10")):
         with pytest.raises(DataError, match=name):
             ExperimentConfig(**{name: bad})
     cfg = ExperimentConfig(dims=(np.int64(3),), mlp_hidden=np.array([8, 4]),
@@ -107,7 +111,9 @@ def test_float_and_bool_config_fields_are_type_checked():
     for name, bad in (("bound_scale", "0.5"), ("train_fraction", "0.5"),
                       ("ppls_lambda", "1"), ("epsilon_inverses", ("0.5",)),
                       ("epsilon_inverses", (0.0, True)),
-                      ("train_fraction", None)):
+                      ("train_fraction", None),
+                      # a bare enum ValueError named no field
+                      ("bound_kind", "bogus"), ("bound_kind", 1)):
         with pytest.raises(DataError, match=name):
             ExperimentConfig(chain="pre", **{name: bad})
     # the string 'no' is truthy and ran the LDS initialization

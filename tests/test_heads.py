@@ -657,11 +657,12 @@ def _fit_with_final(G, labels, num_classes, lam, **kwargs):
     head, steps = fit_softmax_with_info(G, labels, num_classes, lam,
                                         final=final, **kwargs)
     assert len(final) == 1
-    risk, grad_head, grad_features = final[0]
+    risk, grad_head, residual = final[0]
     expected = softmax_risk(head, G, labels)
     assert risk == expected[0]
     assert np.array_equal(grad_head, expected[1])
-    assert np.array_equal(grad_features, expected[2])
+    assert residual.shape == (num_classes, len(labels))
+    assert np.array_equal(residual.T @ head.weights / len(labels), expected[2])
     return head, steps, np.linalg.norm(grad_head)
 
 

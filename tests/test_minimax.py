@@ -345,6 +345,11 @@ def test_config_validation():
         TradeoffConfig(private_tasks=((softmax_task(), -1.0),))
     with pytest.raises(DataError):
         TradeoffConfig(private_tasks=(("softmax", 1.0),))
+    # a bare TypeError (not iterable) or ValueError (not pairs) named no field
+    for name in ("private_tasks", "utility_tasks"):
+        for bad in (5, (softmax_task(),), "ab"):
+            with pytest.raises(DataError, match=name):
+                TradeoffConfig(**{name: bad})
     with pytest.raises(DataError):
         classification_tradeoff(max_iter=0)
     with pytest.raises(DataError):

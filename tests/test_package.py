@@ -29,9 +29,12 @@ def _modules_after(code):
 # after the package, importing scipy.optimize takes about 0.6 s and 47 MB
 # (it imports the other two), and no solver in it is used; scipy.special
 # about 0.3 s and 24 MB and scipy.linalg 0.3 s and 26 MB, each for one
-# compiled routine the package loads from its own extension module
+# compiled routine the package loads from its own extension module.  The
+# config settings are declared in the package, their text parsers and
+# flags only in the command line front end.
 @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.special",
-                                    "scipy.linalg"])
+                                    "scipy.linalg", "privfilter.cli",
+                                    "argparse", "configparser"])
 def test_import_does_not_load(module):
     assert module not in _modules_after("import privfilter")
 
