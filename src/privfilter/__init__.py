@@ -26,9 +26,9 @@ from .heads import (ReconstructionHead, SoftmaxHead, accuracy,
                     reconstruction_risk, softmax_risk)
 from .minimax_opt import (TaskSpec, TradeoffConfig, TrainReport,
                           classification_tradeoff, descent_direction,
-                          evaluate_objective, joint_objective,
-                          least_squares_tradeoff, least_squares_task,
-                          reconstruction_task, softmax_task, train_minimax)
+                          joint_objective, least_squares_tradeoff,
+                          least_squares_task, reconstruction_task,
+                          softmax_task, train_minimax)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "ShapeError", "SoftmaxHead", "TaskSpec", "TradeoffConfig", "TrainReport",
     "accuracy", "apply_filter", "bound", "bound_scale_from_norms",
     "build_scatters", "classification_tradeoff", "compute_diameters",
-    "derive_rng", "descent_direction", "evaluate_filter", "evaluate_objective",
+    "derive_rng", "descent_direction", "evaluate_filter",
     "export_results", "filter_param_grad", "fit_filter", "fit_pca",
     "fit_ppls", "fit_rand", "fit_reconstruction", "fit_softmax",
     "gen_synthetic", "identity_filter", "init_filter", "joint_objective",

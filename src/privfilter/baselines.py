@@ -154,13 +154,6 @@ class ScatterSet:
         return self.between_target.shape[0]
 
 
-def default_lds_ridge(between_private) -> float:
-    between_private = np.asarray(between_private, dtype=np.float64)
-    trace = float(np.trace(between_private))
-    dim = between_private.shape[0]
-    return DEFAULT_LDS_RIDGE_FACTOR * trace / dim if trace > 0 else DEFAULT_LDS_RIDGE_FACTOR
-
-
 def _between_class_scatter(X, labels):
     labels = np.asarray(labels)
     overall = X.mean(axis=0)
@@ -172,8 +165,10 @@ def _between_class_scatter(X, labels):
     return 0.5 * (scatter + scatter.T)
 
 
-def build_scatters(X, y, z, ridge=None) -> ScatterSet:
-    """Between-class scatters of the private (y) and target (z) labelings."""
+def build_scatters(X, y, z) -> ScatterSet:
+    """Between-class scatters of the private (y) and target (z) labelings,
+    with the ridge ``DEFAULT_LDS_RIDGE_FACTOR`` times the private scatter's
+    mean eigenvalue (the factor itself when that trace is 0)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ShapeError("features must be a non-empty 2-d array")
@@ -183,9 +178,10 @@ def build_scatters(X, y, z, ridge=None) -> ScatterSet:
         raise ShapeError("labels must be 1-d with one entry per sample")
     bp = _between_class_scatter(X, y)
     bt = _between_class_scatter(X, z)
-    if ridge is None:
-        ridge = default_lds_ridge(bp)
-    return ScatterSet(between_target=bt, between_private=bp, ridge=float(ridge))
+    trace = float(np.trace(bp))
+    ridge = (DEFAULT_LDS_RIDGE_FACTOR * trace / X.shape[1] if trace > 0
+             else DEFAULT_LDS_RIDGE_FACTOR)
+    return ScatterSet(between_target=bt, between_private=bp, ridge=ridge)
 
 
 def privacy_lds(s: ScatterSet, d: int) -> np.ndarray:

@@ -18,6 +18,9 @@ forward pass, the backward pass and the denoising-autoencoder epochs work
 in the buffers their matrix products allocate, with the same operations
 in the same order as the plain expressions: the results match those bit
 for bit without the n-row temporaries each expression would allocate.
+Pretraining returns the trained filter alone and computes no loss it
+does not descend on: each epoch is one forward and one backward pass
+over the corrupted rows.
 
 The sigmoid is scipy's ``expit``, loaded on the first MLP forward pass
 from its compiled module alone (``kernels.scipy_kernel``): no process
@@ -269,30 +272,18 @@ def identity_filter(dim: int) -> FilterState:
     return linear_filter(np.eye(dim))
 
 
-def _dae_eval_loss(H, w, b, w_dec, c, sigmoid_out):
-    r = _affine(_affine(H, w, b, sigmoid_out), w_dec, c, False)
-    r -= H
-    return float((r * r).sum() / H.shape[0])
-
-
-def _train_dae_layer(H, w, b, rng, noise_level, epochs, step, sigmoid_out,
-                     track_losses):
+def _train_dae_layer(H, w, b, rng, noise_level, epochs, step, sigmoid_out):
     """One denoising-autoencoder layer trained by fixed-step gradient descent.
 
     Corrupts the input with isotropic Gaussian noise each epoch and
     minimizes the squared reconstruction of the clean input.  Returns the
-    trained encoder (w, b) and, with ``track_losses``, the clean-input
-    reconstruction loss per epoch (entry 0 is the loss at initialization);
-    otherwise None, which spares one forward pass per epoch.
+    trained encoder (w, b).
     """
     n_samples = H.shape[0]
     n_hidden = w.shape[1]
     bound = 1.0 / np.sqrt(n_hidden)
     w_dec = rng.uniform(-bound, bound, size=(n_hidden, H.shape[1]))
     c = np.zeros(H.shape[1])
-    losses = []
-    if track_losses:
-        losses.append(_dae_eval_loss(H, w, b, w_dec, c, sigmoid_out))
     # One C-ordered noise buffer for every epoch; each line below keeps
     # the operands and order of the allocating form, so the bits match.
     corrupted = np.empty(H.shape) if noise_level > 0 else H
@@ -317,23 +308,17 @@ def _train_dae_layer(H, w, b, rng, noise_level, epochs, step, sigmoid_out,
         b = b - step * g_b
         w_dec = w_dec - step * g_wdec
         c = c - step * g_c
-        if track_losses:
-            losses.append(_dae_eval_loss(H, w, b, w_dec, c, sigmoid_out))
-    return w, b, np.array(losses) if track_losses else None
+    return w, b
 
 
 def pretrain_autoencoder(X, output_dim, hidden_dims=DEFAULT_HIDDEN,
-                         noise_level=0.1, epochs=100, step=0.01, seed=None,
-                         return_losses=False):
+                         noise_level=0.1, epochs=100, step=0.01, seed=None):
     """Greedy layerwise denoising-autoencoder initialization of an MLP filter.
 
     Each layer is trained as a denoising autoencoder on the previous
     layer's clean activations, then frozen.  With epochs=0 the seeded
     random initialization is returned unchanged.  Deterministic given the
     seed.
-
-    Returns the FilterState, plus the per-layer loss histories when
-    ``return_losses`` is set.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -347,21 +332,15 @@ def pretrain_autoencoder(X, output_dim, hidden_dims=DEFAULT_HIDDEN,
                         hidden_dims, seed=rng)
     layers = _unpack_mlp(state)
     trained = []
-    histories = []
     h = X
     for idx, (w, b) in enumerate(layers):
         sigmoid_out = idx < len(layers) - 1
-        w, b, losses = _train_dae_layer(h, w.copy(), b.copy(), rng,
-                                        noise_level, epochs, step, sigmoid_out,
-                                        return_losses)
+        w, b = _train_dae_layer(h, w.copy(), b.copy(), rng, noise_level,
+                                epochs, step, sigmoid_out)
         trained.append((w, b))
-        histories.append(losses)
         if sigmoid_out:
             h = _affine(h, w, b, True)
-    state = state.with_params(_pack_mlp(trained))
-    if return_losses:
-        return state, histories
-    return state
+    return state.with_params(_pack_mlp(trained))
 
 
 def save_filter(f: FilterState, path) -> None:

@@ -196,19 +196,14 @@ def fit_filter(kind: str, train: Dataset, d: int, cfg: ExperimentConfig, rng):
         y_hot = one_hot(train.y, train.num_private_classes)
         z_hot = one_hot(train.z, train.num_target_classes)
         return fit_ppls(train.X, y_hot, z_hot, cfg.ppls_lambda, d), None
-    if kind == "lds-init":
-        scatters = build_scatters(train.X, train.y, train.z)
-        return linear_filter(privacy_lds(scatters, d)), None
-    if kind == "minimax-linear":
-        if cfg.lds_init:
-            scatters = build_scatters(train.X, train.y, train.z)
-            init = linear_filter(privacy_lds(scatters, d))
-        else:
-            init = init_filter(FilterKind.LINEAR, train.dim, d, seed=rng)
-        report = train_minimax(init, train, cfg.tradeoff)
-        return report.final_state, report
-    # minimax-mlp
-    if cfg.pretrain_epochs > 0:
+    if kind == "lds-init" or (kind == "minimax-linear" and cfg.lds_init):
+        init = linear_filter(privacy_lds(
+            build_scatters(train.X, train.y, train.z), d))
+        if kind == "lds-init":
+            return init, None
+    elif kind == "minimax-linear":
+        init = init_filter(FilterKind.LINEAR, train.dim, d, seed=rng)
+    elif cfg.pretrain_epochs > 0:  # minimax-mlp
         init = pretrain_autoencoder(train.X, d, cfg.mlp_hidden,
                                     epochs=cfg.pretrain_epochs, seed=rng)
     else:
@@ -364,17 +359,6 @@ class EvalReport:
                 "chance_private": cells[0]["chance_private"],
             })
         return rows
-
-    def mean_metric(self, filter_kind, name, dim=None, epsilon_inverse=None):
-        """Convenience accessor for one averaged metric."""
-        values = [r[name] for r in self.records
-                  if r["filter"] == filter_kind and r["error"] is None
-                  and (dim is None or r["dim"] == dim)
-                  and (epsilon_inverse is None
-                       or r["epsilon_inverse"] == epsilon_inverse)]
-        if not values:
-            raise DataError(f"no successful cells for {filter_kind!r}/{name!r}")
-        return float(np.mean(values))
 
 
 _Stage = namedtuple("_Stage", "train test rows fields")

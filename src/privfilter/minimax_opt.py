@@ -35,10 +35,12 @@ scale of a quasi-Newton direction, then halves the step until the Armijo
 test passes, at most ``_MAX_BACKTRACKS`` times.  Every probe refits all
 heads, warm-started from the current iterate's heads, so recorded
 objective values are true Phi evaluations and the accepted sequence
-decreases monotonically.  The accepted probe's forward pass also yields
-the next gradient's feature gradient and, for an MLP filter, the hidden
-activations, so each accepted step costs one backward pass through the
-filter and no extra forward pass or head work.
+decreases monotonically.  ``joint_objective`` is the one way heads are
+fit and scored: there is no fixed-head pass.  The accepted probe's
+forward pass also yields the next gradient's feature gradient and, for
+an MLP filter, the hidden activations, so each accepted step's gradient
+is one backward pass through the filter (``descent_direction``) and no
+extra forward pass or head work.
 """
 
 from __future__ import annotations
@@ -154,8 +156,9 @@ class FittedHeads:
     """Best-response heads for every task at one filter state.
 
     ``feature_grad`` is sum_i kappa_i grad_G f_priv_i - rho sum_j omega_j
-    grad_G f_util_j at the filter outputs G the heads were scored on; its
-    vector-Jacobian product through the filter is -grad Phi.
+    grad_G f_util_j at the filter outputs G the heads were fit on; its
+    vector-Jacobian product through the filter (``descent_direction``) is
+    -grad Phi.
     ``hidden`` holds an MLP filter's hidden activations (h1, h2) from the
     same pass (empty for a linear filter), so that product needs no
     second forward pass.  ``worst_inner_grad`` is the largest
@@ -182,15 +185,12 @@ def _task_labels(task: TaskSpec, data):
     return np.asarray(labels)
 
 
-def _task_target(task: TaskSpec, data, num_classes=None):
-    """What a least-squares or reconstruction head is scored against: the
-    one-hot labels (``num_classes`` columns, by default the largest label)
-    or the features."""
+def _task_target(task: TaskSpec, data):
+    """What a least-squares or reconstruction head is fit to: the one-hot
+    labels (as many columns as the largest label) or the features."""
     if task.kind == TASK_LEAST_SQUARES:
         labels = _task_labels(task, data)
-        if num_classes is None:
-            num_classes = int(labels.max())
-        return heads_mod.one_hot(labels, num_classes)
+        return heads_mod.one_hot(labels, int(labels.max()))
     return np.asarray(data.X, dtype=np.float64)
 
 
@@ -201,54 +201,52 @@ def _task_targets(cfg: TradeoffConfig, data):
                  for task, _ in (*cfg.private_tasks, *cfg.utility_tasks))
 
 
-def _task_pass(task: TaskSpec, head, G, data, cfg: TradeoffConfig, refit,
+def _task_pass(task: TaskSpec, warm, G, data, cfg: TradeoffConfig,
                target=None):
-    """Score one head at features ``G``.
+    """Fit one head to inner optimality at features ``G``.
 
-    Returns (head, risk, grad_G, iterations, inner_grad).  With ``refit``
-    the head is first fit to inner optimality (``head`` is the warm start,
-    or None); otherwise ``head`` is held fixed.  ``inner_grad`` is the norm
-    of the risk gradient in the head's weights after a softmax refit, and
-    0.0 otherwise.  ``target`` is the task's ``_task_target``, built here
-    when None.
+    Returns (head, risk, grad_G, iterations, inner_grad).  ``warm`` is a
+    softmax head's warm start (or None); ``inner_grad`` is the norm of a
+    softmax head's risk gradient in its weights, and 0.0 for the exact
+    least-squares and reconstruction solves.  ``target`` is the task's
+    ``_task_target``, built here when None.
     """
     if task.kind == TASK_SOFTMAX:
         labels = _task_labels(task, data)
-        if not refit:
-            risk, _, grad_features = heads_mod.softmax_risk(head, G, labels)
-            return head, risk, grad_features, 0, 0.0
         final = []  # the fit's (risk, grad_head, residual)
         head, nit = heads_mod.fit_softmax_with_info(
             G, labels, int(labels.max()), task.reg_lambda,
-            tol=cfg.inner_tol, max_iter=cfg.inner_max_iter, init=head,
+            tol=cfg.inner_tol, max_iter=cfg.inner_max_iter, init=warm,
             final=final)
         risk, grad_head, residual = final[0]
         grad_features = residual.T @ head.weights / residual.shape[1]
         return head, risk, grad_features, nit, float(np.linalg.norm(grad_head))
     if target is None:
-        target = _task_target(task, data,
-                              None if refit else head.weights.shape[1])
-    if refit:
-        # least-squares heads fit no intercept, reconstruction heads one
-        head = heads_mod.fit_reconstruction(
-            G, target, task.reg_lambda, task.kind == TASK_RECONSTRUCTION)
+        target = _task_target(task, data)
+    # least-squares heads fit no intercept, reconstruction heads one
+    head = heads_mod.fit_reconstruction(
+        G, target, task.reg_lambda, task.kind == TASK_RECONSTRUCTION)
     risk, _, grad_features = heads_mod.reconstruction_risk(head, G, target)
-    return head, risk, grad_features, 1 if refit else 0, 0.0
+    return head, risk, grad_features, 1, 0.0
 
 
-def _tradeoff_pass(state: FilterState, heads, data, cfg: TradeoffConfig, refit,
-                   targets=None):
-    """One forward pass over every task at ``state``.
+def joint_objective(state: FilterState, data, cfg: TradeoffConfig, warm=None,
+                    targets=None):
+    """Fit all heads at ``state`` and evaluate the tradeoff objective.
 
-    Returns (objective, privacy_value, utility_value, FittedHeads) with the
-    heads' ``feature_grad`` and ``hidden`` filled in; ``heads`` are warm
-    starts (or None) when ``refit`` is set and the fixed heads otherwise.
-    ``targets`` are ``_task_targets(cfg, data)`` or None.
+    Returns (objective, privacy_value, utility_value, fitted_heads) where
+    privacy_value = sum_i kappa_i * (-best private risk_i) and
+    utility_value = sum_j omega_j * (-best utility risk_j).  ``warm``
+    (``FittedHeads`` or None) warm-starts the softmax heads.  The fitted
+    heads carry the feature gradient and hidden activations at ``state``
+    (see ``FittedHeads``).  ``targets`` (``_task_targets(cfg, data)``)
+    spares rebuilding the fixed least-squares and reconstruction targets
+    on every call.
     """
     n_private = len(cfg.private_tasks)
     tasks = (*cfg.private_tasks, *cfg.utility_tasks)
-    given = ((None,) * len(tasks) if heads is None
-             else (*heads.private, *heads.utility))
+    starts = ((None,) * len(tasks) if warm is None
+              else (*warm.private, *warm.utility))
     if targets is None:
         targets = (None,) * len(tasks)
     hidden = []
@@ -261,7 +259,7 @@ def _tradeoff_pass(state: FilterState, heads, data, cfg: TradeoffConfig, refit,
     for i, (task, weight) in enumerate(tasks):
         utility = i >= n_private
         head, risk, grad_features, nit, inner_grad = _task_pass(
-            task, given[i], G, data, cfg, refit, targets[i])
+            task, starts[i], G, data, cfg, targets[i])
         fitted_heads.append(head)
         values[utility] += weight * (-risk)
         # kappa_i for a private task, -rho * omega_j for a utility task
@@ -279,39 +277,17 @@ def _tradeoff_pass(state: FilterState, heads, data, cfg: TradeoffConfig, refit,
     return objective, privacy_value, utility_value, fitted
 
 
-def joint_objective(state: FilterState, data, cfg: TradeoffConfig, warm=None,
-                    targets=None):
-    """Fit all heads at ``state`` and evaluate the tradeoff objective.
+def descent_direction(state: FilterState, fitted: FittedHeads,
+                      data) -> np.ndarray:
+    """The negated objective gradient at ``state``.
 
-    Returns (objective, privacy_value, utility_value, fitted_heads) where
-    privacy_value = sum_i kappa_i * (-best private risk_i) and
-    utility_value = sum_j omega_j * (-best utility risk_j).  The fitted
-    heads carry the feature gradient at ``state`` (see ``FittedHeads``).
-    ``targets`` (``_task_targets(cfg, data)``) spares rebuilding the fixed
-    least-squares and reconstruction targets on every call.
+    ``fitted`` must hold the heads ``joint_objective`` fit at ``state``: the
+    direction is their ``feature_grad``, sum_i kappa_i grad_G f_priv_i -
+    rho sum_j omega_j grad_G f_util_j, pulled back through the filter in
+    one vector-Jacobian product, with the pass's hidden activations.  It
+    refits and rescores nothing.
     """
-    return _tradeoff_pass(state, warm, data, cfg, refit=True, targets=targets)
-
-
-def evaluate_objective(state: FilterState, fitted: FittedHeads, data,
-                       cfg: TradeoffConfig):
-    """The tradeoff objective at fixed heads (no refit).
-
-    Useful for scoring held-out data with the heads fit on training data.
-    """
-    return _tradeoff_pass(state, fitted, data, cfg, refit=False)[:3]
-
-
-def descent_direction(state: FilterState, fitted: FittedHeads, data,
-                      cfg: TradeoffConfig) -> np.ndarray:
-    """The negated objective gradient at ``state`` given best-response heads.
-
-    q = sum_i kappa_i grad_u f_priv_i - rho sum_j omega_j grad_u f_util_j,
-    assembled as one vector-Jacobian product through the filter.
-    """
-    at_state = _tradeoff_pass(state, fitted, data, cfg, refit=False)[3]
-    return filter_param_grad(state, data.X, at_state.feature_grad,
-                             at_state.hidden)
+    return filter_param_grad(state, data.X, fitted.feature_grad, fitted.hidden)
 
 
 @dataclass(frozen=True, slots=True)
@@ -484,8 +460,7 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
         if accepted is not None:
             step, trial, (trial_objective, privacy_value, utility_value,
                           fitted) = accepted
-            trial_neg_grad = filter_param_grad(trial, data.X, fitted.feature_grad,
-                                               fitted.hidden)
+            trial_neg_grad = descent_direction(trial, fitted, data)
             step_unconverged = sum(w[2] for w in work)
             if step_unconverged:
                 pairs.clear()

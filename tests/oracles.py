@@ -7,9 +7,10 @@ reproduce: the dense diameter scan, the allocating softmax core and
 reconstruction risk, an L-BFGS-B softmax fit whose risk the Newton fits
 must match, the allocating MLP forward pass, MLP vector-Jacobian product
 and denoising-autoencoder layer, the dense BFGS inverse-Hessian update
-behind the minimax L-BFGS direction, and the minimax loop along the
-negated gradient alone (steepest descent), and the row-by-row synthetic
-data generator.
+behind the minimax L-BFGS direction, the minimax loop along the
+negated gradient alone (steepest descent), the tradeoff objective at
+fixed heads (``evaluate_objective``), and the row-by-row synthetic data
+generator.  ``mean_metric`` averages one metric of a sweep's cells.
 
 It also holds the exact solution of the linear least-squares filter
 problem, against which iterative training is checked.  With a linear
@@ -181,7 +182,7 @@ def steepest_descent_reference(init, data, cfg):
             for k in range(minimax_opt._MAX_BACKTRACKS + 1)]
     state = init
     objective, _, _, fitted = joint_objective(state, data, cfg)
-    direction = descent_direction(state, fitted, data, cfg)
+    direction = descent_direction(state, fitted, data)
     objectives, steps, calls = [], [], 1
     start, slow_count, stop_reason = 0, 0, "max_iter"
 
@@ -212,7 +213,7 @@ def steepest_descent_reference(init, data, cfg):
         start = max(k - 1, 0)
         decrease = objective - trial_objective
         objective = trial_objective
-        direction = descent_direction(state, fitted, data, cfg)
+        direction = descent_direction(state, fitted, data)
         objectives.append(objective)
         steps.append(grid[k])
         slow_count = slow_count + 1 if decrease < cfg.convergence_tol else 0
@@ -220,6 +221,54 @@ def steepest_descent_reference(init, data, cfg):
             stop_reason = "converged"
             break
     return objectives, steps, state.params, calls, stop_reason
+
+
+def evaluate_objective(state, fitted, data, cfg):
+    """The tradeoff objective at fixed heads (no refit).
+
+    Returns (objective, privacy_value, utility_value) of the heads in
+    ``fitted`` (from ``minimax_opt.joint_objective``) on ``data``, summed
+    in ``joint_objective``'s order, so on the data the heads were fit to
+    it equals that call's values bit for bit.  On held-out data it is the
+    empirical objective of the training heads.  A least-squares head's
+    one-hot targets take the head's column count.
+    """
+    from privfilter import heads
+    from privfilter.filters import apply_filter
+    from privfilter.minimax_opt import TASK_LEAST_SQUARES, TASK_SOFTMAX
+
+    G = apply_filter(state, data.X)
+    values = [0.0, 0.0]  # privacy_value, utility_value
+    tasks = (*cfg.private_tasks, *cfg.utility_tasks)
+    fixed = (*fitted.private, *fitted.utility)
+    for i, ((task, weight), head) in enumerate(zip(tasks, fixed)):
+        if task.kind == TASK_SOFTMAX:
+            labels = np.asarray(getattr(data, task.label_field))
+            risk = heads.softmax_risk(head, G, labels)[0]
+        else:
+            if task.kind == TASK_LEAST_SQUARES:
+                target = heads.one_hot(getattr(data, task.label_field),
+                                       head.weights.shape[1])
+            else:
+                target = np.asarray(data.X, dtype=np.float64)
+            risk = heads.reconstruction_risk(head, G, target)[0]
+        values[i >= len(cfg.private_tasks)] += weight * (-risk)
+    privacy_value, utility_value = values
+    return (privacy_value - cfg.utility_weight * utility_value,
+            privacy_value, utility_value)
+
+
+def mean_metric(report, filter_kind, name, dim=None, epsilon_inverse=None):
+    """Mean of one metric over the successful cells of ``report`` (an
+    ``EvalReport``) for ``filter_kind``, optionally at one dim and noise."""
+    values = [r[name] for r in report.records
+              if r["filter"] == filter_kind and r["error"] is None
+              and (dim is None or r["dim"] == dim)
+              and (epsilon_inverse is None
+                   or r["epsilon_inverse"] == epsilon_inverse)]
+    if not values:
+        raise DataError(f"no successful cells for {filter_kind!r}/{name!r}")
+    return float(np.mean(values))
 
 
 def mlp_forward_reference(f, X):

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import (central_diff, compute_moments, least_squares_minimax,
-                     rel_error, trace_objectives)
+from oracles import (central_diff, compute_moments, evaluate_objective,
+                     least_squares_minimax, mean_metric, rel_error,
+                     trace_objectives)
 from privfilter.data import Dataset, gen_synthetic
 from privfilter.dp_mech import BoundKind, bound, log_density, sample_noise
 from privfilter.filters import (FilterKind, apply_filter, filter_param_grad,
@@ -21,8 +22,7 @@ from privfilter.filters import (FilterKind, apply_filter, filter_param_grad,
 from privfilter.harness import ExperimentConfig, run_experiment
 from privfilter.heads import (ReconstructionHead, SoftmaxHead, one_hot,
                               reconstruction_risk, softmax_risk)
-from privfilter.minimax_opt import (classification_tradeoff,
-                                    evaluate_objective, joint_objective,
+from privfilter.minimax_opt import (classification_tradeoff, joint_objective,
                                     least_squares_tradeoff, train_minimax)
 
 # (TrainReport, inner_tol) for every training run below; criterion 3
@@ -279,11 +279,11 @@ def test_criterion_3_monotone_descent(c2_results, c4_env, c7_env, c8_results,
 def test_criterion_4_synthetic_separation(c4_env):
     report = c4_env["report"]
     errors = sum(1 for r in report.records if r["error"] is not None)
-    raw_priv = report.mean_metric("raw", "private_accuracy")
-    raw_tgt = report.mean_metric("raw", "target_accuracy")
-    mm_priv = report.mean_metric("minimax-linear", "private_accuracy")
-    mm_tgt = report.mean_metric("minimax-linear", "target_accuracy")
-    pca_priv = report.mean_metric("pca", "private_accuracy")
+    raw_priv = mean_metric(report, "raw", "private_accuracy")
+    raw_tgt = mean_metric(report, "raw", "target_accuracy")
+    mm_priv = mean_metric(report, "minimax-linear", "private_accuracy")
+    mm_tgt = mean_metric(report, "minimax-linear", "target_accuracy")
+    pca_priv = mean_metric(report, "pca", "private_accuracy")
     elapsed = c4_env["elapsed"]
     chance = 1.0 / 8.0
     ok = (errors == 0 and raw_priv >= 0.8 and raw_tgt >= 0.9
@@ -357,14 +357,14 @@ def test_criterion_7_noisy_sweep_shape(c7_env):
     cfg = c7_env["cfg"]
     errors = sum(1 for r in report.records if r["error"] is not None)
     chance = 1.0 / 8.0
-    mm_priv = [report.mean_metric("minimax-linear", "private_accuracy",
-                                  epsilon_inverse=e)
+    mm_priv = [mean_metric(report, "minimax-linear", "private_accuracy",
+                           epsilon_inverse=e)
                for e in cfg.epsilon_inverses]
-    pca_priv = [report.mean_metric("pca", "private_accuracy",
-                                   epsilon_inverse=e)
+    pca_priv = [mean_metric(report, "pca", "private_accuracy",
+                            epsilon_inverse=e)
                 for e in cfg.epsilon_inverses]
-    pca_tgt = [report.mean_metric("pca", "target_accuracy",
-                                  epsilon_inverse=e)
+    pca_tgt = [mean_metric(report, "pca", "target_accuracy",
+                           epsilon_inverse=e)
                for e in cfg.epsilon_inverses]
     elapsed = c7_env["elapsed"]
 

@@ -1,3 +1,14 @@
+"""The linear least-squares filter problem and the LDS filter.
+
+The least-squares half checks the exact oracle in ``oracles``
+(``least_squares_minimax``, ``trace_objective`` and their moments); the
+LDS half checks ``baselines.ScatterSet``, ``build_scatters`` and
+``privacy_lds``.  The file is named after the module both halves once
+shared.
+"""
+
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,7 +147,7 @@ def test_scatter_enumeration_oracle():
     X = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 2.0], [0.0, 6.0]])
     y = np.array([1, 1, 2, 2])
     z = np.array([1, 2, 1, 2])
-    s = build_scatters(X, y, z, ridge=0.5)
+    s = replace(build_scatters(X, y, z), ridge=0.5)
     overall = X.mean(axis=0)
     expected_priv = np.zeros((2, 2))
     for cls, rows in ((1, X[:2]), (2, X[2:])):
@@ -158,7 +169,7 @@ def test_lds_solves_generalized_eigenproblem():
     z = rng.integers(1, 3, size=120)
     y[:4] = [1, 2, 3, 4]
     z[:2] = [1, 2]
-    s = build_scatters(X, y, z, ridge=1e-2)
+    s = replace(build_scatters(X, y, z), ridge=1e-2)
     eye = np.eye(5)
     numer = s.between_target + s.ridge * eye
     denom = s.between_private + s.ridge * eye
@@ -199,7 +210,7 @@ def test_lds_beats_random_directions_on_the_quotient():
     z[:2] = [1, 2]
     X[:, 1] += 2.0 * y
     X[:, 3] += 2.0 * z
-    s = build_scatters(X, y, z, ridge=1e-2)
+    s = replace(build_scatters(X, y, z), ridge=1e-2)
     eye = np.eye(6)
     numer = s.between_target + s.ridge * eye
     denom = s.between_private + s.ridge * eye

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import mean_metric
 from privfilter import harness, heads
 from privfilter.data import Dataset, gen_synthetic, split_per_subject
 from privfilter.dp_mech import (BoundKind, bound, bound_scale_from_norms,
@@ -285,8 +286,8 @@ def test_noise_hurts_the_private_task():
     cfg = _fast_config(filters=("raw",), trials=3, chain="pre",
                        epsilon_inverses=(0.0, 50.0))
     report = run_experiment(cfg, data)
-    clean = report.mean_metric("raw", "private_accuracy", epsilon_inverse=0.0)
-    noisy = report.mean_metric("raw", "private_accuracy", epsilon_inverse=50.0)
+    clean = mean_metric(report, "raw", "private_accuracy", epsilon_inverse=0.0)
+    noisy = mean_metric(report, "raw", "private_accuracy", epsilon_inverse=50.0)
     assert noisy < clean
 
 
@@ -568,7 +569,7 @@ def test_cell_errors_are_recorded_and_do_not_stop_the_run():
         assert row["errors"] == 2
         assert row["target_accuracy_mean"] is None
     with pytest.raises(DataError):
-        report.mean_metric("pca", "target_accuracy")
+        mean_metric(report, "pca", "target_accuracy")
 
 
 def test_summary_matches_recomputation():
@@ -588,8 +589,8 @@ def test_summary_matches_recomputation():
         assert row["target_accuracy_std"] == pytest.approx(values.std(ddof=1))
         assert row["tradeoff_mean"] == pytest.approx(
             np.mean([c["tradeoff"] for c in cells]))
-    direct = report.mean_metric("pca", "target_accuracy", dim=2,
-                                epsilon_inverse=0.0)
+    direct = mean_metric(report, "pca", "target_accuracy", dim=2,
+                         epsilon_inverse=0.0)
     match = [row for row in rows if row["filter"] == "pca"
              and row["epsilon_inverse"] == 0.0]
     assert direct == pytest.approx(match[0]["target_accuracy_mean"])

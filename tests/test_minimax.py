@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import (bfgs_inverse_hessian_reference, central_diff,
-                     compute_moments, least_squares_minimax, rel_error,
+                     compute_moments, evaluate_objective,
+                     least_squares_minimax, rel_error,
                      steepest_descent_reference, trace_objective)
 from privfilter import filters, heads, minimax_opt
 from privfilter.data import Dataset
@@ -13,8 +14,8 @@ from privfilter.filters import FilterKind, init_filter, linear_filter
 from privfilter.heads import one_hot
 from privfilter.minimax_opt import (IterationRecord, TradeoffConfig,
                                     classification_tradeoff,
-                                    descent_direction, evaluate_objective,
-                                    joint_objective, least_squares_task,
+                                    descent_direction, joint_objective,
+                                    least_squares_task,
                                     least_squares_tradeoff,
                                     load_report_records, reconstruction_task,
                                     save_report, softmax_task, train_minimax)
@@ -125,7 +126,7 @@ def test_descent_direction_matches_finite_differences_linear():
     state = init_filter(FilterKind.LINEAR, 5, 2, seed=4)
     cfg = _tight_tradeoff()
     _, _, _, fitted = joint_objective(state, data, cfg)
-    q = descent_direction(state, fitted, data, cfg)
+    q = descent_direction(state, fitted, data)
 
     def phi(params):
         return joint_objective(state.with_params(params), data, cfg)[0]
@@ -141,7 +142,7 @@ def test_descent_direction_matches_finite_differences_mlp():
     state = init_filter(FilterKind.TWO_LAYER_SIGMOID, 4, 2, (5, 4), seed=5)
     cfg = least_squares_tradeoff(1.5, 0.0, inner_tol=1e-10)
     _, _, _, fitted = joint_objective(state, data, cfg)
-    q = descent_direction(state, fitted, data, cfg)
+    q = descent_direction(state, fitted, data)
 
     def phi(params):
         return joint_objective(state.with_params(params), data, cfg)[0]
@@ -380,7 +381,8 @@ def test_config_validation():
 
 def test_refits_take_the_risk_from_the_fit_not_a_second_pass(monkeypatch):
     # a refit softmax head's risk and gradients are the ones its solver
-    # stopped on; only fixed heads are scored by softmax_risk
+    # stopped on, and the direction reuses them; only the fixed-head
+    # oracle scores heads by softmax_risk
     data = _toy_dataset(np.random.default_rng(18))
     cfg = classification_tradeoff(2.0, 1e-4, max_iter=5)
     calls = []
@@ -395,10 +397,45 @@ def test_refits_take_the_risk_from_the_fit_not_a_second_pass(monkeypatch):
                            data, cfg)
     fitted = joint_objective(report.final_state, data, cfg)[3]
     assert report.objective_calls > 1 and not calls
-    descent_direction(report.final_state, fitted, data, cfg)
-    assert len(calls) == 2
+    descent_direction(report.final_state, fitted, data)
+    assert not calls
     evaluate_objective(report.final_state, fitted, data, cfg)
-    assert len(calls) == 4
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("cfg", [
+    classification_tradeoff(2.0, 1e-4, max_iter=6),
+    least_squares_tradeoff(2.0, 1e-3, max_iter=6)])
+def test_training_takes_one_direction_per_record_and_no_head_work(monkeypatch,
+                                                                  cfg):
+    # descent_direction is the loop's only gradient: one VJP per record,
+    # with no forward pass, head fit or risk pass of its own
+    data = _toy_dataset(np.random.default_rng(20))
+    directions, work = [], []
+    direction_fn = minimax_opt.descent_direction
+
+    def direction(*args):
+        directions.append(len(work))
+        q = direction_fn(*args)
+        assert len(work) == directions[-1]
+        return q
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            work.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    monkeypatch.setattr(minimax_opt, "descent_direction", direction)
+    counted(minimax_opt, "apply_filter")
+    counted(heads, "softmax_risk")
+    counted(heads, "fit_softmax_with_info")
+    report = train_minimax(init_filter(FilterKind.LINEAR, 6, 2, seed=21),
+                           data, cfg)
+    assert len(directions) == len(report.records) > 1
+    assert work.count("apply_filter") == report.objective_calls
 
 
 def test_float_fields_reject_strings_and_bools():
@@ -516,7 +553,7 @@ def _top_down_reference(init, data, cfg):
     """
     state = init
     objective, _, _, fitted = joint_objective(state, data, cfg)
-    neg_grad = descent_direction(state, fitted, data, cfg)
+    neg_grad = descent_direction(state, fitted, data)
     pairs = []
     steps, objectives, probes, retries, slow_count = [], [], 1, 0, 0
 
@@ -543,7 +580,7 @@ def _top_down_reference(init, data, cfg):
         if accepted is None:
             break
         step, trial, (trial_objective, _, _, fitted) = accepted
-        trial_neg_grad = descent_direction(trial, fitted, data, cfg)
+        trial_neg_grad = descent_direction(trial, fitted, data)
         s = trial.params - state.params
         sy = float(s @ (neg_grad - trial_neg_grad))
         if sy > 0:
@@ -746,7 +783,7 @@ def _watched_training(monkeypatch, data, cfg, init, fail=(), unconverged=()):
         return direction_fn(neg_grad, pairs)
 
     def search(state, direction, slope, objective, fitted, *args):
-        neg_grad = descent_direction(state, fitted, data, cfg)
+        neg_grad = descent_direction(state, fitted, data)
         work = args[-1]  # one entry per probe
         before = len(work)
         result = search_fn(state, direction, slope, objective, fitted, *args)
