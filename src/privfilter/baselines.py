@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, ShapeError
+from .errors import (NON_NEGATIVE, POSITIVE, POSITIVE_INT, DataError,
+                     NumericError, ShapeError, check_dim, check_features,
+                     check_labels)
 from .filters import FilterState, linear_filter
 from .kernels import scipy_kernel
 
@@ -33,11 +35,9 @@ DEFAULT_LDS_RIDGE_FACTOR = 1e-3
 
 
 def _check_square_symmetric(a, name) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = check_features(name, a)
+    if a.shape[0] != a.shape[1]:
         raise ShapeError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NumericError(f"{name} must be finite")
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.T).max()) > 1e-10 * scale:
         raise ShapeError(f"{name} must be symmetric")
@@ -57,8 +57,7 @@ def fix_eigvec_signs(vectors) -> np.ndarray:
 
 def fit_rand(input_dim: int, d: int, seed=None) -> FilterState:
     """Standard-normal projection, resampled until numerically full rank."""
-    if not 1 <= d <= input_dim:
-        raise ShapeError(f"d must lie in 1..{input_dim}, got {d}")
+    d = check_dim("d", d, POSITIVE_INT.check("input_dim", input_dim))
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RANK_RETRIES):
         matrix = rng.standard_normal((input_dim, d))
@@ -69,11 +68,8 @@ def fit_rand(input_dim: int, d: int, seed=None) -> FilterState:
 
 def fit_pca(X, d: int) -> FilterState:
     """Top-d principal directions of the mean-centered features."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise ShapeError("PCA needs at least two samples")
-    if not 1 <= d <= X.shape[1]:
-        raise ShapeError(f"d must lie in 1..{X.shape[1]}, got {d}")
+    X = check_features("X", X, rows=2)
+    d = check_dim("d", d, X.shape[1])
     centered = X - X.mean(axis=0)
     covariance = centered.T @ centered / X.shape[0]
     eigvals, eigvecs = np.linalg.eigh(covariance)
@@ -88,18 +84,14 @@ def fit_ppls(X, y_onehot, z_onehot, ppls_lambda: float, d: int) -> FilterState:
     M = C_xz C_xz' - lambda_p C_xy C_xy', after which M is deflated by
     projecting out the chosen direction.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y_onehot = np.asarray(y_onehot, dtype=np.float64)
-    z_onehot = np.asarray(z_onehot, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ShapeError("features must be a non-empty 2-d array")
+    X = check_features("X", X)
+    y_onehot = check_features("y_onehot", y_onehot)
+    z_onehot = check_features("z_onehot", z_onehot)
     n, input_dim = X.shape
-    if y_onehot.shape[:1] != (n,) or z_onehot.shape[:1] != (n,):
+    if y_onehot.shape[0] != n or z_onehot.shape[0] != n:
         raise ShapeError("one-hot labels must have one row per sample")
-    if not 1 <= d <= input_dim:
-        raise ShapeError(f"d must lie in 1..{input_dim}, got {d}")
-    if ppls_lambda < 0:
-        raise DataError("ppls_lambda must be non-negative")
+    d = check_dim("d", d, input_dim)
+    ppls_lambda = NON_NEGATIVE.check("ppls_lambda", ppls_lambda)
     c_xy = X.T @ y_onehot / n
     c_xz = X.T @ z_onehot / n
     m = c_xz @ c_xz.T - ppls_lambda * (c_xy @ c_xy.T)
@@ -143,11 +135,10 @@ class ScatterSet:
         for name, mat in (("between_target", bt), ("between_private", bp)):
             floor = -1e-10 * max(1.0, float(np.trace(mat)))
             if float(np.linalg.eigvalsh(mat).min()) < floor:
-                raise NumericError(f"{name} must be positive semidefinite")
-        if not (self.ridge > 0 and np.isfinite(self.ridge)):
-            raise DataError(f"ridge must be positive and finite, got {self.ridge}")
+                raise DataError(f"{name} must be positive semidefinite")
         object.__setattr__(self, "between_target", bt)
         object.__setattr__(self, "between_private", bp)
+        object.__setattr__(self, "ridge", POSITIVE.check("ridge", self.ridge))
 
     @property
     def dim(self) -> int:
@@ -169,13 +160,11 @@ def build_scatters(X, y, z) -> ScatterSet:
     """Between-class scatters of the private (y) and target (z) labelings,
     with the ridge ``DEFAULT_LDS_RIDGE_FACTOR`` times the private scatter's
     mean eigenvalue (the factor itself when that trace is 0)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ShapeError("features must be a non-empty 2-d array")
-    y = np.asarray(y)
-    z = np.asarray(z)
-    if y.shape != (X.shape[0],) or z.shape != (X.shape[0],):
-        raise ShapeError("labels must be 1-d with one entry per sample")
+    X = check_features("X", X)
+    y = check_labels("y", y)
+    z = check_labels("z", z)
+    if y.size != X.shape[0] or z.size != X.shape[0]:
+        raise ShapeError("labels must have one entry per sample")
     bp = _between_class_scatter(X, y)
     bt = _between_class_scatter(X, z)
     trace = float(np.trace(bp))
@@ -208,8 +197,7 @@ def privacy_lds(s: ScatterSet, d: int) -> np.ndarray:
     of the solved pencil) return other bases of the unit eigenspace, which
     moves a minimax fit that starts from them.
     """
-    if not 1 <= d <= s.dim:
-        raise ShapeError(f"d must lie in 1..{s.dim}, got {d}")
+    d = check_dim("d", d, s.dim)
     eye = np.eye(s.dim)
     numer = s.between_target + s.ridge * eye
     denom = s.between_private + s.ridge * eye

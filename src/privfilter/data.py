@@ -16,33 +16,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import (NON_NEGATIVE, POSITIVE_INT, DataError, Setting,
+                     ShapeError, check_features, check_labels)
 
 _CSV_CHUNK = 1 << 20  # characters of whole lines per load_csv chunk
 _ROW_BLOCK = 4096     # rows per array block of the row-by-row parser
-
-
-def _check_label_array(values, name) -> np.ndarray:
-    """Labels are positive integers.  Contiguity from 1 is established by
-    relabeling at load/generation time; subsets of a valid dataset may
-    lose a class, so the container itself only requires positivity."""
-    values = np.asarray(values)
-    if values.ndim != 1 or values.size == 0:
-        raise ShapeError(f"{name} must be a non-empty 1-d array")
-    if not np.issubdtype(values.dtype, np.integer):
-        as_int = values.astype(np.int64)
-        if not np.all(values == as_int):
-            raise DataError(f"{name} must be integers")
-        values = as_int
-    values = values.astype(np.int64)
-    if values.min() < 1:
-        raise DataError(f"{name} labels must start at 1")
-    return values
+_SYNTH_DIM = Setting(int, 2)  # the target direction lies in (e1, e2)
+_ANGLE = Setting(float, 0.0, maximum=180.0)
+_FRACTION = Setting(float, 0.0, maximum=1.0, exclusive=True)
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Features with private labels y, optional target labels z, subjects."""
+    """Features with private labels y, optional target labels z, subjects.
+    Labels are positive integers; a subset may lose a class, so they need
+    not be contiguous (load and generation relabel them from 1)."""
 
     X: np.ndarray
     y: np.ndarray
@@ -51,12 +39,8 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] == 0:
-            raise ShapeError("X must be a non-empty 2-d array")
-        if not np.all(np.isfinite(X)):
-            raise DataError("X contains non-finite values")
-        y = _check_label_array(self.y, "y")
+        X = check_features("X", self.X)
+        y = check_labels("y", self.y)
         subjects = np.asarray(self.subject_ids)
         if not np.issubdtype(subjects.dtype, np.integer):
             raise DataError("subject_ids must be integers")
@@ -66,7 +50,7 @@ class Dataset:
             raise ShapeError("labels and subject ids must match the sample count")
         z = self.z
         if z is not None:
-            z = _check_label_array(z, "z")
+            z = check_labels("z", z)
             if z.size != n:
                 raise ShapeError("z must match the sample count")
         object.__setattr__(self, "X", X)
@@ -258,14 +242,14 @@ def gen_synthetic(dim, n_subjects, n_target_classes, per_subject,
     Private labels y are the subject index; target labels z cycle through
     the classes within each subject.
     """
-    if dim < 2:
-        raise ShapeError("dim must be at least 2")
-    if n_subjects < 1 or n_target_classes < 1 or per_subject < 1:
-        raise ShapeError("subject, class, and per-subject counts must be positive")
-    if not (math.isfinite(angle_deg) and 0.0 <= angle_deg <= 180.0):
-        raise DataError("angle_deg must be a finite angle in [0, 180]")
-    if noise < 0 or subject_sep < 0 or target_sep < 0:
-        raise DataError("separations and noise must be non-negative")
+    dim = _SYNTH_DIM.check("dim", dim)
+    n_subjects = POSITIVE_INT.check("n_subjects", n_subjects)
+    n_target_classes = POSITIVE_INT.check("n_target_classes", n_target_classes)
+    per_subject = POSITIVE_INT.check("per_subject", per_subject)
+    angle_deg = _ANGLE.check("angle_deg", angle_deg)
+    subject_sep = NON_NEGATIVE.check("subject_sep", subject_sep)
+    target_sep = NON_NEGATIVE.check("target_sep", target_sep)
+    noise = NON_NEGATIVE.check("noise", noise)
     rng = np.random.default_rng(seed)
     angle = math.radians(angle_deg)
     target_dir = np.zeros(dim)
@@ -294,8 +278,7 @@ def split_per_subject(data: Dataset, fraction: float, seed=None):
     (capped so at least one sample is held out), after a per-subject
     shuffle.  Identical seeds give identical splits.
     """
-    if not 0.0 < fraction < 1.0:
-        raise DataError("fraction must lie strictly between 0 and 1")
+    fraction = _FRACTION.check("fraction", fraction)
     rng = np.random.default_rng(seed)
     train_idx = []
     test_idx = []

@@ -31,17 +31,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, ShapeError
+from .errors import (NON_NEGATIVE, POSITIVE, POSITIVE_INT, DataError,
+                     NumericError, Setting, ShapeError, check_features)
 
 DEFAULT_SENSITIVITY = 2.0
 _NORMALIZE_FLOOR = 1e-300
 _SCAN_BLOCK = 1 << 16  # distance entries per block of the diameter scan
+_SIZE = Setting(int, 0, optional=True)
 
 
 class BoundKind(str, enum.Enum):
     CLIP = "clip"
     SQUASH = "squash"
     NORMALIZE = "normalize"
+
+
+_BOUND_KIND = Setting(str, choices=tuple(kind.value for kind in BoundKind))
 
 
 def bound(kind, scale, h) -> np.ndarray:
@@ -52,19 +57,22 @@ def bound(kind, scale, h) -> np.ndarray:
     squash     tanh(scale ||h||) h / ||h||
     normalize  h / ||h||, with near-zero inputs mapped to zero
 
-    A row whose norm is not finite (a NaN or infinite entry, or overflow)
-    has no image in the ball and raises ``NumericError``.
+    A row whose norm is not finite has no image in the ball: a NaN or
+    infinite entry raises ``DataError``, and a finite row whose norm
+    overflows ``NumericError``.
     """
-    kind = BoundKind(kind)
-    if scale <= 0 or not math.isfinite(scale):
-        raise DataError("bound scale must be positive and finite")
+    kind = BoundKind(_BOUND_KIND.check("kind", kind))
+    scale = POSITIVE.check("scale", scale)
     h = np.asarray(h, dtype=np.float64)
     single = h.ndim == 1
     rows = np.atleast_2d(h)
     if rows.ndim != 2:
         raise ShapeError("bound expects a vector or a matrix of row vectors")
     norms = np.linalg.norm(rows, axis=1)
-    _check_finite_norms(norms)
+    if not np.all(np.isfinite(norms)):
+        check_features("h", rows)  # a non-finite entry is the caller's
+        raise NumericError("cannot bound a row whose norm is not finite "
+                           "(it overflows)")
     if kind is BoundKind.NORMALIZE:
         degenerate = norms < _NORMALIZE_FLOOR
         if np.any(degenerate):
@@ -96,25 +104,12 @@ def bound_scale_from_norms(norms) -> float:
     norms = np.asarray(norms, dtype=np.float64)
     if norms.size == 0:
         raise DataError("cannot derive a bound scale from no samples")
-    _check_finite_norms(norms)
+    if not np.all(np.isfinite(norms)):
+        raise DataError("norms contains non-finite values")
     reference = float(np.percentile(norms, 95.0))
     if reference <= 0:
         return 1.0
     return 1.0 / reference
-
-
-def _check_finite_norms(norms):
-    if not np.all(np.isfinite(norms)):
-        raise NumericError("cannot bound a row whose norm is not finite")
-
-
-def _rate(epsilon_inverse) -> float:
-    """epsilon / S, the exponential decay rate of the noise density, at a
-    positive and finite ``epsilon_inverse`` = 1 / epsilon."""
-    if not 0.0 < epsilon_inverse < math.inf:
-        raise DataError("epsilon_inverse must be positive and finite, "
-                        f"got {epsilon_inverse!r}")
-    return (1.0 / epsilon_inverse) / DEFAULT_SENSITIVITY
 
 
 def sample_noise(epsilon_inverse, dim: int, rng=None, size=None) -> np.ndarray:
@@ -126,13 +121,14 @@ def sample_noise(epsilon_inverse, dim: int, rng=None, size=None) -> np.ndarray:
     consuming random state; a negative, NaN or infinite value raises
     ``DataError``.
     """
-    if dim < 1:
-        raise ShapeError("noise dimension must be positive")
-    n = 1 if size is None else int(size)
+    epsilon_inverse = NON_NEGATIVE.check("epsilon_inverse", epsilon_inverse)
+    dim = POSITIVE_INT.check("dim", dim)
+    size = _SIZE.check("size", size)
+    n = 1 if size is None else size
     if epsilon_inverse == 0:
         out = np.zeros((n, dim))
         return out[0] if size is None else out
-    rate = _rate(epsilon_inverse)
+    rate = (1.0 / epsilon_inverse) / DEFAULT_SENSITIVITY  # epsilon / S
     rng = np.random.default_rng(rng)
     directions = rng.standard_normal((n, dim))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
@@ -155,7 +151,8 @@ def log_density(xi, epsilon_inverse) -> float | np.ndarray:
     surface(S^{d-1}) = 2 pi^{d/2} / Gamma(d/2).  The log-Gammas come from
     ``math.lgamma``, so the release layer needs no ``scipy.special``.
     """
-    rate = _rate(epsilon_inverse)
+    epsilon_inverse = POSITIVE.check("epsilon_inverse", epsilon_inverse)
+    rate = (1.0 / epsilon_inverse) / DEFAULT_SENSITIVITY
     xi = np.asarray(xi, dtype=np.float64)
     single = xi.ndim == 1
     rows = np.atleast_2d(xi)
@@ -199,7 +196,8 @@ def compute_diameters(X, y, z) -> DiameterReport:
     inside each z group, and a within-subject pair only inside each y
     group.  Squared distances are ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j,
     clamped at 0.  Among pairs at the maximal distance the report names
-    the smallest (i, j), i < j, in row-major order.  Non-finite features
+    the smallest (i, j), i < j, in row-major order.  Any values serve as
+    labels: only their equality defines the groups.  Non-finite features
     raise ``DataError``, and so does ``z`` None: the cross-subject pairs
     are defined by the target labels.
 
@@ -212,11 +210,9 @@ def compute_diameters(X, y, z) -> DiameterReport:
     """
     if z is None:
         raise DataError("the diameters need target labels z (a z column)")
-    X = np.asarray(X, dtype=np.float64)
+    X = check_features("X", X, finite=False)  # scanned block by block below
     y = np.asarray(y)
     z = np.asarray(z)
-    if X.ndim != 2 or X.size == 0:
-        raise ShapeError("features must be a non-empty 2-d array")
     if y.shape != (X.shape[0],) or z.shape != (X.shape[0],):
         raise ShapeError("labels must be 1-d with one entry per sample")
     rows = max(1, _SCAN_BLOCK // X.shape[1])
@@ -224,7 +220,7 @@ def compute_diameters(X, y, z) -> DiameterReport:
     for r in range(0, X.shape[0], rows):
         block = X[r:r + rows]
         if not np.all(np.isfinite(block)):
-            raise DataError("features contain non-finite values")
+            raise DataError("X contains non-finite values")
         np.sum(block * block, axis=1, out=sq_norms[r:r + rows])
     cross, cross_pair = _farthest_pair(X, sq_norms, z, y)
     within, within_pair = _farthest_pair(X, sq_norms, y, z)

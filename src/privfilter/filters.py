@@ -36,16 +36,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import (NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT,
+                     DataError, Setting, ShapeError, check_dim, check_features)
 from .kernels import scipy_kernel
 from .records import read_record, write_record
 
 DEFAULT_HIDDEN = (20, 10)
 
+_HIDDEN = Setting(int, 1, many=True)
+
 
 class FilterKind(str, enum.Enum):
     LINEAR = "linear"
     TWO_LAYER_SIGMOID = "two_layer_sigmoid"
+
+
+_KIND = Setting(str, choices=tuple(kind.value for kind in FilterKind))
 
 
 def _mlp_layer_sizes(dims):
@@ -68,27 +74,30 @@ class FilterState:
     hidden_dims: tuple = ()
 
     def __post_init__(self):
-        kind = FilterKind(self.kind)
+        kind = FilterKind(_KIND.check("kind", self.kind))
         params = np.array(self.params, dtype=np.float64).ravel()
         params.flags.writeable = False
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ShapeError("input_dim and output_dim must be positive")
+        object.__setattr__(self, "input_dim",
+                           POSITIVE_INT.check("input_dim", self.input_dim))
         if not np.all(np.isfinite(params)):
-            raise ShapeError("filter parameters must be finite")
+            raise DataError("params must be finite")
         if kind is FilterKind.LINEAR:
             if self.hidden_dims:
                 raise ShapeError("linear filters take no hidden layers")
-            if self.output_dim > self.input_dim:
-                raise ShapeError("linear filters require output_dim <= input_dim")
+            object.__setattr__(self, "hidden_dims", ())
+            object.__setattr__(self, "output_dim", check_dim(
+                "output_dim", self.output_dim, self.input_dim))
             expected = self.input_dim * self.output_dim
         else:
-            if len(self.hidden_dims) != 2 or any(h < 1 for h in self.hidden_dims):
-                raise ShapeError(
-                    "two-layer sigmoid filters need exactly two positive hidden sizes"
-                )
+            object.__setattr__(self, "output_dim",
+                               POSITIVE_INT.check("output_dim", self.output_dim))
+            object.__setattr__(self, "hidden_dims",
+                               _HIDDEN.check("hidden_dims", self.hidden_dims))
+            if len(self.hidden_dims) != 2:
+                raise ShapeError("two-layer sigmoid filters need exactly two "
+                                 f"hidden sizes, got {self.hidden_dims}")
             expected = _mlp_param_count(self.layer_dims)
         if params.size != expected:
             raise ShapeError(f"expected {expected} parameters, got {params.size}")
@@ -127,17 +136,6 @@ def _pack_mlp(layers) -> np.ndarray:
         parts.append(np.asarray(w, dtype=np.float64).ravel())
         parts.append(np.asarray(b, dtype=np.float64).ravel())
     return np.concatenate(parts)
-
-
-def _check_features(f: FilterState, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError(f"features must be 2-d, got shape {X.shape}")
-    if X.shape[1] != f.input_dim:
-        raise ShapeError(
-            f"feature dimension {X.shape[1]} does not match filter input {f.input_dim}"
-        )
-    return X
 
 
 def _affine(X, w, b, sigmoid):
@@ -180,7 +178,7 @@ def apply_filter(f: FilterState, X, hidden=None) -> np.ndarray:
     -------
     array, shape (n_samples, output_dim)
     """
-    X = _check_features(f, X)
+    X = check_features("X", X, rows=0, dim=f.input_dim, finite=False)
     if f.kind is FilterKind.LINEAR:
         return X @ f.as_matrix()
     out, h1, h2 = _mlp_forward(f, X)
@@ -210,7 +208,7 @@ def filter_param_grad(f: FilterState, X, upstream, hidden=None) -> np.ndarray:
     pass runs, and otherwise the forward pass is recomputed.  The result
     is the same either way.
     """
-    X = _check_features(f, X)
+    X = check_features("X", X, rows=0, dim=f.input_dim, finite=False)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (X.shape[0], f.output_dim):
         raise ShapeError(
@@ -244,13 +242,15 @@ def filter_param_grad(f: FilterState, X, upstream, hidden=None) -> np.ndarray:
 def init_filter(kind, input_dim, output_dim, hidden_dims=DEFAULT_HIDDEN,
                 seed=None) -> FilterState:
     """Random initialization, uniform in +-1/sqrt(fan_in) per layer."""
-    kind = FilterKind(kind)
+    kind = FilterKind(_KIND.check("kind", kind))
+    input_dim = POSITIVE_INT.check("input_dim", input_dim)
+    output_dim = POSITIVE_INT.check("output_dim", output_dim)
     rng = np.random.default_rng(seed)
     if kind is FilterKind.LINEAR:
         bound = 1.0 / np.sqrt(input_dim)
         params = rng.uniform(-bound, bound, size=(input_dim, output_dim)).ravel()
         return FilterState(kind, params, input_dim, output_dim)
-    dims = (input_dim, *hidden_dims, output_dim)
+    dims = (input_dim, *_HIDDEN.check("hidden_dims", hidden_dims), output_dim)
     layers = []
     for m, n in _mlp_layer_sizes(dims):
         bound = 1.0 / np.sqrt(m)
@@ -261,15 +261,13 @@ def init_filter(kind, input_dim, output_dim, hidden_dims=DEFAULT_HIDDEN,
 
 
 def linear_filter(matrix) -> FilterState:
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ShapeError("linear filter matrix must be 2-d")
+    matrix = check_features("matrix", matrix)
     return FilterState(FilterKind.LINEAR, matrix.ravel(), matrix.shape[0],
                        matrix.shape[1])
 
 
 def identity_filter(dim: int) -> FilterState:
-    return linear_filter(np.eye(dim))
+    return linear_filter(np.eye(POSITIVE_INT.check("dim", dim)))
 
 
 def _train_dae_layer(H, w, b, rng, noise_level, epochs, step, sigmoid_out):
@@ -320,13 +318,10 @@ def pretrain_autoencoder(X, output_dim, hidden_dims=DEFAULT_HIDDEN,
     random initialization is returned unchanged.  Deterministic given the
     seed.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise DataError("pretraining needs a non-empty 2-d feature matrix")
-    if noise_level < 0:
-        raise DataError("noise_level must be non-negative")
-    if epochs < 0:
-        raise DataError("epochs must be non-negative")
+    X = check_features("X", X)
+    noise_level = NON_NEGATIVE.check("noise_level", noise_level)
+    epochs = NON_NEGATIVE_INT.check("epochs", epochs)
+    step = POSITIVE.check("step", step)
     rng = np.random.default_rng(seed)
     state = init_filter(FilterKind.TWO_LAYER_SIGMOID, X.shape[1], output_dim,
                         hidden_dims, seed=rng)
@@ -359,10 +354,9 @@ def load_filter(path) -> FilterState:
     if header.get("record") != "filter":
         raise DataError(f"{path}: not a filter record")
     try:
-        return FilterState(FilterKind(header["kind"]), params,
-                           int(header["input_dim"]), int(header["output_dim"]),
-                           tuple(header["hidden_dims"]))
+        return FilterState(header["kind"], params, header["input_dim"],
+                           header["output_dim"], tuple(header["hidden_dims"]))
     except KeyError as exc:
         raise DataError(f"{path}: filter record has no {exc.args[0]!r}") from exc
-    except TypeError as exc:
+    except (TypeError, DataError) as exc:
         raise DataError(f"{path}: malformed filter record ({exc})") from exc

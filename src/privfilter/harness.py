@@ -90,7 +90,7 @@ from .baselines import (build_scatters, fit_pca, fit_ppls, fit_rand,
                         privacy_lds)
 from .data import Dataset, split_per_subject
 from .dp_mech import BoundKind, bound, bound_scale_from_norms, sample_noise
-from .errors import DataError, ShapeError, check_settings, setting
+from .errors import DataError, Setting, check_dim, check_settings, setting
 from .filters import (DEFAULT_HIDDEN, FilterKind, apply_filter,
                       identity_filter, init_filter, linear_filter,
                       pretrain_autoencoder)
@@ -103,6 +103,7 @@ FILTER_CHOICES = ("raw", "rand", "pca", "ppls", "minimax-linear",
                   "minimax-mlp", "lds-init")
 CHAIN_CHOICES = ("none", "pre", "post")
 _BOUND_KINDS = tuple(kind.value for kind in BoundKind)
+_FILTER_KIND = Setting(str, choices=FILTER_CHOICES)
 
 # How a cell's minimax fit ended: the TrainReport attributes named after
 # the "train_" prefix (None for filters without one)
@@ -138,7 +139,7 @@ class ExperimentConfig:
 
     filters: tuple = setting(("minimax-linear", "pca"), str,
                              choices=FILTER_CHOICES)
-    dims: tuple = setting((5,), int)
+    dims: tuple = setting((5,), int, 1)
     epsilon_inverses: tuple = setting((0.0,), float, 0.0)
     chain: str = setting("none", str, choices=CHAIN_CHOICES)
     # None: "clip" under chain "pre"/"post"
@@ -146,7 +147,8 @@ class ExperimentConfig:
     # None: reciprocal 95th-percentile rule
     bound_scale: float | None = setting(None, float, 0.0, exclusive=True)
     trials: int = setting(10, int, 1)
-    train_fraction: float = setting(0.8, float, 0.0, exclusive=True)
+    train_fraction: float = setting(0.8, float, 0.0, maximum=1.0,
+                                    exclusive=True)
     master_seed: int = setting(0, int, 0)
     tradeoff: TradeoffConfig = TradeoffConfig()
     lds_init: bool = setting(False, bool)
@@ -156,10 +158,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_settings(self)
-        if any(d < 1 for d in self.dims):
-            raise ShapeError("dims must be positive")
-        if self.train_fraction >= 1.0:
-            raise DataError("train_fraction must lie strictly between 0 and 1")
         if len(self.mlp_hidden) != 2:
             raise DataError(f"mlp_hidden must be two positive ints, got {self.mlp_hidden}")
         if self.chain == "none" and any(self.epsilon_inverses):
@@ -179,13 +177,11 @@ def fit_filter(kind: str, train: Dataset, d: int, cfg: ExperimentConfig, rng):
     Returns (FilterState, TrainReport or None).  ``rng`` seeds whatever
     randomness the kind uses (random projections, minimax inits).
     """
-    if kind not in FILTER_CHOICES:
-        raise DataError(f"unknown filter {kind!r}")
+    kind = _FILTER_KIND.check("kind", kind)
     rng = np.random.default_rng(rng)
     if kind == "raw":
         return identity_filter(train.dim), None
-    if not 1 <= d <= train.dim:
-        raise ShapeError(f"filter dim must lie in 1..{train.dim}, got {d}")
+    d = check_dim("d", d, train.dim)
     if kind == "rand":
         return fit_rand(train.dim, d, rng), None
     if kind == "pca":
@@ -448,8 +444,8 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
     the first of them carries the stage's time in its ``wall_time_s``."""
     if data.z is None:
         raise DataError("the experiment protocol needs target labels z")
-    if any(d > data.dim for d in cfg.dims):
-        raise ShapeError("a requested filter dim exceeds the data dimension")
+    for d in cfg.dims:
+        check_dim("dims", d, data.dim)
     n_cells = cfg.trials * len(cfg.epsilon_inverses) * sum(
         1 if kind == "raw" else len(cfg.dims) for kind in cfg.filters)
     records = []

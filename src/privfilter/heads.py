@@ -29,7 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, ShapeError
+from .errors import (NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE_INT, DataError,
+                     NumericError, Setting, ShapeError, check_features,
+                     check_labels)
+
+_SOFTMAX_CLASSES = Setting(int, 2)
+_INTERCEPT = Setting(bool)
 
 
 @dataclass(frozen=True)
@@ -40,15 +45,12 @@ class SoftmaxHead:
     reg_lambda: float = 0.0
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=np.float64)
-        if weights.ndim != 2 or weights.shape[0] < 2:
-            raise ShapeError("softmax weights must be (num_classes >= 2, feature_dim)")
-        if not np.all(np.isfinite(weights)):
-            raise NumericError("softmax weights must be finite")
-        if self.reg_lambda < 0:
-            raise DataError("reg_lambda must be non-negative")
+        weights = check_features(
+            "weights", np.array(self.weights, dtype=np.float64), rows=2)
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "reg_lambda",
+                           NON_NEGATIVE.check("reg_lambda", self.reg_lambda))
 
     @property
     def num_classes(self) -> int:
@@ -68,20 +70,18 @@ class ReconstructionHead:
     reg_lambda: float = 0.0
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=np.float64)
+        weights = check_features("weights", np.array(self.weights, dtype=np.float64))
         bias = np.array(self.bias, dtype=np.float64)
-        if weights.ndim != 2:
-            raise ShapeError("decoder weights must be 2-d")
         if bias.shape != (weights.shape[1],):
             raise ShapeError("bias length must match the decoder's target dimension")
-        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
-            raise NumericError("decoder parameters must be finite")
-        if self.reg_lambda < 0:
-            raise DataError("reg_lambda must be non-negative")
+        if not np.all(np.isfinite(bias)):
+            raise DataError("bias must be finite")
         weights.flags.writeable = False
         bias.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "bias", bias)
+        object.__setattr__(self, "reg_lambda",
+                           NON_NEGATIVE.check("reg_lambda", self.reg_lambda))
 
     @property
     def feature_dim(self) -> int:
@@ -89,37 +89,11 @@ class ReconstructionHead:
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:
-    labels = _check_labels(labels, num_classes)
+    num_classes = POSITIVE_INT.check("num_classes", num_classes)
+    labels = check_labels("labels", labels, num_classes)
     out = np.zeros((labels.size, num_classes))
     out[np.arange(labels.size), labels - 1] = 1.0
     return out
-
-
-def _check_labels(labels, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size == 0:
-        raise ShapeError("labels must be a non-empty 1-d array")
-    if not np.issubdtype(labels.dtype, np.integer):
-        if not np.all(labels == labels.astype(np.int64)):
-            raise DataError("labels must be integers")
-    labels = labels.astype(np.int64)
-    if labels.min() < 1 or labels.max() > num_classes:
-        raise DataError(
-            f"labels must lie in 1..{num_classes}, got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    return labels
-
-
-def _check_feature_matrix(G, dim=None) -> np.ndarray:
-    G = np.asarray(G, dtype=np.float64)
-    if G.ndim != 2 or G.shape[0] == 0:
-        raise ShapeError("features must be a non-empty 2-d array")
-    if dim is not None and G.shape[1] != dim:
-        raise ShapeError(f"feature dimension {G.shape[1]} does not match head ({dim})")
-    if not np.all(np.isfinite(G)):
-        raise NumericError("features contain non-finite values")
-    return G
 
 
 def _label_index(labels) -> np.ndarray:
@@ -130,8 +104,8 @@ def _label_index(labels) -> np.ndarray:
 def _softmax_problem(G, labels, num_classes, dim=None):
     """Checked softmax inputs: the features, their C-contiguous (dim, n)
     transpose and their ``_label_index``."""
-    G = _check_feature_matrix(G, dim)
-    labels = _check_labels(labels, num_classes)
+    G = check_features("G", G, dim=dim)
+    labels = check_labels("labels", labels, num_classes)
     if labels.size != G.shape[0]:
         raise ShapeError("labels and features disagree on the sample count")
     return G, np.ascontiguousarray(G.T), _label_index(labels)
@@ -225,13 +199,14 @@ def fit_softmax_with_info(G, labels, num_classes, reg_lambda=1e-6, tol=1e-8,
     for bit, and the (num_classes, n) residual P - Y from which
     ``residual.T @ head.weights / n`` is its feature gradient.
     """
-    if num_classes < 2:
-        raise DataError("softmax heads need at least two classes")
+    num_classes = _SOFTMAX_CLASSES.check("num_classes", num_classes)
+    lam = NON_NEGATIVE.check("reg_lambda", reg_lambda)
+    tol = NON_NEGATIVE.check("tol", tol)
+    max_iter = NON_NEGATIVE_INT.check("max_iter", max_iter)
     G, G_t, label_index = _softmax_problem(G, labels, num_classes)
     d = G.shape[1]
     if init is not None and init.weights.shape != (num_classes, d):
         raise ShapeError("warm-start head has the wrong shape")
-    lam = float(reg_lambda)
     start = np.zeros((num_classes, d)) if init is None else init.weights
     weights, risk, grad, residual, steps = _newton_fit(
         start, G, G_t, label_index, lam, tol, max_iter)
@@ -426,7 +401,7 @@ def reconstruction_risk(head: ReconstructionHead, G, target):
     grad_head : (grad_weights, grad_bias)
     grad_features : array, shape (n_samples, feature_dim)
     """
-    G = _check_feature_matrix(G, head.feature_dim)
+    G = check_features("G", G, dim=head.feature_dim)
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (G.shape[0], head.weights.shape[1]):
         raise ShapeError(
@@ -461,15 +436,13 @@ def fit_reconstruction(G, target, reg_lambda=0.0, fit_intercept=True
     data, which is the joint optimum; without it the bias is pinned at
     zero.
     """
-    G = _check_feature_matrix(G)
-    target = np.asarray(target, dtype=np.float64)
-    if target.ndim != 2 or target.shape[0] != G.shape[0]:
-        raise ShapeError("target must be 2-d with one row per sample")
-    if not np.all(np.isfinite(target)):
-        raise NumericError("target contains non-finite values")
+    reg_lambda = NON_NEGATIVE.check("reg_lambda", reg_lambda)
+    fit_intercept = _INTERCEPT.check("fit_intercept", fit_intercept)
+    G = check_features("G", G)
+    target = check_features("target", target, rows=G.shape[0])
+    if target.shape[0] != G.shape[0]:
+        raise ShapeError("target must have one row per sample")
     n, d = G.shape
-    if reg_lambda < 0:
-        raise DataError("reg_lambda must be non-negative")
     if n < d and reg_lambda == 0:
         raise ShapeError(f"need at least as many samples ({n}) as features ({d})"
                          " without a ridge")
@@ -496,12 +469,12 @@ def fit_reconstruction(G, target, reg_lambda=0.0, fit_intercept=True
 
 def predict_labels(head: SoftmaxHead, G) -> np.ndarray:
     """Argmax class per row; ties go to the lowest class index."""
-    G = _check_feature_matrix(G, head.feature_dim)
+    G = check_features("G", G, dim=head.feature_dim)
     return np.argmax(G @ head.weights.T, axis=1) + 1
 
 
 def accuracy(head: SoftmaxHead, G, labels) -> float:
-    labels = _check_labels(labels, head.num_classes)
+    labels = check_labels("labels", labels, head.num_classes)
     predictions = predict_labels(head, G)
     if labels.size != predictions.size:
         raise ShapeError("labels and features disagree on the sample count")

@@ -52,7 +52,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import heads as heads_mod
-from .errors import DataError, Setting, ShapeError, check_settings, setting
+from .errors import (POSITIVE, DataError, Setting, check_features,
+                     check_settings, setting)
 from .filters import FilterState, apply_filter, filter_param_grad
 from .records import read_jsonl, write_jsonl
 
@@ -66,7 +67,7 @@ TASK_SOFTMAX = "softmax"
 TASK_LEAST_SQUARES = "least_squares"
 TASK_RECONSTRUCTION = "reconstruction"
 _TASK_KINDS = (TASK_SOFTMAX, TASK_LEAST_SQUARES, TASK_RECONSTRUCTION)
-_TASK_WEIGHT = Setting(float, 0.0, exclusive=True)
+_TASK_KIND = Setting(str, choices=_TASK_KINDS)
 
 
 @dataclass(frozen=True)
@@ -74,15 +75,14 @@ class TaskSpec:
     """One inner problem: which head family, which labels, which ridge."""
 
     kind: str
-    label_field: str = "y"   # "y" (private labels) or "z" (target labels)
+    # "y" (private labels) or "z" (target labels); a reconstruction task
+    # reads neither
+    label_field: str = setting("y", str, choices=("y", "z"))
     reg_lambda: float = setting(1e-6, float, 0.0)
 
     def __post_init__(self):
         check_settings(self)
-        if self.kind not in _TASK_KINDS:
-            raise DataError(f"unknown task kind {self.kind!r}")
-        if self.kind != TASK_RECONSTRUCTION and self.label_field not in ("y", "z"):
-            raise DataError("label_field must be 'y' or 'z'")
+        _TASK_KIND.check("kind", self.kind)
 
 
 def softmax_task(label_field="y", reg_lambda=1e-6) -> TaskSpec:
@@ -123,7 +123,7 @@ class TradeoffConfig:
             if not all(isinstance(task, TaskSpec) for task, _ in pairs):
                 raise DataError("tasks must be TaskSpec instances")
             object.__setattr__(self, name, tuple(
-                (task, _TASK_WEIGHT.check(f"{name} weight", weight))
+                (task, POSITIVE.check(f"{name} weight", weight))
                 for task, weight in pairs))
         if not self.private_tasks:
             raise DataError("at least one private task is required")
@@ -341,9 +341,12 @@ class TrainReport:
     records: tuple
     final_state: FilterState
     stop_reason: str
-    stall_probes: int = 0
-    stall_inner_iterations: int = 0
-    inner_unconverged: int = 0
+    stall_probes: int = setting(0, int, 0)
+    stall_inner_iterations: int = setting(0, int, 0)
+    inner_unconverged: int = setting(0, int, 0)
+
+    def __post_init__(self):
+        check_settings(self)
 
     @property
     def converged(self) -> bool:
@@ -443,9 +446,7 @@ def train_minimax(init: FilterState, data, cfg: TradeoffConfig) -> TrainReport:
     the negated gradient (stalled), or at ``cfg.max_iter``;
     the report's ``stop_reason`` says which.
     """
-    X = np.asarray(data.X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != init.input_dim:
-        raise ShapeError("initial filter does not match the data dimension")
+    check_features("data.X", data.X, dim=init.input_dim)
     targets = _task_targets(cfg, data)
     # the initial record has step 0 ...
     accepted = (0.0, init, joint_objective(init, data, cfg, targets=targets))

@@ -122,9 +122,9 @@ def test_dispatcher_and_validation():
         assert apply_filter(filt, X).shape == (30, 2)
     with pytest.raises(DataError):
         fit_filter("ppls", Dataset(X, y, np.arange(30)), 2, cfg, 1)
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match="d must be at least 1"):
         fit_filter("pca", train, 0, cfg, 1)
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match="d must be at least 1"):
         fit_rand(4, 0)
     with pytest.raises(ShapeError):
         fit_rand(4, 5)

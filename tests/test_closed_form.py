@@ -243,17 +243,17 @@ def test_scatter_validation():
         build_scatters(X, np.array([1, 1, 2]), np.array([1, 2, 1, 2]))
     s = build_scatters(X + np.arange(4)[:, None], np.array([1, 1, 2, 2]),
                        np.array([1, 2, 1, 2]))
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match="d must be at least 1"):
         privacy_lds(s, 0)
     with pytest.raises(ShapeError):
         privacy_lds(s, 3)
 
 
 @pytest.mark.parametrize("field, value, error", [
-    ("between_target", np.nan, NumericError),
-    ("between_private", np.nan, NumericError),
-    ("between_target", np.inf, NumericError),
-    ("between_private", -np.inf, NumericError),
+    ("between_target", np.nan, DataError),
+    ("between_private", np.nan, DataError),
+    ("between_target", np.inf, DataError),
+    ("between_private", -np.inf, DataError),
     ("ridge", np.nan, DataError),
     ("ridge", np.inf, DataError),
     ("ridge", 0.0, DataError),

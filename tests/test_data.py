@@ -92,9 +92,9 @@ def test_generator_seeded_and_validated():
     assert np.array_equal(a.X, b.X)
     c = gen_synthetic(5, 2, 2, 10, noise=0.3, seed=8)
     assert not np.array_equal(a.X, c.X)
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match="dim must be at least 2"):
         gen_synthetic(1, 2, 2, 4)
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match="n_subjects"):
         gen_synthetic(3, 0, 2, 4)
     with pytest.raises(DataError):
         gen_synthetic(3, 2, 2, 4, angle_deg=200.0)

@@ -74,14 +74,17 @@ def test_bound_validation():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_bound_rejects_rows_with_non_finite_norms(kind, bad):
-    # the last value is finite, but the row's norm overflows
+    # a non-finite entry is the caller's (DataError); the last value is
+    # finite, but the row's norm overflows in the package (NumericError)
     rows = np.ones((3, 2))
     rows[1] = (bad, bad)
-    with pytest.raises(NumericError, match="not finite"):
+    error, match = ((NumericError, "not finite") if np.isfinite(bad)
+                    else (DataError, "h contains non-finite"))
+    with pytest.raises(error, match=match):
         bound(kind, 1.0, rows)
-    with pytest.raises(NumericError, match="not finite"):
+    with pytest.raises(error, match=match):
         bound(kind, 1.0, rows[1])
-    with pytest.raises(NumericError, match="not finite"):
+    with pytest.raises(DataError, match="norms contains non-finite"):
         bound_scale_from_norms(np.linalg.norm(rows, axis=1))
 
 

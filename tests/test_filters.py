@@ -228,7 +228,7 @@ def test_init_is_seeded():
 def test_state_validation():
     with pytest.raises(ShapeError):
         FilterState(FilterKind.LINEAR, np.zeros(5), 3, 2)  # wrong count
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match="params"):
         FilterState(FilterKind.LINEAR, np.full(6, np.nan), 3, 2)
     with pytest.raises(ShapeError):
         FilterState(FilterKind.LINEAR, np.zeros(12), 3, 4)  # d > D
@@ -296,7 +296,7 @@ def test_pretrain_input_validation():
         pretrain_autoencoder(np.zeros((4, 3)), 2, (3, 2), noise_level=-1.0)
     with pytest.raises(DataError):
         pretrain_autoencoder(np.zeros((4, 3)), 2, (3, 2), epochs=-1)
-    with pytest.raises(DataError):
+    with pytest.raises(ShapeError, match="X"):
         pretrain_autoencoder(np.zeros(3), 2, (3, 2))
 
 
@@ -321,7 +321,8 @@ def test_load_rejects_wrong_record(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("kind", None), ("input_dim", None), ("output_dim", None),
-    ("hidden_dims", None), ("hidden_dims", 5), ("input_dim", [6])])
+    ("hidden_dims", None), ("hidden_dims", 5), ("input_dim", [6]),
+    ("input_dim", "three"), ("kind", "cubic")])
 def test_load_rejects_a_missing_or_mistyped_shape_key(tmp_path, key, value):
     # value None drops the key from the header; any other value replaces it
     from privfilter.records import write_record

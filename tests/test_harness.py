@@ -54,7 +54,7 @@ def test_config_validation():
         ExperimentConfig(filters=("sparse-pca",))
     with pytest.raises(DataError):
         ExperimentConfig(filters=())
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match="dims"):
         ExperimentConfig(dims=(0,))
     with pytest.raises(DataError):
         ExperimentConfig(epsilon_inverses=(-0.5,))

@@ -6,7 +6,7 @@ import pytest
 from oracles import (central_diff, lbfgs_softmax_reference, rel_error,
                      reconstruction_risk_reference, softmax_core_reference)
 from privfilter import heads
-from privfilter.errors import DataError, NumericError, ShapeError
+from privfilter.errors import DataError, ShapeError
 from privfilter.heads import (_NEWTON_MAX_WEIGHTS, _label_index,
                               _newton_step, _softmax_core, _softmax_hessian,
                               _softmax_hvp,
@@ -87,7 +87,7 @@ def test_softmax_risk_input_validation():
     head = SoftmaxHead(np.zeros((3, 4)))
     with pytest.raises(DataError):
         softmax_risk(head, np.zeros((2, 4)), np.array([1, 4]))  # label range
-    with pytest.raises(NumericError):
+    with pytest.raises(DataError, match="G contains non-finite"):
         softmax_risk(head, np.array([[np.inf, 0, 0, 0]]), np.array([1]))
     with pytest.raises(ShapeError):
         softmax_risk(head, np.zeros((2, 3)), np.array([1, 2]))

@@ -1,12 +1,22 @@
 import ast
+import dataclasses
+import inspect
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import privfilter
+from privfilter import (DataError, ExperimentConfig, ReconstructionHead,
+                        SoftmaxHead, TaskSpec, TradeoffConfig,
+                        TrainReport, build_scatters, classification_tradeoff,
+                        fit_pca, fit_ppls, fit_reconstruction, fit_softmax,
+                        gen_synthetic, identity_filter, least_squares_task,
+                        least_squares_tradeoff, one_hot, pretrain_autoencoder,
+                        reconstruction_task, softmax_task)
 
 
 def test_public_names_resolve_once():
@@ -147,3 +157,121 @@ def test_only_the_harness_keys_the_random_streams():
              for path in sorted(package.glob("*.py"))
              if path.name not in ("harness.py", "__init__.py")}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+_X = np.random.default_rng(0).standard_normal((12, 4))
+_NAN_X = _X.copy()
+_NAN_X[3, 1] = np.nan
+_Y = np.tile([1, 2, 3], 4)
+_Z = np.tile([1, 2], 6)
+_NAN = float("nan")
+
+
+def _ppls(X=_X, ppls_lambda=1.0):
+    return fit_ppls(X, one_hot(_Y, 3), one_hot(_Z, 2), ppls_lambda, 2)
+
+
+def _pretrain(X=_X, epochs=1, **kwargs):
+    return pretrain_autoencoder(X, 2, (3, 2), epochs=epochs, **kwargs)
+
+
+# (public name, argument, call) for an argument outside its domain: each
+# call raises DataError with a message that names the argument
+_REJECTIONS = [
+    ("fit_softmax", "tol", lambda: fit_softmax(_X, _Y, 3, tol=_NAN)),
+    ("fit_softmax", "max_iter", lambda: fit_softmax(_X, _Y, 3, max_iter=-1)),
+    ("fit_softmax", "reg_lambda", lambda: fit_softmax(_X, _Y, 3, reg_lambda=_NAN)),
+    ("fit_softmax", "num_classes", lambda: fit_softmax(_X, _Y, 2.5)),
+    ("SoftmaxHead", "reg_lambda",
+     lambda: SoftmaxHead(np.zeros((3, 4)), reg_lambda=_NAN)),
+    ("ReconstructionHead", "reg_lambda",
+     lambda: ReconstructionHead(np.zeros((4, 2)), np.zeros(2), reg_lambda=-1.0)),
+    ("fit_reconstruction", "reg_lambda",
+     lambda: fit_reconstruction(_X, _X, reg_lambda=_NAN)),
+    ("fit_reconstruction", "fit_intercept",
+     lambda: fit_reconstruction(_X, _X, fit_intercept="yes")),
+    ("pretrain_autoencoder", "noise_level", lambda: _pretrain(noise_level=_NAN)),
+    ("pretrain_autoencoder", "step", lambda: _pretrain(step=_NAN)),
+    ("pretrain_autoencoder", "step", lambda: _pretrain(step=-0.01)),
+    ("pretrain_autoencoder", "epochs", lambda: _pretrain(epochs=2.5)),
+    ("pretrain_autoencoder", "X", lambda: _pretrain(_NAN_X)),
+    ("gen_synthetic", "noise", lambda: gen_synthetic(3, 2, 2, 4, noise=_NAN)),
+    ("gen_synthetic", "angle_deg",
+     lambda: gen_synthetic(3, 2, 2, 4, angle_deg=_NAN)),
+    ("gen_synthetic", "subject_sep",
+     lambda: gen_synthetic(3, 2, 2, 4, subject_sep=-1.0)),
+    ("gen_synthetic", "target_sep",
+     lambda: gen_synthetic(3, 2, 2, 4, target_sep=float("inf"))),
+    ("fit_ppls", "ppls_lambda", lambda: _ppls(ppls_lambda=_NAN)),
+    ("fit_ppls", "X", lambda: _ppls(_NAN_X)),
+    ("fit_pca", "X", lambda: fit_pca(_NAN_X, 2)),
+    ("build_scatters", "X", lambda: build_scatters(_NAN_X, _Y, _Z)),
+    ("identity_filter", "dim", lambda: identity_filter(2.5)),
+    ("classification_tradeoff", "utility_weight",
+     lambda: classification_tradeoff(utility_weight=0.0)),
+    ("classification_tradeoff", "reg_lambda",
+     lambda: classification_tradeoff(reg_lambda=_NAN)),
+    ("least_squares_tradeoff", "utility_weight",
+     lambda: least_squares_tradeoff(utility_weight=_NAN)),
+    ("least_squares_tradeoff", "reg_lambda",
+     lambda: least_squares_tradeoff(reg_lambda=-1.0)),
+    ("softmax_task", "reg_lambda", lambda: softmax_task(reg_lambda=_NAN)),
+    ("least_squares_task", "reg_lambda",
+     lambda: least_squares_task(reg_lambda=float("inf"))),
+    ("reconstruction_task", "reg_lambda",
+     lambda: reconstruction_task(reg_lambda=-1.0)),
+    ("TaskSpec", "reg_lambda", lambda: TaskSpec("softmax", reg_lambda=_NAN)),
+    ("TradeoffConfig", "utility_weight",
+     lambda: TradeoffConfig(utility_weight=_NAN)),
+    ("TradeoffConfig", "max_iter", lambda: TradeoffConfig(max_iter=0)),
+    ("TradeoffConfig", "convergence_tol",
+     lambda: TradeoffConfig(convergence_tol=_NAN)),
+    ("TradeoffConfig", "slow_iterations",
+     lambda: TradeoffConfig(slow_iterations=0)),
+    ("TradeoffConfig", "inner_tol", lambda: TradeoffConfig(inner_tol=-1.0)),
+    ("TradeoffConfig", "inner_max_iter",
+     lambda: TradeoffConfig(inner_max_iter=2.5)),
+    ("ExperimentConfig", "trials", lambda: ExperimentConfig(trials=0)),
+    ("ExperimentConfig", "trials", lambda: ExperimentConfig(trials=True)),
+    ("ExperimentConfig", "train_fraction",
+     lambda: ExperimentConfig(train_fraction=1.0)),
+    ("ExperimentConfig", "master_seed", lambda: ExperimentConfig(master_seed=-1)),
+    ("ExperimentConfig", "lds_init", lambda: ExperimentConfig(lds_init="yes")),
+    ("ExperimentConfig", "pretrain_epochs",
+     lambda: ExperimentConfig(pretrain_epochs=-1)),
+    ("ExperimentConfig", "ppls_lambda",
+     lambda: ExperimentConfig(ppls_lambda=_NAN)),
+    ("TrainReport", "stall_probes",
+     lambda: TrainReport((), identity_filter(2), "stalled", stall_probes=-1)),
+    ("TrainReport", "stall_inner_iterations",
+     lambda: TrainReport((), identity_filter(2), "stalled",
+                         stall_inner_iterations=2.5)),
+    ("TrainReport", "inner_unconverged",
+     lambda: TrainReport((), identity_filter(2), "stalled", inner_unconverged=-1)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, argument, call", _REJECTIONS,
+    ids=[f"{name}-{argument}-{i}" for i, (name, argument, _) in enumerate(_REJECTIONS)])
+def test_out_of_domain_arguments_are_rejected_by_name(name, argument, call):
+    with pytest.raises(DataError, match=rf"\b{argument}\b"):
+        call()
+
+
+def _numeric_parameters():
+    """(public name, parameter) of every number- or bool-defaulted
+    parameter of a public function or dataclass."""
+    found = set()
+    for name in privfilter.__all__:
+        obj = getattr(privfilter, name)
+        if inspect.isfunction(obj) or dataclasses.is_dataclass(obj):
+            found.update((name, p.name) for p in inspect.signature(obj).parameters.values()
+                         if isinstance(p.default, (int, float)))
+    return found
+
+
+def test_every_numeric_default_has_a_rejection_row():
+    # a new unchecked numeric argument fails here until it has a row above
+    covered = {(name, argument) for name, argument, _ in _REJECTIONS}
+    assert _numeric_parameters() - covered == set()
