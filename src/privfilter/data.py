@@ -105,36 +105,40 @@ def load_csv(path) -> Dataset:
     Anything else (a parse failure, a ragged or blank line, quoted fields)
     sends the whole file through the row-by-row parser, which names the
     first bad row in its error.  Feature values parse as floats and must be
-    finite; label and subject columns must hold integers.
+    finite; label and subject columns must hold integers.  A file that is
+    not UTF-8 text raises ``DataError`` like any other malformed file.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise DataError(f"{path}: empty file")
-        header = next(csv.reader([header_line]))
-        body_start = fh.tell()
-        if not fh.read(1):
-            raise DataError(f"{path}: no data rows")
-        fh.seek(body_start)
-        index = {name: i for i, name in enumerate(header)}
-        feature_cols = [name for name in header
-                        if name.startswith("f") and name[1:].isdigit()]
-        feature_cols.sort(key=lambda name: int(name[1:]))
-        if not feature_cols:
-            raise DataError(f"{path}: no f0..fD feature columns found")
-        for name in ("y", "subject"):
-            if name not in index:
-                raise DataError(f"{path}: missing column {name!r}")
-        has_z = "z" in index
-        feature_idx = [index[name] for name in feature_cols]
-        label_cols = ["y", "subject"] + (["z"] if has_z else [])
-        label_idx = [index[name] for name in label_cols]
-
-        parsed = _parse_table(path, fh, len(header), feature_idx, label_idx)
-        if parsed is None:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header_line = fh.readline()
+            if not header_line:
+                raise DataError(f"{path}: empty file")
+            header = next(csv.reader([header_line]))
+            body_start = fh.tell()
+            if not fh.read(1):
+                raise DataError(f"{path}: no data rows")
             fh.seek(body_start)
-            parsed = _parse_rows(path, csv.reader(fh), len(header),
-                                 feature_idx, label_idx)
+            index = {name: i for i, name in enumerate(header)}
+            feature_cols = [name for name in header
+                            if name.startswith("f") and name[1:].isdigit()]
+            feature_cols.sort(key=lambda name: int(name[1:]))
+            if not feature_cols:
+                raise DataError(f"{path}: no f0..fD feature columns found")
+            for name in ("y", "subject"):
+                if name not in index:
+                    raise DataError(f"{path}: missing column {name!r}")
+            has_z = "z" in index
+            feature_idx = [index[name] for name in feature_cols]
+            label_cols = ["y", "subject"] + (["z"] if has_z else [])
+            label_idx = [index[name] for name in label_cols]
+
+            parsed = _parse_table(path, fh, len(header), feature_idx, label_idx)
+            if parsed is None:
+                fh.seek(body_start)
+                parsed = _parse_rows(path, csv.reader(fh), len(header),
+                                     feature_idx, label_idx)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     X, labels = parsed
     y, subjects = labels[:, 0], labels[:, 1]
     z = _relabel_contiguous(labels[:, 2]) if has_z else None

@@ -358,5 +358,5 @@ def load_filter(path) -> FilterState:
                            header["output_dim"], tuple(header["hidden_dims"]))
     except KeyError as exc:
         raise DataError(f"{path}: filter record has no {exc.args[0]!r}") from exc
-    except (TypeError, DataError) as exc:
+    except (TypeError, ValueError) as exc:  # DataError, ShapeError included
         raise DataError(f"{path}: malformed filter record ({exc})") from exc

@@ -115,6 +115,11 @@ _BOUND_FIELDS = ("bound_scale", "clip_frac")
 # Record fields left out of EvalReport.scientific_payload()
 _RUN_FIELDS = ("target_head_grad", "private_head_grad", "wall_time_s",
                *_TRAIN_FIELDS, *_BOUND_FIELDS)
+# The scores of a cell, averaged over trials by EvalReport.summary()
+_SCORE_FIELDS = ("target_accuracy", "private_accuracy", "tradeoff")
+# The start of every cell record: its scores and run fields stay None until
+# the cell has run, and where it fails (``wall_time_s`` is always set)
+_UNSCORED = dict.fromkeys(_SCORE_FIELDS + _RUN_FIELDS)
 
 EVAL_REG_LAMBDA = 1e-6  # ridge of the evaluation heads
 EVAL_TOL = 1e-6  # gradient-norm tolerance of the evaluation heads
@@ -158,6 +163,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_settings(self)
+        if not isinstance(self.tradeoff, TradeoffConfig):
+            raise DataError("tradeoff must be a TradeoffConfig, got "
+                            f"{self.tradeoff!r}")
         if len(self.mlp_hidden) != 2:
             raise DataError(f"mlp_hidden must be two positive ints, got {self.mlp_hidden}")
         if self.chain == "none" and any(self.epsilon_inverses):
@@ -314,46 +322,27 @@ class EvalReport:
                 for record in self.records]
 
     def summary(self):
-        """Mean and sample std of the metrics per (filter, dim, noise) cell."""
+        """Mean and sample std of the scores per (filter, dim, noise) cell,
+        in grid order."""
         groups = {}
-        order = []
         for record in self.records:
             key = (record["filter"], record["dim"], record["epsilon_inverse"])
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(record)
+            groups.setdefault(key, []).append(record)
         rows = []
-        for key in order:
-            cells = groups[key]
+        for (kind, d, einv), cells in groups.items():
             good = [c for c in cells if c["error"] is None]
-
-            def stats(name):
+            row = {"schema_version": SCHEMA_VERSION, "filter": kind, "dim": d,
+                   "epsilon_inverse": einv, "trials": len(cells),
+                   "errors": len(cells) - len(good)}
+            for name in _SCORE_FIELDS:
                 values = np.array([c[name] for c in good])
-                if values.size == 0:
-                    return None, None
-                std = float(values.std(ddof=1)) if values.size > 1 else 0.0
-                return float(values.mean()), std
-
-            target_mean, target_std = stats("target_accuracy")
-            private_mean, private_std = stats("private_accuracy")
-            tradeoff_mean, tradeoff_std = stats("tradeoff")
-            rows.append({
-                "schema_version": SCHEMA_VERSION,
-                "filter": key[0],
-                "dim": key[1],
-                "epsilon_inverse": key[2],
-                "trials": len(cells),
-                "errors": len(cells) - len(good),
-                "target_accuracy_mean": target_mean,
-                "target_accuracy_std": target_std,
-                "private_accuracy_mean": private_mean,
-                "private_accuracy_std": private_std,
-                "tradeoff_mean": tradeoff_mean,
-                "tradeoff_std": tradeoff_std,
-                "chance_target": cells[0]["chance_target"],
-                "chance_private": cells[0]["chance_private"],
-            })
+                mean = std = None
+                if good:
+                    mean = float(values.mean())
+                    std = float(values.std(ddof=1)) if len(good) > 1 else 0.0
+                row[f"{name}_mean"], row[f"{name}_std"] = mean, std
+            rows.append({**row, "chance_target": cells[0]["chance_target"],
+                         "chance_private": cells[0]["chance_private"]})
         return rows
 
 
@@ -446,55 +435,42 @@ def run_experiment(cfg: ExperimentConfig, data: Dataset,
         raise DataError("the experiment protocol needs target labels z")
     for d in cfg.dims:
         check_dim("dims", d, data.dim)
-    n_cells = cfg.trials * len(cfg.epsilon_inverses) * sum(
-        1 if kind == "raw" else len(cfg.dims) for kind in cfg.filters)
+    grid = [(fi, kind, di, d) for fi, kind in enumerate(cfg.filters)
+            for di, d in enumerate((data.dim,) if kind == "raw" else cfg.dims)]
+    n_cells = cfg.trials * len(cfg.epsilon_inverses) * len(grid)
     records = []
     for trial in range(cfg.trials):
         train, test = _split(data, cfg, trial)
-        for fi, kind in enumerate(cfg.filters):
-            dims = (data.dim,) if kind == "raw" else cfg.dims
-            for di, d in enumerate(dims):
-                if cfg.chain != "post" or fi == di == 0:  # post: once per trial
-                    stage = None  # the last stage's rows die before the next
-                    stage, error, stage_s = _timed(
-                        _fitted_stage, cfg, train, test, kind, d,
-                        (fi, di, trial), training_log)
-                    if cfg.chain == "post":  # the bounded rows replace them
-                        train = test = None
-                for ei, einv in enumerate(cfg.epsilon_inverses):
-                    record = {
-                        "schema_version": SCHEMA_VERSION,
-                        "filter": kind,
-                        "dim": int(d),
-                        "epsilon_inverse": float(einv),
-                        "trial": trial,
-                        "target_accuracy": None,
-                        "private_accuracy": None,
-                        "tradeoff": None,
-                        "chance_target": 1.0 / data.num_target_classes,
-                        "chance_private": 1.0 / data.num_private_classes,
-                        "error": error,
-                        "target_head_grad": None,
-                        "private_head_grad": None,
-                        **dict.fromkeys(_TRAIN_FIELDS),
-                        **dict.fromkeys(_BOUND_FIELDS),
-                    }
-                    if stage is not None:
-                        record.update(stage.fields)
-                        fields, record["error"], cell_s = _timed(
-                            _run_cell, stage, kind, d, einv,
-                            (fi, di, ei, trial), data, cfg, training_log)
-                        record.update(fields or {})
-                        stage_s += cell_s
-                    record["wall_time_s"] = stage_s
-                    stage_s = 0.0  # only a stage's first cell carries its time
-                    records.append(record)
-                    _log.info("cell %d/%d filter=%s dim=%d eps_inv=%g trial=%d "
-                              "wall=%.3fs stop=%s iters=%s calls=%s "
-                              "unconverged=%s error=%s", len(records), n_cells,
-                              kind, d, einv, trial, record["wall_time_s"],
-                              *(record[k] for k in _TRAIN_FIELDS),
-                              record["error"])
+        for fi, kind, di, d in grid:
+            if cfg.chain != "post" or fi == di == 0:  # post: once per trial
+                stage = None  # the last stage's rows die before the next
+                stage, error, stage_s = _timed(
+                    _fitted_stage, cfg, train, test, kind, d, (fi, di, trial),
+                    training_log)
+                if cfg.chain == "post":  # the bounded rows replace them
+                    train = test = None
+            for ei, einv in enumerate(cfg.epsilon_inverses):
+                record = {**_UNSCORED, "schema_version": SCHEMA_VERSION,
+                          "filter": kind, "dim": int(d),
+                          "epsilon_inverse": float(einv), "trial": trial,
+                          "chance_target": 1.0 / data.num_target_classes,
+                          "chance_private": 1.0 / data.num_private_classes,
+                          "error": error}
+                if stage is not None:
+                    record.update(stage.fields)
+                    fields, record["error"], cell_s = _timed(
+                        _run_cell, stage, kind, d, einv, (fi, di, ei, trial),
+                        data, cfg, training_log)
+                    record.update(fields or {})
+                    stage_s += cell_s
+                record["wall_time_s"] = stage_s
+                stage_s = 0.0  # only a stage's first cell carries its time
+                records.append(record)
+                _log.info("cell %d/%d filter=%s dim=%d eps_inv=%g trial=%d "
+                          "wall=%.3fs stop=%s iters=%s calls=%s "
+                          "unconverged=%s error=%s", len(records), n_cells,
+                          kind, d, einv, trial, record["wall_time_s"],
+                          *(record[k] for k in _TRAIN_FIELDS), record["error"])
     return EvalReport(tuple(records))
 
 

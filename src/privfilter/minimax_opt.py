@@ -372,7 +372,12 @@ def save_report(report: TrainReport, path) -> None:
 
 
 def load_report_records(path):
-    return tuple(IterationRecord(**row) for row in read_jsonl(path))
+    """The IterationRecords that ``save_report`` wrote to ``path``."""
+    rows = read_jsonl(path)
+    try:
+        return tuple(IterationRecord(**row) for row in rows)
+    except TypeError as exc:  # a missing or foreign key
+        raise DataError(f"{path}: not an iteration record ({exc})") from None
 
 
 def _lbfgs_direction(neg_grad, pairs):

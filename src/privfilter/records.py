@@ -56,6 +56,19 @@ def write_jsonl(path, rows) -> None:
 
 
 def read_jsonl(path) -> list:
-    """The rows of a JSON-lines file; blank lines are skipped."""
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    """The rows of a JSON-lines file; blank lines are skipped.  A line that
+    is not UTF-8 JSON, or not a JSON object, raises ``DataError`` naming
+    the path and the line's 1-based number."""
+    rows = []
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+                raise DataError(f"{path}: line {number}: not JSON ({exc})") from None
+            if not isinstance(row, dict):
+                raise DataError(f"{path}: line {number}: not a JSON object")
+            rows.append(row)
+    return rows

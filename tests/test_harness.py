@@ -650,11 +650,14 @@ def test_each_finished_cell_logs_one_record(caplog):
     with caplog.at_level(logging.INFO, logger="privfilter.harness"):
         report = run_experiment(cfg, data)
         failed = run_experiment(replace(cfg, filters=("pca",)), single_target)
+        # raw runs once per noise level beside pca's two dims: 2 * (1 + 2) cells
+        wide = run_experiment(replace(cfg, dims=(1, 2)), data)
     messages = [r.getMessage() for r in caplog.records
                 if r.name == "privfilter.harness"]
     assert all(r.levelno == logging.INFO for r in caplog.records)
-    assert len(messages) == len(report.records) + len(failed.records) == 6
-    for message, record in zip(messages, report.records + failed.records):
+    records = report.records + failed.records + wide.records
+    assert len(messages) == len(records) == 12
+    for message, record in zip(messages, records):
         assert (f"filter={record['filter']} dim={record['dim']} "
                 f"eps_inv={record['epsilon_inverse']:g} "
                 f"trial={record['trial']} "
@@ -662,6 +665,9 @@ def test_each_finished_cell_logs_one_record(caplog):
         assert message.endswith(f"error={record['error']}")
     assert messages[0].startswith("cell 1/4 ") and messages[3].startswith("cell 4/4 ")
     assert "error=DataError" in messages[5]
+    assert [m.split(" ")[1] for m in messages[6:]] == [f"{i}/6" for i in range(1, 7)]
+    assert [(r["filter"], r["dim"]) for r in wide.records] == [
+        ("raw", data.dim)] * 2 + [("pca", 1)] * 2 + [("pca", 2)] * 2
     # the log is a side channel: the payload carries no trace of it
     assert report.scientific_payload() == run_experiment(cfg, data).scientific_payload()
 

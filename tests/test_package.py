@@ -248,6 +248,7 @@ _REJECTIONS = [
                          stall_inner_iterations=2.5)),
     ("TrainReport", "inner_unconverged",
      lambda: TrainReport((), identity_filter(2), "stalled", inner_unconverged=-1)),
+    ("ExperimentConfig", "tradeoff", lambda: ExperimentConfig(tradeoff=5)),
 ]
 
 
