@@ -27,8 +27,7 @@ from .heads import (ReconstructionHead, SoftmaxHead, accuracy,
 from .minimax_opt import (TaskSpec, TradeoffConfig, TrainReport,
                           classification_tradeoff, descent_direction,
                           joint_objective, least_squares_tradeoff,
-                          least_squares_task, reconstruction_task,
-                          softmax_task, train_minimax)
+                          train_minimax)
 
 __version__ = "0.1.0"
 
@@ -43,10 +42,9 @@ __all__ = [
     "export_results", "filter_param_grad", "fit_filter", "fit_pca",
     "fit_ppls", "fit_rand", "fit_reconstruction", "fit_softmax",
     "gen_synthetic", "identity_filter", "init_filter", "joint_objective",
-    "least_squares_task", "least_squares_tradeoff", "linear_filter",
-    "load_csv", "load_filter", "load_results", "log_density", "one_hot",
-    "predict_labels", "pretrain_autoencoder", "privacy_lds",
-    "reconstruction_risk", "reconstruction_task", "run_experiment",
-    "sample_noise", "save_csv", "save_filter", "softmax_risk",
-    "softmax_task", "split_per_subject", "train_filter", "train_minimax",
+    "least_squares_tradeoff", "linear_filter", "load_csv", "load_filter",
+    "load_results", "log_density", "one_hot", "predict_labels",
+    "pretrain_autoencoder", "privacy_lds", "reconstruction_risk",
+    "run_experiment", "sample_noise", "save_csv", "save_filter",
+    "softmax_risk", "split_per_subject", "train_filter", "train_minimax",
 ]

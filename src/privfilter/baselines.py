@@ -83,6 +83,13 @@ def fit_ppls(X, y_onehot, z_onehot, ppls_lambda: float, d: int) -> FilterState:
     Each column is the top unit eigenvector of
     M = C_xz C_xz' - lambda_p C_xy C_xy', after which M is deflated by
     projecting out the chosen direction.
+
+    Only the leading columns are fixed by the data: M has at most K_z
+    positive eigenvalues (rank C_xz C_xz' <= K_z, and the private term is
+    negative semidefinite), and later columns are LAPACK's pick of a basis
+    of the repeated eigenvalue 0.  On ``release-sweep``'s training half M
+    has 4 eigenvalues above 1e-12 and 27 within 1e-12 of zero, so every
+    ``ppls`` filter's 5th column there is LAPACK's pick.
     """
     X = check_features("X", X)
     y_onehot = check_features("y_onehot", y_onehot)

@@ -14,6 +14,11 @@ exactly the radial marginal of the density above (the r^{d-1} area factor
 turns the exponential into a Gamma).  In one dimension this reduces to
 the scalar Laplace distribution.
 
+That bound (acceptance criterion 5, on ``log_density``) holds for the
+real-valued mechanism, not the float64 release, whose reachable outputs
+can depend on the input (Mironov, "On significance of the least
+significant bits for differential privacy", CCS 2012).
+
 ``sample_noise`` and ``log_density`` take the noise level as
 ``epsilon_inverse`` = 1 / epsilon, the value a sweep's config lists, with
 0 meaning release without noise.  The release, which bounds and perturbs

@@ -117,6 +117,9 @@ _RUN_FIELDS = ("target_head_grad", "private_head_grad", "wall_time_s",
                *_TRAIN_FIELDS, *_BOUND_FIELDS)
 # The scores of a cell, averaged over trials by EvalReport.summary()
 _SCORE_FIELDS = ("target_accuracy", "private_accuracy", "tradeoff")
+# What EvalReport.summary() reads of each record, so what a loaded one needs
+_SUMMARY_FIELDS = ("filter", "dim", "epsilon_inverse", "error",
+                   "chance_target", "chance_private", *_SCORE_FIELDS)
 # The start of every cell record: its scores and run fields stay None until
 # the cell has run, and where it fails (``wall_time_s`` is always set)
 _UNSCORED = dict.fromkeys(_SCORE_FIELDS + _RUN_FIELDS)
@@ -506,12 +509,12 @@ def evaluate_filter(filt, data: Dataset, cfg: ExperimentConfig) -> dict:
 
 
 def export_results(report: EvalReport, path_prefix) -> None:
-    """Write per-cell JSON lines and a CSV summary next to each other."""
+    """Write per-cell JSON lines and a CSV summary; neither if the summary fails."""
     if not report.records:
         raise DataError("refusing to export an empty report")
+    rows = report.summary()
     path_prefix = str(path_prefix)
     write_jsonl(path_prefix + ".jsonl", report.records)
-    rows = report.summary()
     with open(path_prefix + ".csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -519,11 +522,11 @@ def export_results(report: EvalReport, path_prefix) -> None:
 
 
 def load_results(path) -> EvalReport:
-    """Round-trip loader for the JSON-lines cell records."""
+    """Round-trip loader for cell records, each holding ``_SUMMARY_FIELDS``."""
     path = str(path)
     if not path.endswith(".jsonl"):
         path = path + ".jsonl"
-    records = read_jsonl(path)
+    records = read_jsonl(path, required=_SUMMARY_FIELDS)
     if not records:
         raise DataError(f"{path}: no records")
     return EvalReport(tuple(records))

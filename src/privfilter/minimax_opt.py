@@ -9,6 +9,9 @@ where Phi_priv_i(u) = -min_v f_i(u, v) is the negated best-response risk
 of an adversary head on a private task, and Phi_util_j likewise for a
 utility head on a target task.  Minimizing Phi drives every adversary's
 best achievable risk up while keeping the utility heads' risks low.
+Each task is a ``TaskSpec(kind, label_field, reg_lambda)``: a softmax
+head on the labels ``label_field``, a least-squares head on their one-hot
+codes or a reconstruction head on the features, with ridge ``reg_lambda``.
 
 Because each inner problem is strongly convex (ridge terms), the inner
 minimizers are unique and Phi is differentiable with
@@ -72,29 +75,16 @@ _TASK_KIND = Setting(str, choices=_TASK_KINDS)
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One inner problem: which head family, which labels, which ridge."""
+    """One inner problem: which head family, which labels ("y" or "z"; a
+    reconstruction task reads neither), which ridge."""
 
     kind: str
-    # "y" (private labels) or "z" (target labels); a reconstruction task
-    # reads neither
     label_field: str = setting("y", str, choices=("y", "z"))
     reg_lambda: float = setting(1e-6, float, 0.0)
 
     def __post_init__(self):
         check_settings(self)
         _TASK_KIND.check("kind", self.kind)
-
-
-def softmax_task(label_field="y", reg_lambda=1e-6) -> TaskSpec:
-    return TaskSpec(TASK_SOFTMAX, label_field, reg_lambda)
-
-
-def least_squares_task(label_field="y", reg_lambda=0.0) -> TaskSpec:
-    return TaskSpec(TASK_LEAST_SQUARES, label_field, reg_lambda)
-
-
-def reconstruction_task(reg_lambda=0.0) -> TaskSpec:
-    return TaskSpec(TASK_RECONSTRUCTION, "y", reg_lambda)
 
 
 @dataclass(frozen=True)
@@ -129,26 +119,24 @@ class TradeoffConfig:
             raise DataError("at least one private task is required")
 
 
+def _label_pair(kind, utility_weight, reg_lambda, kwargs) -> TradeoffConfig:
+    """A ``kind`` head on y against a ``kind`` head on z, weighted 1 each."""
+    return TradeoffConfig(
+        utility_weight=utility_weight,
+        private_tasks=((TaskSpec(kind, "y", reg_lambda), 1.0),),
+        utility_tasks=((TaskSpec(kind, "z", reg_lambda), 1.0),), **kwargs)
+
+
 def classification_tradeoff(utility_weight=10.0, reg_lambda=1e-6,
                             **kwargs) -> TradeoffConfig:
     """Standard setup: softmax adversary on y, softmax utility head on z."""
-    return TradeoffConfig(
-        utility_weight=utility_weight,
-        private_tasks=((softmax_task("y", reg_lambda), 1.0),),
-        utility_tasks=((softmax_task("z", reg_lambda), 1.0),),
-        **kwargs,
-    )
+    return _label_pair(TASK_SOFTMAX, utility_weight, reg_lambda, kwargs)
 
 
 def least_squares_tradeoff(utility_weight=10.0, reg_lambda=0.0,
                            **kwargs) -> TradeoffConfig:
     """Least-squares heads on one-hot labels for both tasks."""
-    return TradeoffConfig(
-        utility_weight=utility_weight,
-        private_tasks=((least_squares_task("y", reg_lambda), 1.0),),
-        utility_tasks=((least_squares_task("z", reg_lambda), 1.0),),
-        **kwargs,
-    )
+    return _label_pair(TASK_LEAST_SQUARES, utility_weight, reg_lambda, kwargs)
 
 
 @dataclass(frozen=True)
@@ -178,51 +166,45 @@ class FittedHeads:
     hidden: tuple = field(default=(), repr=False, compare=False)
 
 
-def _task_labels(task: TaskSpec, data):
-    labels = getattr(data, task.label_field, None)
-    if labels is None:
-        raise DataError(f"data has no '{task.label_field}' labels but a task needs them")
-    return np.asarray(labels)
-
-
-def _task_target(task: TaskSpec, data):
-    """What a least-squares or reconstruction head is fit to: the one-hot
-    labels (as many columns as the largest label) or the features."""
-    if task.kind == TASK_LEAST_SQUARES:
-        labels = _task_labels(task, data)
-        return heads_mod.one_hot(labels, int(labels.max()))
-    return np.asarray(data.X, dtype=np.float64)
-
-
 def _task_targets(cfg: TradeoffConfig, data):
-    """``_task_target`` of every private then utility task (None for a
-    softmax task), built once for the many passes over fixed data."""
-    return tuple(None if task.kind == TASK_SOFTMAX else _task_target(task, data)
-                 for task, _ in (*cfg.private_tasks, *cfg.utility_tasks))
+    """What each private then utility task's head is fit to: a softmax
+    task's labels, a least-squares task's one-hot labels (as many columns
+    as the largest label) or a reconstruction task's features.  Built once
+    for the many head passes over fixed data."""
+    targets = []
+    for task, _ in (*cfg.private_tasks, *cfg.utility_tasks):
+        if task.kind == TASK_RECONSTRUCTION:
+            target = np.asarray(data.X, dtype=np.float64)
+        else:
+            labels = getattr(data, task.label_field, None)
+            if labels is None:
+                raise DataError(f"data has no '{task.label_field}' labels "
+                                "but a task needs them")
+            target = np.asarray(labels)
+            if task.kind == TASK_LEAST_SQUARES:
+                target = heads_mod.one_hot(target, int(target.max()))
+        targets.append(target)
+    return tuple(targets)
 
 
-def _task_pass(task: TaskSpec, warm, G, data, cfg: TradeoffConfig,
-               target=None):
+def _task_pass(task: TaskSpec, target, warm, G, cfg: TradeoffConfig):
     """Fit one head to inner optimality at features ``G``.
 
-    Returns (head, risk, grad_G, iterations, inner_grad).  ``warm`` is a
-    softmax head's warm start (or None); ``inner_grad`` is the norm of a
-    softmax head's risk gradient in its weights, and 0.0 for the exact
-    least-squares and reconstruction solves.  ``target`` is the task's
-    ``_task_target``, built here when None.
+    Returns (head, risk, grad_G, iterations, inner_grad).  ``target`` is
+    the task's entry of ``_task_targets``; ``warm`` is a softmax head's
+    warm start (or None); ``inner_grad`` is the norm of a softmax head's
+    risk gradient in its weights, and 0.0 for the exact least-squares and
+    reconstruction solves.
     """
     if task.kind == TASK_SOFTMAX:
-        labels = _task_labels(task, data)
         final = []  # the fit's (risk, grad_head, residual)
         head, nit = heads_mod.fit_softmax_with_info(
-            G, labels, int(labels.max()), task.reg_lambda,
+            G, target, int(target.max()), task.reg_lambda,
             tol=cfg.inner_tol, max_iter=cfg.inner_max_iter, init=warm,
             final=final)
         risk, grad_head, residual = final[0]
         grad_features = residual.T @ head.weights / residual.shape[1]
         return head, risk, grad_features, nit, float(np.linalg.norm(grad_head))
-    if target is None:
-        target = _task_target(task, data)
     # least-squares heads fit no intercept, reconstruction heads one
     head = heads_mod.fit_reconstruction(
         G, target, task.reg_lambda, task.kind == TASK_RECONSTRUCTION)
@@ -239,8 +221,8 @@ def joint_objective(state: FilterState, data, cfg: TradeoffConfig, warm=None,
     utility_value = sum_j omega_j * (-best utility risk_j).  ``warm``
     (``FittedHeads`` or None) warm-starts the softmax heads.  The fitted
     heads carry the feature gradient and hidden activations at ``state``
-    (see ``FittedHeads``).  ``targets`` (``_task_targets(cfg, data)``)
-    spares rebuilding the fixed least-squares and reconstruction targets
+    (see ``FittedHeads``).  ``targets`` (``_task_targets(cfg, data)``,
+    built here when None) spares rebuilding the fixed labels and targets
     on every call.
     """
     n_private = len(cfg.private_tasks)
@@ -248,7 +230,7 @@ def joint_objective(state: FilterState, data, cfg: TradeoffConfig, warm=None,
     starts = ((None,) * len(tasks) if warm is None
               else (*warm.private, *warm.utility))
     if targets is None:
-        targets = (None,) * len(tasks)
+        targets = _task_targets(cfg, data)
     hidden = []
     G = apply_filter(state, data.X, hidden)
     upstream = np.zeros_like(G)
@@ -259,7 +241,7 @@ def joint_objective(state: FilterState, data, cfg: TradeoffConfig, warm=None,
     for i, (task, weight) in enumerate(tasks):
         utility = i >= n_private
         head, risk, grad_features, nit, inner_grad = _task_pass(
-            task, starts[i], G, data, cfg, targets[i])
+            task, targets[i], starts[i], G, cfg)
         fitted_heads.append(head)
         values[utility] += weight * (-risk)
         # kappa_i for a private task, -rho * omega_j for a utility task

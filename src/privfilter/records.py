@@ -55,10 +55,11 @@ def write_jsonl(path, rows) -> None:
             fh.write("\n")
 
 
-def read_jsonl(path) -> list:
+def read_jsonl(path, required=()) -> list:
     """The rows of a JSON-lines file; blank lines are skipped.  A line that
     is not UTF-8 JSON, or not a JSON object, raises ``DataError`` naming
-    the path and the line's 1-based number."""
+    the path and the line's 1-based number; so does, once every line has
+    parsed, an object without one of the ``required`` keys."""
     rows = []
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
@@ -70,5 +71,8 @@ def read_jsonl(path) -> list:
                 raise DataError(f"{path}: line {number}: not JSON ({exc})") from None
             if not isinstance(row, dict):
                 raise DataError(f"{path}: line {number}: not a JSON object")
-            rows.append(row)
-    return rows
+            rows.append((number, row))
+    for number, row in rows:
+        if missing := [key for key in required if key not in row]:
+            raise DataError(f"{path}: line {number}: missing {', '.join(missing)}")
+    return [row for _, row in rows]

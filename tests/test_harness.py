@@ -1,4 +1,5 @@
 import copy
+import json
 import logging
 import tracemalloc
 from dataclasses import replace
@@ -14,8 +15,9 @@ from privfilter.dp_mech import (BoundKind, bound, bound_scale_from_norms,
 from privfilter.errors import DataError, ShapeError
 from privfilter.filters import FilterKind, apply_filter, linear_filter
 from privfilter.harness import (CHAIN_CHOICES, EVAL_TOL, FILTER_CHOICES,
-                                ExperimentConfig, derive_rng, export_results,
-                                fit_filter, load_results, run_experiment)
+                                EvalReport, ExperimentConfig, derive_rng,
+                                export_results, fit_filter, load_results,
+                                run_experiment)
 from privfilter.heads import fit_softmax, softmax_risk
 from privfilter.minimax_opt import classification_tradeoff
 
@@ -615,6 +617,24 @@ def test_export_and_load_round_trip(tmp_path):
         load_results(tmp_path / "hollow.jsonl")
 
 
+def test_export_writes_neither_file_when_the_summary_fails(tmp_path):
+    # the summary is built before either file is written, so a report it
+    # fails on leaves no .jsonl without its .csv
+    with pytest.raises(KeyError):
+        export_results(EvalReport(({"trial": 0},)), tmp_path / "run")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_loaded_records_need_only_the_fields_the_summary_reads(tmp_path):
+    # a file from before the run fields existed still loads and summarizes
+    report = run_experiment(_fast_config(), _small_data())
+    old = [{k: v for k, v in r.items() if k not in harness._RUN_FIELDS}
+           for r in report.records]
+    path = tmp_path / "old.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in old))
+    assert load_results(path).summary() == report.summary()
+
+
 _PAYLOAD_FIELDS = {"schema_version", "filter", "dim", "epsilon_inverse",
                    "trial", "target_accuracy", "private_accuracy", "tradeoff",
                    "chance_target", "chance_private", "error"}
@@ -776,14 +796,14 @@ def test_a_failed_split_bound_runs_once_per_trial(monkeypatch):
 
 
 def _degenerate_config(task):
-    from privfilter.minimax_opt import (TradeoffConfig, least_squares_tradeoff,
-                                        reconstruction_task, softmax_task)
+    from privfilter.minimax_opt import (TaskSpec, TradeoffConfig,
+                                        least_squares_tradeoff)
     tradeoff = {
         "softmax": classification_tradeoff(2.0, 1e-4, max_iter=10),
         "least_squares": least_squares_tradeoff(2.0, 1e-3, max_iter=10),
         "reconstruction": TradeoffConfig(
-            1.0, ((reconstruction_task(1e-3), 1.0),),
-            ((softmax_task("z", 1e-4), 1.0),), max_iter=10),
+            1.0, ((TaskSpec("reconstruction", "y", 1e-3), 1.0),),
+            ((TaskSpec("softmax", "z", 1e-4), 1.0),), max_iter=10),
     }[task]
     return _fast_config(tradeoff=tradeoff, mlp_hidden=(5, 4),
                         pretrain_epochs=3)

@@ -12,13 +12,12 @@ from privfilter.data import Dataset
 from privfilter.errors import DataError, ShapeError
 from privfilter.filters import FilterKind, init_filter, linear_filter
 from privfilter.heads import one_hot
-from privfilter.minimax_opt import (IterationRecord, TradeoffConfig,
-                                    classification_tradeoff,
+from privfilter.minimax_opt import (IterationRecord, TaskSpec,
+                                    TradeoffConfig, classification_tradeoff,
                                     descent_direction, joint_objective,
-                                    least_squares_task,
                                     least_squares_tradeoff,
-                                    load_report_records, reconstruction_task,
-                                    save_report, softmax_task, train_minimax)
+                                    load_report_records, save_report,
+                                    train_minimax)
 
 
 def _toy_dataset(rng, n=60, dim=6, k_priv=3, k_tgt=2, seed_offset=0):
@@ -71,10 +70,10 @@ def test_objective_is_the_weighted_sum_of_its_tasks_bit_for_bit():
     state = init_filter(FilterKind.LINEAR, 6, 3, seed=5)
     cfg = TradeoffConfig(
         utility_weight=2.5,
-        private_tasks=((softmax_task("y", 1e-4), 0.7),
-                       (least_squares_task("y", 1e-3), 0.3)),
-        utility_tasks=((softmax_task("z", 1e-4), 1.5),
-                       (reconstruction_task(1e-3), 0.25)),
+        private_tasks=((TaskSpec("softmax", "y", 1e-4), 0.7),
+                       (TaskSpec("least_squares", "y", 1e-3), 0.3)),
+        utility_tasks=((TaskSpec("softmax", "z", 1e-4), 1.5),
+                       (TaskSpec("reconstruction", "y", 1e-3), 0.25)),
         inner_tol=1e-10, inner_max_iter=2000)
     objective, privacy_value, utility_value, fitted = joint_objective(
         state, data, cfg)
@@ -327,8 +326,8 @@ def test_reconstruction_task_uses_raw_features_as_target():
     data = _toy_dataset(rng, n=50, dim=5)
     cfg = TradeoffConfig(
         utility_weight=1.0,
-        private_tasks=((reconstruction_task(reg_lambda=1e-3), 1.0),),
-        utility_tasks=((softmax_task("z", 1e-4), 1.0),),
+        private_tasks=((TaskSpec("reconstruction", "y", 1e-3), 1.0),),
+        utility_tasks=((TaskSpec("softmax", "z", 1e-4), 1.0),),
         inner_tol=1e-8)
     state = init_filter(FilterKind.LINEAR, 5, 5, seed=13)
     _, privacy_value, _, fitted = joint_objective(state, data, cfg)
@@ -343,12 +342,12 @@ def test_config_validation():
     with pytest.raises(DataError):
         TradeoffConfig(private_tasks=())
     with pytest.raises(DataError):
-        TradeoffConfig(private_tasks=((softmax_task(), -1.0),))
+        TradeoffConfig(private_tasks=((TaskSpec("softmax"), -1.0),))
     with pytest.raises(DataError):
         TradeoffConfig(private_tasks=(("softmax", 1.0),))
     # a bare TypeError (not iterable) or ValueError (not pairs) named no field
     for name in ("private_tasks", "utility_tasks"):
-        for bad in (5, (softmax_task(),), "ab"):
+        for bad in (5, (TaskSpec("softmax"),), "ab"):
             with pytest.raises(DataError, match=name):
                 TradeoffConfig(**{name: bad})
     with pytest.raises(DataError):
@@ -368,11 +367,11 @@ def test_config_validation():
             with pytest.raises(DataError):
                 classification_tradeoff(**kwargs)
         with pytest.raises(DataError):
-            TradeoffConfig(private_tasks=((softmax_task(), bad),))
+            TradeoffConfig(private_tasks=((TaskSpec("softmax"), bad),))
         with pytest.raises(DataError):
-            softmax_task(reg_lambda=bad)
+            TaskSpec("softmax", reg_lambda=bad)
     with pytest.raises(DataError):
-        least_squares_task(label_field="w")
+        TaskSpec("least_squares", label_field="w")
     with pytest.raises(ShapeError):
         train_minimax(init_filter(FilterKind.LINEAR, 4, 2, seed=0),
                       _toy_dataset(np.random.default_rng(0), dim=6),
@@ -446,14 +445,14 @@ def test_float_fields_reject_strings_and_bools():
                 TradeoffConfig(**{name: bad})
     for name in ("private_tasks", "utility_tasks"):
         with pytest.raises(DataError, match=f"{name} weight"):
-            TradeoffConfig(**{name: ((softmax_task(), "1.0"),)})
+            TradeoffConfig(**{name: ((TaskSpec("softmax"), "1.0"),)})
     for bad in ("1e-6", False):
         with pytest.raises(DataError, match="reg_lambda"):
-            softmax_task(reg_lambda=bad)
+            TaskSpec("softmax", reg_lambda=bad)
     cfg = TradeoffConfig(utility_weight=np.float32(2.5), inner_tol=1,
-                         private_tasks=[(least_squares_task("y", 0), 2)])
+                         private_tasks=[(TaskSpec("least_squares", "y", 0), 2)])
     assert cfg.utility_weight == 2.5 and cfg.inner_tol == 1.0
-    assert cfg.private_tasks == ((least_squares_task("y", 0.0), 2.0),)
+    assert cfg.private_tasks == ((TaskSpec("least_squares", "y", 0.0), 2.0),)
     task, weight = cfg.private_tasks[0]
     assert all(type(v) is float for v in (cfg.utility_weight, cfg.inner_tol,
                                           cfg.convergence_tol, weight,
@@ -676,8 +675,8 @@ def test_fitted_heads_keep_activations_out_of_repr_and_equality():
 def test_training_builds_least_squares_targets_once(monkeypatch):
     data = _toy_dataset(np.random.default_rng(8), n=40, dim=5)
     cfg = replace(least_squares_tradeoff(3.0, 1e-3, max_iter=8),
-                  private_tasks=((least_squares_task("y", 1e-3), 1.0),
-                                 (reconstruction_task(1e-3), 0.5)))
+                  private_tasks=((TaskSpec("least_squares", "y", 1e-3), 1.0),
+                                 (TaskSpec("reconstruction", "y", 1e-3), 0.5)))
     init = init_filter(FilterKind.LINEAR, 5, 3, seed=8)
     built = []
     one_hot_fn = heads.one_hot
@@ -692,13 +691,44 @@ def test_training_builds_least_squares_targets_once(monkeypatch):
     calls = sum(r.probes for r in report.records) + report.stall_probes
     assert calls > 2
 
-    # rebuilding the targets in every pass gives the same run bit for bit
-    monkeypatch.setattr(minimax_opt, "_task_targets",
-                        lambda cfg, data: (None,) * 3)
-    rebuilt = train_minimax(init, data, cfg)
-    assert len(built) == 2 + 2 * calls
-    assert rebuilt.records == report.records
-    assert np.array_equal(rebuilt.final_state.params, report.final_state.params)
+
+
+def test_objective_builds_its_own_targets_bit_for_bit():
+    # a bare joint_objective builds what each head is fit to; passing the
+    # inputs train_minimax builds once gives the same values and heads
+    data = _toy_dataset(np.random.default_rng(9), n=40, dim=5)
+    cfg = TradeoffConfig(
+        utility_weight=3.0,
+        private_tasks=((TaskSpec("softmax", "y", 1e-4), 1.0),
+                       (TaskSpec("least_squares", "y", 1e-3), 0.5)),
+        utility_tasks=((TaskSpec("reconstruction", "y", 1e-3), 0.25),
+                       (TaskSpec("softmax", "z", 1e-4), 1.0)))
+    state = init_filter(FilterKind.TWO_LAYER_SIGMOID, 5, 3, (6, 4), seed=9)
+    bare = joint_objective(state, data, cfg)
+    given = joint_objective(state, data, cfg,
+                            targets=minimax_opt._task_targets(cfg, data))
+    assert bare[:3] == given[:3]
+    a, b = bare[3], given[3]
+    assert a.inner_iterations == b.inner_iterations
+    assert a.worst_inner_grad == b.worst_inner_grad
+    assert np.array_equal(a.feature_grad, b.feature_grad)
+    for head_a, head_b in zip(a.private + a.utility, b.private + b.utility):
+        assert type(head_a) is type(head_b)
+        assert np.array_equal(head_a.weights, head_b.weights)
+        assert np.array_equal(getattr(head_a, "bias", 0.0),
+                              getattr(head_b, "bias", 0.0))
+
+
+@pytest.mark.parametrize("kind", ["softmax", "least_squares"])
+def test_a_task_on_missing_labels_is_rejected(kind):
+    rng = np.random.default_rng(10)
+    data = replace(_toy_dataset(rng, n=30, dim=4), z=None)
+    cfg = TradeoffConfig(utility_tasks=((TaskSpec(kind, "z"), 1.0),))
+    state = init_filter(FilterKind.LINEAR, 4, 2, seed=10)
+    for run in (lambda: joint_objective(state, data, cfg),
+                lambda: train_minimax(state, data, cfg)):
+        with pytest.raises(DataError, match="data has no 'z' labels"):
+            run()
 
 
 def test_lbfgs_direction_matches_dense_bfgs_update():

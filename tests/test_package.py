@@ -14,9 +14,8 @@ from privfilter import (DataError, ExperimentConfig, ReconstructionHead,
                         SoftmaxHead, TaskSpec, TradeoffConfig,
                         TrainReport, build_scatters, classification_tradeoff,
                         fit_pca, fit_ppls, fit_reconstruction, fit_softmax,
-                        gen_synthetic, identity_filter, least_squares_task,
-                        least_squares_tradeoff, one_hot, pretrain_autoencoder,
-                        reconstruction_task, softmax_task)
+                        gen_synthetic, identity_filter, least_squares_tradeoff,
+                        one_hot, pretrain_autoencoder)
 
 
 def test_public_names_resolve_once():
@@ -215,11 +214,11 @@ _REJECTIONS = [
      lambda: least_squares_tradeoff(utility_weight=_NAN)),
     ("least_squares_tradeoff", "reg_lambda",
      lambda: least_squares_tradeoff(reg_lambda=-1.0)),
-    ("softmax_task", "reg_lambda", lambda: softmax_task(reg_lambda=_NAN)),
-    ("least_squares_task", "reg_lambda",
-     lambda: least_squares_task(reg_lambda=float("inf"))),
-    ("reconstruction_task", "reg_lambda",
-     lambda: reconstruction_task(reg_lambda=-1.0)),
+    ("TaskSpec", "label_field", lambda: TaskSpec("softmax", label_field="w")),
+    ("TaskSpec", "reg_lambda",
+     lambda: TaskSpec("least_squares", reg_lambda=float("inf"))),
+    ("TaskSpec", "reg_lambda",
+     lambda: TaskSpec("reconstruction", reg_lambda=-1.0)),
     ("TaskSpec", "reg_lambda", lambda: TaskSpec("softmax", reg_lambda=_NAN)),
     ("TradeoffConfig", "utility_weight",
      lambda: TradeoffConfig(utility_weight=_NAN)),

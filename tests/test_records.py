@@ -83,6 +83,8 @@ _BROKEN_FILES = {
         '{"trial": 0}\n\n{"tri'), "line 3: not JSON"),
     "results-list": (load_results, "cells.jsonl", lambda p: p.write_text(
         "[1, 2]\n"), "line 1: not a JSON object"),
+    "results-no-cell": (load_results, "cells.jsonl", lambda p: p.write_text(
+        '{"trial": 0}\n'), "line 1: missing filter, dim, epsilon_inverse"),
     "report-not-utf8": (load_report_records, "run.jsonl", lambda p: p.write_bytes(
         b"\xff\n"), "line 1: not JSON"),
     "report-foreign-key": (load_report_records, "run.jsonl", lambda p: p.write_text(
