@@ -160,7 +160,7 @@ def _between_class_scatter(X, labels):
         rows = X[labels == cls]
         centered = rows.mean(axis=0) - overall
         scatter += rows.shape[0] * np.outer(centered, centered)
-    return 0.5 * (scatter + scatter.T)
+    return scatter
 
 
 def build_scatters(X, y, z) -> ScatterSet:

@@ -20,7 +20,8 @@ in the same order as the plain expressions: the results match those bit
 for bit without the n-row temporaries each expression would allocate.
 Pretraining returns the trained filter alone and computes no loss it
 does not descend on: each epoch is one forward and one backward pass
-over the corrupted rows.
+over the corrupted rows, at the constants ``DAE_NOISE_LEVEL`` and
+``DAE_STEP``.
 
 The sigmoid is scipy's ``expit``, loaded on the first MLP forward pass
 from its compiled module alone (``kernels.scipy_kernel``): no process
@@ -36,12 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT,
-                     DataError, Setting, ShapeError, check_dim, check_features)
+from .errors import (NON_NEGATIVE_INT, POSITIVE_INT, DataError, Setting,
+                     ShapeError, check_dim, check_features)
 from .kernels import scipy_kernel
 from .records import read_record, write_record
 
 DEFAULT_HIDDEN = (20, 10)
+DAE_NOISE_LEVEL = 0.1  # std of the Gaussian corruption of each DAE epoch
+DAE_STEP = 0.01  # gradient-descent step of each DAE epoch
 
 _HIDDEN = Setting(int, 1, many=True)
 
@@ -270,12 +273,12 @@ def identity_filter(dim: int) -> FilterState:
     return linear_filter(np.eye(POSITIVE_INT.check("dim", dim)))
 
 
-def _train_dae_layer(H, w, b, rng, noise_level, epochs, step, sigmoid_out):
+def _train_dae_layer(H, w, b, rng, epochs, sigmoid_out):
     """One denoising-autoencoder layer trained by fixed-step gradient descent.
 
-    Corrupts the input with isotropic Gaussian noise each epoch and
-    minimizes the squared reconstruction of the clean input.  Returns the
-    trained encoder (w, b).
+    Corrupts the input with Gaussian noise of std ``DAE_NOISE_LEVEL``
+    each epoch and minimizes the squared reconstruction of the clean
+    input in steps of ``DAE_STEP``.  Returns the trained encoder (w, b).
     """
     n_samples = H.shape[0]
     n_hidden = w.shape[1]
@@ -284,12 +287,11 @@ def _train_dae_layer(H, w, b, rng, noise_level, epochs, step, sigmoid_out):
     c = np.zeros(H.shape[1])
     # One C-ordered noise buffer for every epoch; each line below keeps
     # the operands and order of the allocating form, so the bits match.
-    corrupted = np.empty(H.shape) if noise_level > 0 else H
+    corrupted = np.empty(H.shape)
     for _ in range(epochs):
-        if noise_level > 0:
-            rng.standard_normal(H.shape, out=corrupted)
-            corrupted *= noise_level
-            corrupted += H
+        rng.standard_normal(H.shape, out=corrupted)
+        corrupted *= DAE_NOISE_LEVEL
+        corrupted += H
         z = _affine(corrupted, w, b, sigmoid_out)
         d_r = _affine(z, w_dec, c, False)
         d_r -= H
@@ -302,26 +304,24 @@ def _train_dae_layer(H, w, b, rng, noise_level, epochs, step, sigmoid_out):
             d_pre = d_r @ w_dec.T
         g_w = corrupted.T @ d_pre
         g_b = d_pre.sum(axis=0)
-        w = w - step * g_w
-        b = b - step * g_b
-        w_dec = w_dec - step * g_wdec
-        c = c - step * g_c
+        w = w - DAE_STEP * g_w
+        b = b - DAE_STEP * g_b
+        w_dec = w_dec - DAE_STEP * g_wdec
+        c = c - DAE_STEP * g_c
     return w, b
 
 
 def pretrain_autoencoder(X, output_dim, hidden_dims=DEFAULT_HIDDEN,
-                         noise_level=0.1, epochs=100, step=0.01, seed=None):
+                         epochs=100, seed=None):
     """Greedy layerwise denoising-autoencoder initialization of an MLP filter.
 
     Each layer is trained as a denoising autoencoder on the previous
     layer's clean activations, then frozen.  With epochs=0 the seeded
-    random initialization is returned unchanged.  Deterministic given the
-    seed.
+    ``init_filter`` start is returned bit for bit.  Deterministic given
+    the seed.
     """
     X = check_features("X", X)
-    noise_level = NON_NEGATIVE.check("noise_level", noise_level)
     epochs = NON_NEGATIVE_INT.check("epochs", epochs)
-    step = POSITIVE.check("step", step)
     rng = np.random.default_rng(seed)
     state = init_filter(FilterKind.TWO_LAYER_SIGMOID, X.shape[1], output_dim,
                         hidden_dims, seed=rng)
@@ -330,8 +330,7 @@ def pretrain_autoencoder(X, output_dim, hidden_dims=DEFAULT_HIDDEN,
     h = X
     for idx, (w, b) in enumerate(layers):
         sigmoid_out = idx < len(layers) - 1
-        w, b = _train_dae_layer(h, w.copy(), b.copy(), rng, noise_level,
-                                epochs, step, sigmoid_out)
+        w, b = _train_dae_layer(h, w.copy(), b.copy(), rng, epochs, sigmoid_out)
         trained.append((w, b))
         if sigmoid_out:
             h = _affine(h, w, b, True)

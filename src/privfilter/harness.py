@@ -20,12 +20,12 @@ uses the mechanism's sensitivity S = 2 (``dp_mech.DEFAULT_SENSITIVITY``).
 Chain "none" releases the filter outputs as they are, so its configs
 accept only epsilon_inverse = 0 and no ``bound_kind`` or ``bound_scale``.
 A sweep runs the work its cells share once, in a stage before them
-(``_stage``): the post chain bounds the split once per trial, and the
-bounded rows replace the raw ones, which that chain never reads again;
-the pre and none chains fit and apply each filter once per (filter, dim,
-trial), and the pre chain bounds its outputs.  The bounded rows are
-read-only, and each cell only draws and adds its noise (none at
-epsilon_inverse = 0, where the bounded rows pass through as they are).
+(``_stage``), whose halves hold as ``X`` the rows the cells release:
+the post chain bounds the raw split once per trial, and these replace
+the raw rows; the pre and none chains fit and apply each filter once
+per (filter, dim, trial), and the pre chain bounds its outputs.  The
+bounded rows are read-only, and each cell only draws and adds its noise
+(none at epsilon_inverse = 0, where the rows pass through as they are).
 
 Evaluation heads are softmax heads with ridge ``EVAL_REG_LAMBDA``, fit
 to gradient norm ``EVAL_TOL`` in at most ``EVAL_MAX_ITER`` Newton steps
@@ -169,6 +169,10 @@ class ExperimentConfig:
         if not isinstance(self.tradeoff, TradeoffConfig):
             raise DataError("tradeoff must be a TradeoffConfig, got "
                             f"{self.tradeoff!r}")
+        for name in ("filters", "dims", "epsilon_inverses"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise DataError(f"{name} repeats a value: {values}")
         if len(self.mlp_hidden) != 2:
             raise DataError(f"mlp_hidden must be two positive ints, got {self.mlp_hidden}")
         if self.chain == "none" and any(self.epsilon_inverses):
@@ -210,12 +214,9 @@ def fit_filter(kind: str, train: Dataset, d: int, cfg: ExperimentConfig, rng):
             return init, None
     elif kind == "minimax-linear":
         init = init_filter(FilterKind.LINEAR, train.dim, d, seed=rng)
-    elif cfg.pretrain_epochs > 0:  # minimax-mlp
+    else:  # minimax-mlp; zero epochs return the seeded init
         init = pretrain_autoencoder(train.X, d, cfg.mlp_hidden,
                                     epochs=cfg.pretrain_epochs, seed=rng)
-    else:
-        init = init_filter(FilterKind.TWO_LAYER_SIGMOID, train.dim, d,
-                           cfg.mlp_hidden, seed=rng)
     report = train_minimax(init, train, cfg.tradeoff)
     return report.final_state, report
 
@@ -318,6 +319,12 @@ class EvalReport:
 
     records: tuple
 
+    def __post_init__(self):
+        for i, record in enumerate(self.records):
+            missing = [k for k in _SUMMARY_FIELDS if k not in record]
+            if missing:
+                raise DataError(f"record {i} has no {', '.join(missing)}")
+
     def scientific_payload(self):
         """Records minus wall times and evaluation-solver diagnostics, the
         part that must be reproducible."""
@@ -349,24 +356,22 @@ class EvalReport:
         return rows
 
 
-_Stage = namedtuple("_Stage", "train test rows fields")
+_Stage = namedtuple("_Stage", "train test fields")
 
 
 def _stage(cfg, train, test, filt, fields):
-    """The split, the rows the cells perturb and the record fields they
-    share (``_BOUND_FIELDS`` and ``fields``, a fit's ``_TRAIN_FIELDS``),
-    built once before the cells.  A post chain bounds the raw split and
-    takes ``filt`` None; a pre or none chain applies the fitted ``filt``,
-    and the pre chain bounds its outputs."""
-    if cfg.chain == "post":
-        (X_train, X_test), fields = _bound_halves(train.X, test.X, cfg)
-        return _Stage(replace(train, X=X_train), replace(test, X=X_test),
-                      (X_train, X_test), fields)
-    rows = (apply_filter(filt, train.X), apply_filter(filt, test.X))
-    if cfg.chain == "pre":
+    """The split with, as ``X``, the rows its cells release, and the record
+    fields they share (``_BOUND_FIELDS`` and ``fields``, a fit's
+    ``_TRAIN_FIELDS``), built once before the cells.  The rows are the
+    fitted ``filt``'s outputs, or the raw split when ``filt`` is None (as
+    on the post chain), bounded on chains "pre" and "post"."""
+    rows = (train.X, test.X)
+    if filt is not None:
+        rows = tuple(apply_filter(filt, X) for X in rows)
+    if cfg.chain != "none":
         rows, bound_fields = _bound_halves(*rows, cfg)
         fields = {**fields, **bound_fields}
-    return _Stage(train, test, rows, fields)
+    return _Stage(replace(train, X=rows[0]), replace(test, X=rows[1]), fields)
 
 
 def _fitted_stage(cfg, train, test, kind, d, key, training_log):
@@ -397,8 +402,8 @@ def _run_cell(stage, kind, d, einv, key, data, cfg, training_log):
     rows.  Each array dies as soon as the next step has been built from
     it, and none outlives the cell."""
     fi, di, ei, trial = key
-    g_train, g_test = _add_noise(stage.rows, einv, derive_rng(
-        cfg.master_seed, ROLE_NOISE, fi, di, ei, trial))
+    g_train, g_test = _add_noise((stage.train.X, stage.test.X), einv,
+                                 derive_rng(cfg.master_seed, ROLE_NOISE, *key))
     fields = {}
     if cfg.chain == "post":
         filt, fields = _fit_logged(

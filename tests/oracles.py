@@ -325,10 +325,7 @@ def train_dae_layer_reference(H, w, b, rng, noise_level, epochs, step,
     if track_losses:
         losses.append(_dae_eval_loss_reference(H, w, b, w_dec, c, sigmoid_out))
     for _ in range(epochs):
-        if noise_level > 0:
-            corrupted = H + noise_level * rng.standard_normal(H.shape)
-        else:
-            corrupted = H
+        corrupted = H + noise_level * rng.standard_normal(H.shape)
         pre = corrupted @ w + b
         z = expit(pre) if sigmoid_out else pre
         r = z @ w_dec + c - H

@@ -161,6 +161,18 @@ def test_scatter_enumeration_oracle():
     np.testing.assert_allclose(s.between_target, expected_tgt, atol=1e-12)
 
 
+def test_between_class_scatters_are_exactly_symmetric():
+    # a sum of n_c * outer(c, c) needs no symmetrizing step: entry (i, j)
+    # and entry (j, i) round the same products in the same order
+    rng = np.random.default_rng(31)
+    for k in range(2, 9):
+        X = rng.standard_normal((300, 50)) * rng.uniform(0.1, 10.0, size=50)
+        y = rng.integers(1, k + 1, size=300)
+        s = build_scatters(X, y, rng.integers(1, 3, size=300))
+        for scatter in (s.between_private, s.between_target):
+            assert scatter.tobytes() == scatter.T.copy().tobytes()
+
+
 def test_lds_solves_generalized_eigenproblem():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((120, 5))

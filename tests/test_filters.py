@@ -6,7 +6,8 @@ from oracles import (central_diff, mlp_forward_reference,
                      mlp_param_grad_reference, rel_error,
                      train_dae_layer_reference)
 from privfilter.errors import DataError, ShapeError
-from privfilter.filters import (FilterKind, FilterState, apply_filter,
+from privfilter.filters import (DAE_NOISE_LEVEL, DAE_STEP, FilterKind,
+                                FilterState, apply_filter,
                                 filter_param_grad, identity_filter,
                                 init_filter, linear_filter, load_filter,
                                 pretrain_autoencoder, save_filter,
@@ -158,11 +159,9 @@ def test_linear_filter_collects_no_activations():
                                   (X.T @ upstream).ravel())
 
 
-@pytest.mark.parametrize("noise_level", [0.0, 0.3])
 @pytest.mark.parametrize("sigmoid_out", [True, False])
 @pytest.mark.parametrize("track_losses", [False, True])
-def test_dae_layer_matches_reference_bit_for_bit(noise_level, sigmoid_out,
-                                                 track_losses):
+def test_dae_layer_matches_reference_bit_for_bit(sigmoid_out, track_losses):
     rng = np.random.default_rng(17)
     for n, D, hidden in [(1, 3, 2), (40, 8, 5), (3200, 20, 20), (333, 10, 10)]:
         H = rng.standard_normal((n, D))
@@ -171,13 +170,13 @@ def test_dae_layer_matches_reference_bit_for_bit(noise_level, sigmoid_out,
         for layout, view in _layouts(H).items():
             ours_rng = np.random.default_rng(n)
             ref_rng = np.random.default_rng(n)
-            w, b = _train_dae_layer(view, w0.copy(), b0.copy(), ours_rng,
-                                    noise_level, 6, 0.05, sigmoid_out)
+            w, b = _train_dae_layer(view, w0.copy(), b0.copy(), ours_rng, 6,
+                                    sigmoid_out)
             # the reference's clean-input losses draw no random numbers,
             # so tracking them leaves its parameters as they are
             ref_w, ref_b, ref_losses = train_dae_layer_reference(
-                view, w0.copy(), b0.copy(), ref_rng, noise_level, 6, 0.05,
-                sigmoid_out, track_losses)
+                view, w0.copy(), b0.copy(), ref_rng, DAE_NOISE_LEVEL, 6,
+                DAE_STEP, sigmoid_out, track_losses)
             np.testing.assert_array_equal(w, ref_w, err_msg=layout)
             np.testing.assert_array_equal(b, ref_b, err_msg=layout)
             if track_losses:
@@ -191,8 +190,7 @@ def test_dae_layer_matches_reference_bit_for_bit(noise_level, sigmoid_out,
 def test_pretrain_matches_reference_layers_bit_for_bit():
     rng = np.random.default_rng(18)
     X = np.asfortranarray(rng.standard_normal((150, 9)))
-    state = pretrain_autoencoder(X, 3, (6, 4), noise_level=0.2, epochs=5,
-                                 step=0.02, seed=21)
+    state = pretrain_autoencoder(X, 3, (6, 4), epochs=5, seed=21)
     ref_rng = np.random.default_rng(21)
     init = init_filter(FilterKind.TWO_LAYER_SIGMOID, 9, 3, (6, 4), seed=ref_rng)
     h = X
@@ -200,7 +198,8 @@ def test_pretrain_matches_reference_layers_bit_for_bit():
                                                         _unpack_mlp(state))):
         sigmoid_out = idx < 2
         w, b, _ = train_dae_layer_reference(h, w.copy(), b.copy(), ref_rng,
-                                            0.2, 5, 0.02, sigmoid_out, False)
+                                            DAE_NOISE_LEVEL, 5, DAE_STEP,
+                                            sigmoid_out, False)
         np.testing.assert_array_equal(got_w, w)
         np.testing.assert_array_equal(got_b, b)
         if sigmoid_out:
@@ -255,7 +254,7 @@ def test_apply_rejects_wrong_width():
 def test_pretrain_zero_epochs_returns_seeded_init():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((30, 8))
-    state = pretrain_autoencoder(X, 3, (6, 4), noise_level=0.0, epochs=0, seed=17)
+    state = pretrain_autoencoder(X, 3, (6, 4), epochs=0, seed=17)
     reference = init_filter(FilterKind.TWO_LAYER_SIGMOID, 8, 3, (6, 4), seed=17)
     np.testing.assert_array_equal(state.params, reference.params)
 
@@ -266,8 +265,7 @@ def test_pretrain_reduces_layer_losses():
     # reference's clean-input losses are the pretraining's
     rng = np.random.default_rng(6)
     X = rng.standard_normal((60, 10)) @ np.diag(np.linspace(0.2, 2.0, 10))
-    state = pretrain_autoencoder(X, 3, (7, 5), noise_level=0.1, epochs=40,
-                                 step=0.01, seed=1)
+    state = pretrain_autoencoder(X, 3, (7, 5), epochs=40, seed=1)
     assert state.layer_dims == (10, 7, 5, 3)
     ref_rng = np.random.default_rng(1)
     init = init_filter(FilterKind.TWO_LAYER_SIGMOID, 10, 3, (7, 5), seed=ref_rng)
@@ -275,7 +273,8 @@ def test_pretrain_reduces_layer_losses():
     for idx, ((w, b), (got_w, _)) in enumerate(zip(_unpack_mlp(init),
                                                    _unpack_mlp(state))):
         w, b, losses = train_dae_layer_reference(h, w.copy(), b.copy(), ref_rng,
-                                                 0.1, 40, 0.01, idx < 2, True)
+                                                 DAE_NOISE_LEVEL, 40, DAE_STEP,
+                                                 idx < 2, True)
         np.testing.assert_array_equal(got_w, w)
         assert losses.shape == (41,)
         assert losses[-1] <= losses[0]
@@ -292,8 +291,6 @@ def test_pretrain_is_deterministic():
 
 
 def test_pretrain_input_validation():
-    with pytest.raises(DataError):
-        pretrain_autoencoder(np.zeros((4, 3)), 2, (3, 2), noise_level=-1.0)
     with pytest.raises(DataError):
         pretrain_autoencoder(np.zeros((4, 3)), 2, (3, 2), epochs=-1)
     with pytest.raises(ShapeError, match="X"):

@@ -13,13 +13,14 @@ from privfilter.data import Dataset, gen_synthetic, split_per_subject
 from privfilter.dp_mech import (BoundKind, bound, bound_scale_from_norms,
                                 sample_noise)
 from privfilter.errors import DataError, ShapeError
-from privfilter.filters import FilterKind, apply_filter, linear_filter
+from privfilter.filters import (FilterKind, apply_filter, init_filter,
+                                linear_filter)
 from privfilter.harness import (CHAIN_CHOICES, EVAL_TOL, FILTER_CHOICES,
                                 EvalReport, ExperimentConfig, derive_rng,
                                 export_results, fit_filter, load_results,
                                 run_experiment)
 from privfilter.heads import fit_softmax, softmax_risk
-from privfilter.minimax_opt import classification_tradeoff
+from privfilter.minimax_opt import classification_tradeoff, train_minimax
 
 
 def _small_data(seed=0, dim=6, per_subject=12):
@@ -157,7 +158,17 @@ def test_bound_kind_needs_a_release_chain():
         assert ExperimentConfig(chain=chain).bound_kind == "clip"
         assert ExperimentConfig(chain=chain,
                                 bound_kind="squash").bound_kind == "squash"
-    assert ExperimentConfig(epsilon_inverses=(0.0, 0.0)).chain == "none"
+    assert ExperimentConfig(epsilon_inverses=(0.0,)).chain == "none"
+
+
+def test_repeated_grid_values_are_rejected():
+    # a repeated value would run its cells twice and summarize them as one
+    # row with twice the trials
+    for name, grid in (("filters", ("pca", "pca")), ("dims", (2, 3, 2)),
+                       ("epsilon_inverses", (0.0, 0.0))):
+        with pytest.raises(DataError, match=f"^{name} repeats a value"):
+            ExperimentConfig(**{name: grid})
+    assert ExperimentConfig(mlp_hidden=(20, 20)).mlp_hidden == (20, 20)
 
 
 def test_bound_scale_needs_a_release_chain():
@@ -208,6 +219,21 @@ def test_pretraining_flag_reaches_the_mlp():
     a, _ = fit_filter("minimax-mlp", data, 2, plain, derive_rng(0, 1, 0))
     b, _ = fit_filter("minimax-mlp", data, 2, pre, derive_rng(0, 1, 0))
     assert not np.array_equal(a.params, b.params)
+
+
+def test_zero_epoch_mlp_start_is_the_seeded_init():
+    # no workload runs the default zero-epoch start; its fit is the one
+    # trained from init_filter on the same stream
+    data = _small_data()
+    cfg = _fast_config(filters=("minimax-mlp",), pretrain_epochs=0)
+    assert cfg.chain == "none"
+    filt, report = fit_filter("minimax-mlp", data, 2, cfg, derive_rng(0, 1, 0))
+    start = init_filter(FilterKind.TWO_LAYER_SIGMOID, data.dim, 2,
+                        cfg.mlp_hidden, seed=derive_rng(0, 1, 0))
+    expected = train_minimax(start, data, cfg.tradeoff)
+    assert filt.params.tobytes() == expected.final_state.params.tobytes()
+    assert report.records == expected.records
+    assert report.stop_reason == expected.stop_reason
 
 
 def test_run_experiment_record_grid_and_raw_dim():
@@ -396,9 +422,10 @@ def test_release_pre_shape_and_no_noise_path():
     g_train, g_test = apply_filter(filt, train.X), apply_filter(filt, test.X)
     cfg = ExperimentConfig(chain="pre", bound_kind="clip", bound_scale=0.5)
     stage = harness._stage(cfg, train, test, filt, {})
+    rows = (stage.train.X, stage.test.X)
     # at epsilon_inverse = 0 the bounded rows pass through as they are
-    silent = harness._add_noise(stage.rows, 0.0, np.random.default_rng(0))
-    assert silent is stage.rows
+    silent = harness._add_noise(rows, 0.0, np.random.default_rng(0))
+    assert silent is rows
     silent_train, silent_test = silent
     assert np.array_equal(silent_train, bound(BoundKind.CLIP, 0.5, g_train))
     assert np.array_equal(silent_test, bound(BoundKind.CLIP, 0.5, g_test))
@@ -407,10 +434,10 @@ def test_release_pre_shape_and_no_noise_path():
     # without a configured scale it is fit on the training rows only
     scale = bound_scale_from_norms(np.linalg.norm(g_train, axis=1))
     auto = harness._stage(ExperimentConfig(chain="pre"), train, test, filt, {})
-    assert np.array_equal(auto.rows[1], bound(BoundKind.CLIP, scale, g_test))
+    assert np.array_equal(auto.test.X, bound(BoundKind.CLIP, scale, g_test))
     assert auto.fields["bound_scale"] == scale
     # the training rows draw their noise first, the test rows second
-    noisy_train, noisy_test = harness._add_noise(stage.rows, 1.0,
+    noisy_train, noisy_test = harness._add_noise(rows, 1.0,
                                                  np.random.default_rng(3))
     check = np.random.default_rng(3)
     first = sample_noise(1.0, 2, rng=check, size=10)
@@ -420,9 +447,10 @@ def test_release_pre_shape_and_no_noise_path():
     # chain "none" releases the filter outputs as they are, unbounded
     plain = harness._stage(ExperimentConfig(), train, test, filt, {})
     assert plain.fields == {}
-    assert np.array_equal(plain.rows[0], g_train)
-    assert np.array_equal(plain.rows[1], g_test)
-    assert harness._add_noise(plain.rows, 0.0, None) is plain.rows
+    assert np.array_equal(plain.train.X, g_train)
+    assert np.array_equal(plain.test.X, g_test)
+    plain_rows = (plain.train.X, plain.test.X)
+    assert harness._add_noise(plain_rows, 0.0, None) is plain_rows
 
 
 def test_release_post_filters_after_perturbing(monkeypatch):
@@ -466,10 +494,11 @@ def test_release_matches_the_out_of_place_sum(chain, einv):
     inputs = [half.X.tobytes() for half in (train, test)]
     cfg = ExperimentConfig(chain=chain, epsilon_inverses=(einv,))
     stage = harness._stage(cfg, train, test, filt, {})
-    shared = [rows.tobytes() for rows in stage.rows]
+    shared = [half.X.tobytes() for half in (stage.train, stage.test)]
     noise_rng = np.random.default_rng(4)
     check = copy.deepcopy(noise_rng)
-    released = harness._add_noise(stage.rows, einv, noise_rng)
+    released = harness._add_noise((stage.train.X, stage.test.X), einv,
+                                  noise_rng)
     rows = [half.X if filt is None else apply_filter(filt, half.X)
             for half in (train, test)]
     scale = bound_scale_from_norms(np.linalg.norm(rows[0], axis=1))
@@ -478,7 +507,7 @@ def test_release_matches_the_out_of_place_sum(chain, einv):
             einv, 7, rng=check, size=half.shape[0])
         assert out.tobytes() == expected.tobytes()
     assert [half.X.tobytes() for half in (train, test)] == inputs
-    assert [rows.tobytes() for rows in stage.rows] == shared
+    assert [half.X.tobytes() for half in (stage.train, stage.test)] == shared
 
 
 @pytest.mark.parametrize("chain, kind, scale", [
@@ -618,11 +647,20 @@ def test_export_and_load_round_trip(tmp_path):
 
 
 def test_export_writes_neither_file_when_the_summary_fails(tmp_path):
-    # the summary is built before either file is written, so a report it
-    # fails on leaves no .jsonl without its .csv
-    with pytest.raises(KeyError):
+    # a record without a field the summary reads fails when the report is
+    # built, so no export starts and no .jsonl is left without its .csv
+    with pytest.raises(DataError, match="record 0 has no filter, dim"):
         export_results(EvalReport(({"trial": 0},)), tmp_path / "run")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_report_checks_its_records_when_built():
+    records = run_experiment(_fast_config(trials=1), _small_data()).records
+    partial = {k: v for k, v in records[1].items()
+               if k not in ("error", "tradeoff")}
+    with pytest.raises(DataError, match=r"^record 1 has no error, tradeoff$"):
+        EvalReport((records[0], partial))
+    assert EvalReport(records).summary()
 
 
 def test_loaded_records_need_only_the_fields_the_summary_reads(tmp_path):
@@ -771,6 +809,25 @@ def test_a_failed_filter_fit_runs_once_per_filter(monkeypatch, chain, einvs):
             assert record["error"] == "FloatingPointError: no fit"
             assert record["target_accuracy"] is None
             assert all(record[k] is None for k in _TRAIN_FIELDS)
+
+
+@pytest.mark.parametrize("chain, einvs", [("pre", (0.0, 0.5)),
+                                          ("none", (0.0,))])
+def test_a_non_finite_filter_output_fails_every_cell_of_its_stage(
+        monkeypatch, chain, einvs):
+    def overflowing(filt, X):
+        out = apply_filter(filt, X)
+        out[0, 0] = np.inf
+        return out
+
+    monkeypatch.setattr(harness, "apply_filter", overflowing)
+    cfg = _fast_config(filters=("pca",), epsilon_inverses=einvs, chain=chain)
+    report = run_experiment(cfg, _small_data())
+    assert len(report.records) == 2 * len(einvs)
+    for record in report.records:
+        assert record["error"].startswith("DataError: ")
+        assert "non-finite" in record["error"]
+        assert record["target_accuracy"] is None
 
 
 def test_a_failed_split_bound_runs_once_per_trial(monkeypatch):

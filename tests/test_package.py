@@ -174,86 +174,86 @@ def _pretrain(X=_X, epochs=1, **kwargs):
     return pretrain_autoencoder(X, 2, (3, 2), epochs=epochs, **kwargs)
 
 
-# (public name, argument, call) for an argument outside its domain: each
-# call raises DataError with a message that names the argument
+# (serial, public name, argument, call) for an argument outside its
+# domain: each call raises DataError with a message that names the
+# argument.  A row keeps its serial, which ends its test id, for good: a
+# new row takes the next unused one and a deleted row's is never reused,
+# so deleting a row renames no other test.
 _REJECTIONS = [
-    ("fit_softmax", "tol", lambda: fit_softmax(_X, _Y, 3, tol=_NAN)),
-    ("fit_softmax", "max_iter", lambda: fit_softmax(_X, _Y, 3, max_iter=-1)),
-    ("fit_softmax", "reg_lambda", lambda: fit_softmax(_X, _Y, 3, reg_lambda=_NAN)),
-    ("fit_softmax", "num_classes", lambda: fit_softmax(_X, _Y, 2.5)),
-    ("SoftmaxHead", "reg_lambda",
+    (0, "fit_softmax", "tol", lambda: fit_softmax(_X, _Y, 3, tol=_NAN)),
+    (1, "fit_softmax", "max_iter", lambda: fit_softmax(_X, _Y, 3, max_iter=-1)),
+    (2, "fit_softmax", "reg_lambda", lambda: fit_softmax(_X, _Y, 3, reg_lambda=_NAN)),
+    (3, "fit_softmax", "num_classes", lambda: fit_softmax(_X, _Y, 2.5)),
+    (4, "SoftmaxHead", "reg_lambda",
      lambda: SoftmaxHead(np.zeros((3, 4)), reg_lambda=_NAN)),
-    ("ReconstructionHead", "reg_lambda",
+    (5, "ReconstructionHead", "reg_lambda",
      lambda: ReconstructionHead(np.zeros((4, 2)), np.zeros(2), reg_lambda=-1.0)),
-    ("fit_reconstruction", "reg_lambda",
+    (6, "fit_reconstruction", "reg_lambda",
      lambda: fit_reconstruction(_X, _X, reg_lambda=_NAN)),
-    ("fit_reconstruction", "fit_intercept",
+    (7, "fit_reconstruction", "fit_intercept",
      lambda: fit_reconstruction(_X, _X, fit_intercept="yes")),
-    ("pretrain_autoencoder", "noise_level", lambda: _pretrain(noise_level=_NAN)),
-    ("pretrain_autoencoder", "step", lambda: _pretrain(step=_NAN)),
-    ("pretrain_autoencoder", "step", lambda: _pretrain(step=-0.01)),
-    ("pretrain_autoencoder", "epochs", lambda: _pretrain(epochs=2.5)),
-    ("pretrain_autoencoder", "X", lambda: _pretrain(_NAN_X)),
-    ("gen_synthetic", "noise", lambda: gen_synthetic(3, 2, 2, 4, noise=_NAN)),
-    ("gen_synthetic", "angle_deg",
+    (11, "pretrain_autoencoder", "epochs", lambda: _pretrain(epochs=2.5)),
+    (12, "pretrain_autoencoder", "X", lambda: _pretrain(_NAN_X)),
+    (13, "gen_synthetic", "noise", lambda: gen_synthetic(3, 2, 2, 4, noise=_NAN)),
+    (14, "gen_synthetic", "angle_deg",
      lambda: gen_synthetic(3, 2, 2, 4, angle_deg=_NAN)),
-    ("gen_synthetic", "subject_sep",
+    (15, "gen_synthetic", "subject_sep",
      lambda: gen_synthetic(3, 2, 2, 4, subject_sep=-1.0)),
-    ("gen_synthetic", "target_sep",
+    (16, "gen_synthetic", "target_sep",
      lambda: gen_synthetic(3, 2, 2, 4, target_sep=float("inf"))),
-    ("fit_ppls", "ppls_lambda", lambda: _ppls(ppls_lambda=_NAN)),
-    ("fit_ppls", "X", lambda: _ppls(_NAN_X)),
-    ("fit_pca", "X", lambda: fit_pca(_NAN_X, 2)),
-    ("build_scatters", "X", lambda: build_scatters(_NAN_X, _Y, _Z)),
-    ("identity_filter", "dim", lambda: identity_filter(2.5)),
-    ("classification_tradeoff", "utility_weight",
+    (17, "fit_ppls", "ppls_lambda", lambda: _ppls(ppls_lambda=_NAN)),
+    (18, "fit_ppls", "X", lambda: _ppls(_NAN_X)),
+    (19, "fit_pca", "X", lambda: fit_pca(_NAN_X, 2)),
+    (20, "build_scatters", "X", lambda: build_scatters(_NAN_X, _Y, _Z)),
+    (21, "identity_filter", "dim", lambda: identity_filter(2.5)),
+    (22, "classification_tradeoff", "utility_weight",
      lambda: classification_tradeoff(utility_weight=0.0)),
-    ("classification_tradeoff", "reg_lambda",
+    (23, "classification_tradeoff", "reg_lambda",
      lambda: classification_tradeoff(reg_lambda=_NAN)),
-    ("least_squares_tradeoff", "utility_weight",
+    (24, "least_squares_tradeoff", "utility_weight",
      lambda: least_squares_tradeoff(utility_weight=_NAN)),
-    ("least_squares_tradeoff", "reg_lambda",
+    (25, "least_squares_tradeoff", "reg_lambda",
      lambda: least_squares_tradeoff(reg_lambda=-1.0)),
-    ("TaskSpec", "label_field", lambda: TaskSpec("softmax", label_field="w")),
-    ("TaskSpec", "reg_lambda",
+    (26, "TaskSpec", "label_field", lambda: TaskSpec("softmax", label_field="w")),
+    (27, "TaskSpec", "reg_lambda",
      lambda: TaskSpec("least_squares", reg_lambda=float("inf"))),
-    ("TaskSpec", "reg_lambda",
+    (28, "TaskSpec", "reg_lambda",
      lambda: TaskSpec("reconstruction", reg_lambda=-1.0)),
-    ("TaskSpec", "reg_lambda", lambda: TaskSpec("softmax", reg_lambda=_NAN)),
-    ("TradeoffConfig", "utility_weight",
+    (29, "TaskSpec", "reg_lambda", lambda: TaskSpec("softmax", reg_lambda=_NAN)),
+    (30, "TradeoffConfig", "utility_weight",
      lambda: TradeoffConfig(utility_weight=_NAN)),
-    ("TradeoffConfig", "max_iter", lambda: TradeoffConfig(max_iter=0)),
-    ("TradeoffConfig", "convergence_tol",
+    (31, "TradeoffConfig", "max_iter", lambda: TradeoffConfig(max_iter=0)),
+    (32, "TradeoffConfig", "convergence_tol",
      lambda: TradeoffConfig(convergence_tol=_NAN)),
-    ("TradeoffConfig", "slow_iterations",
+    (33, "TradeoffConfig", "slow_iterations",
      lambda: TradeoffConfig(slow_iterations=0)),
-    ("TradeoffConfig", "inner_tol", lambda: TradeoffConfig(inner_tol=-1.0)),
-    ("TradeoffConfig", "inner_max_iter",
+    (34, "TradeoffConfig", "inner_tol", lambda: TradeoffConfig(inner_tol=-1.0)),
+    (35, "TradeoffConfig", "inner_max_iter",
      lambda: TradeoffConfig(inner_max_iter=2.5)),
-    ("ExperimentConfig", "trials", lambda: ExperimentConfig(trials=0)),
-    ("ExperimentConfig", "trials", lambda: ExperimentConfig(trials=True)),
-    ("ExperimentConfig", "train_fraction",
+    (36, "ExperimentConfig", "trials", lambda: ExperimentConfig(trials=0)),
+    (37, "ExperimentConfig", "trials", lambda: ExperimentConfig(trials=True)),
+    (38, "ExperimentConfig", "train_fraction",
      lambda: ExperimentConfig(train_fraction=1.0)),
-    ("ExperimentConfig", "master_seed", lambda: ExperimentConfig(master_seed=-1)),
-    ("ExperimentConfig", "lds_init", lambda: ExperimentConfig(lds_init="yes")),
-    ("ExperimentConfig", "pretrain_epochs",
+    (39, "ExperimentConfig", "master_seed", lambda: ExperimentConfig(master_seed=-1)),
+    (40, "ExperimentConfig", "lds_init", lambda: ExperimentConfig(lds_init="yes")),
+    (41, "ExperimentConfig", "pretrain_epochs",
      lambda: ExperimentConfig(pretrain_epochs=-1)),
-    ("ExperimentConfig", "ppls_lambda",
+    (42, "ExperimentConfig", "ppls_lambda",
      lambda: ExperimentConfig(ppls_lambda=_NAN)),
-    ("TrainReport", "stall_probes",
+    (43, "TrainReport", "stall_probes",
      lambda: TrainReport((), identity_filter(2), "stalled", stall_probes=-1)),
-    ("TrainReport", "stall_inner_iterations",
+    (44, "TrainReport", "stall_inner_iterations",
      lambda: TrainReport((), identity_filter(2), "stalled",
                          stall_inner_iterations=2.5)),
-    ("TrainReport", "inner_unconverged",
+    (45, "TrainReport", "inner_unconverged",
      lambda: TrainReport((), identity_filter(2), "stalled", inner_unconverged=-1)),
-    ("ExperimentConfig", "tradeoff", lambda: ExperimentConfig(tradeoff=5)),
+    (46, "ExperimentConfig", "tradeoff", lambda: ExperimentConfig(tradeoff=5)),
 ]
 
 
-@pytest.mark.parametrize(
-    "name, argument, call", _REJECTIONS,
-    ids=[f"{name}-{argument}-{i}" for i, (name, argument, _) in enumerate(_REJECTIONS)])
+@pytest.mark.parametrize("name, argument, call", [
+    pytest.param(name, argument, call, id=f"{name}-{argument}-{serial}")
+    for serial, name, argument, call in _REJECTIONS])
 def test_out_of_domain_arguments_are_rejected_by_name(name, argument, call):
     with pytest.raises(DataError, match=rf"\b{argument}\b"):
         call()
@@ -273,5 +273,5 @@ def _numeric_parameters():
 
 def test_every_numeric_default_has_a_rejection_row():
     # a new unchecked numeric argument fails here until it has a row above
-    covered = {(name, argument) for name, argument, _ in _REJECTIONS}
+    covered = {(name, argument) for _, name, argument, _ in _REJECTIONS}
     assert _numeric_parameters() - covered == set()
